@@ -89,6 +89,17 @@ def _convention_from_args(args) -> Convention:
     )
 
 
+def _count(text: str) -> int:
+    """argparse type for a count: an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return value
+
+
 def _add_convention_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--self-intersection", type=int, default=-2)
     parser.add_argument("--edge-sign", type=int, choices=(1, -1), default=1)
@@ -560,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="base-case audit plus random suites")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--trees", type=int, default=1000)
-    p.add_argument("--oracle-trees", type=int, default=200)
+    p.add_argument("--trees", type=_count, default=1000)
+    p.add_argument("--oracle-trees", type=_count, default=200)
     p.add_argument("--max-vertices", type=int, default=14)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

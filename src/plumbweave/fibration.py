@@ -328,7 +328,8 @@ def class_word_json(alf: AbstractLF) -> str:
     """Canonical serialization of the class word alone.
 
     Labels and displays are provenance, not identity; this is the byte form
-    used to compare words and to hash search states.
+    used to compare two words.  Search does not go through it: it hashes
+    tuples of classes.
     """
     doc = {
         "sphere_dim": alf.fiber.sphere_dim,

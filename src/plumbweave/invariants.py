@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import DimensionMismatch
 from .fibration import AbstractLF, PlumbingDescriptor, VanishingCycle, fibrate
 from .lattice import smith_normal_form
 from .treecore import RootedEmbeddedTree, UnrootedTree, order_tree
@@ -76,9 +77,10 @@ def total_homology(alf: AbstractLF, n: int | None = None) -> HomologyReport:
         n = alf.n
     rank = len(alf.fiber.pattern.vertices)
     m = len(alf.cycles)
-    boundary = tuple(
-        tuple(alf.cycles[col].cls[row] for col in range(m)) for row in range(rank)
-    )
+    if any(len(c.cls) != rank for c in alf.cycles):
+        raise DimensionMismatch(f"cycle classes against fiber rank {rank}")
+    # row i holds coordinate i of every cycle class
+    boundary = tuple(zip(*(c.cls for c in alf.cycles))) if m else ((),) * rank
     snf = smith_normal_form(boundary)
     free_cok, torsion = snf.cokernel
     h = (
@@ -86,18 +88,12 @@ def total_homology(alf: AbstractLF, n: int | None = None) -> HomologyReport:
         (n - 1, free_cok, torsion),
         (n, snf.kernel_rank, ()),
     )
-    report = HomologyReport(
+    return HomologyReport(
         euler=euler_characteristic(alf, n),
         h=h,
         caveat=(n == 2),
         boundary_matrix=boundary,
     )
-    # the alternating sum over the carried degrees always reproduces the
-    # handle-count Euler characteristic; keep the cross-check live
-    alt = 1 + (-1) ** (n - 1) * free_cok + (-1) ** n * snf.kernel_rank
-    top = 1 + (-1) ** (n - 1) * rank + (-1) ** n * m
-    assert alt == top, "degree bookkeeping out of sync with handle counts"
-    return report
 
 
 def wedge_oracle(t: RootedEmbeddedTree, n: int) -> HomologyReport:

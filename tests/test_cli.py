@@ -250,6 +250,16 @@ def test_selftest_ok(capsys):
     assert doc["random_suite"]["cycle_identity"]["failures"] == []
 
 
+@pytest.mark.parametrize("flag", ["--oracle-trees", "--trees"])
+@pytest.mark.parametrize("value", ["-5", "x"])
+def test_selftest_rejects_bad_counts(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", flag, value])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"expected a count of 0 or more, got '{value}'" in err
+
+
 def test_repeat_runs_are_byte_identical(capsys, ex_file):
     outs = set()
     for _ in range(2):

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
@@ -15,7 +17,8 @@ from plumbweave import (
     total_homology,
     wedge_oracle,
 )
-from plumbweave.fibration import family_interior_index
+from plumbweave.errors import DimensionMismatch
+from plumbweave.fibration import VanishingCycle, family_interior_index
 from plumbweave.invariants import base_case_audit
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -63,6 +66,13 @@ def test_homology_two_vertex_chain(a2_ordered):
     assert rep.h == ((0, 1, ()), (3, 0, ()), (4, 2, ()))
 
 
+def test_homology_rejects_classes_of_wrong_length(a2_ordered):
+    alf = fibrate(a2_ordered, 3)
+    short = replace(alf, cycles=alf.cycles + (VanishingCycle("extra", (), "0"),))
+    with pytest.raises(DimensionMismatch):
+        total_homology(short)
+
+
 def test_caveat_flag(a2_ordered):
     assert total_homology(fibrate(a2_ordered, 2), 2).caveat
     assert not total_homology(fibrate(a2_ordered, 3), 3).caveat
@@ -108,6 +118,20 @@ def test_stabilize_preserves_euler(ex_ordered):
     grown = stabilize(alf, "w0", 2)
     assert euler_characteristic(grown) == euler_characteristic(alf)
     assert total_homology(grown) == total_homology(alf)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [3, 4])
+def test_moved_word_matches_oracle_at_scale(n):
+    t = random_tree(15, 1000)
+    assert len(t.vertices) == 990
+    pristine = fibrate(order_tree(t), n)
+    rng = random.Random(n)
+    alf = pristine
+    for _ in range(50):
+        alf = hurwitz_a(alf, rng.randrange(len(alf.cycles) - 1))
+    assert alf.word_classes() != pristine.word_classes()
+    assert total_homology(alf) == wedge_oracle(t, n)
 
 
 # ---------------------------------------------------------------------------

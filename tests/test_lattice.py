@@ -1,4 +1,6 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from plumbweave import (
     smith_normal_form,
 )
 from plumbweave.errors import BadDimension, DimensionMismatch, NonInvertibleTwist
-from plumbweave.lattice import pattern_form
+from plumbweave.lattice import _dense_smith, pattern_form
 from plumbweave.treecore import UnrootedTree
 
 A2_PATTERN = UnrootedTree(("alpha", "beta"), (("alpha", "beta"),))
@@ -207,3 +209,97 @@ def test_snf_large_entries_exact():
     big = 10**30
     res = smith_normal_form([[big, 0], [0, big]])
     assert res.divisors == (big, big)
+
+
+def test_snf_ragged_rows():
+    with pytest.raises(DimensionMismatch):
+        smith_normal_form([[1, 2], [3]])
+
+
+def test_snf_unit_pivots_then_residual():
+    # one unit pivot leaves the block [[2, 0], [0, 4]] for the dense step
+    res = smith_normal_form([[1, 5, 7], [0, 2, 0], [0, 0, 4]])
+    assert res.divisors == (1, 2, 4)
+    assert res.cokernel == (0, (2, 4))
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form: differential checks against the dense routine and the
+# determinantal divisors
+
+BIG = 10**30
+ENTRY_POOLS = {
+    "small": st.integers(-6, 6),
+    "units": st.sampled_from([0, 0, 1, -1]),
+    "no_units": st.sampled_from([0, 0, 2, -2, 3, -4, 6, -9, BIG, -BIG - 2]),
+    "huge": st.sampled_from([0, 1, -1, 2, BIG, -BIG, BIG + 1, 3 * BIG, BIG**2]),
+}
+
+
+@st.composite
+def int_matrices(draw, max_side):
+    nr = draw(st.integers(0, max_side))
+    nc = draw(st.integers(0, max_side)) if nr else 0
+    shape = draw(st.sampled_from(sorted(ENTRY_POOLS) + ["unit_vectors"]))
+    if shape == "unit_vectors":
+        mat = [[0] * nc for _ in range(nr)]
+        for j in range(nc):
+            mat[draw(st.integers(0, nr - 1))][j] = draw(st.sampled_from([1, -1]))
+    else:
+        pool = ENTRY_POOLS[shape]
+        mat = [[draw(pool) for _ in range(nc)] for _ in range(nr)]
+    for i in range(nr):
+        if draw(st.integers(0, 4)) == 0:
+            mat[i] = [0] * nc
+    for j in range(nc):
+        if draw(st.integers(0, 4)) == 0:
+            for row in mat:
+                row[j] = 0
+    return mat
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def determinantal_invariant_factors(mat):
+    """d_k = gcd of the k x k minors; the factors are d_k / d_(k-1)."""
+    nr = len(mat)
+    nc = len(mat[0]) if nr else 0
+    factors, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rows in combinations(range(nr), k):
+            for cols in combinations(range(nc), k):
+                d = gcd(d, _det([[mat[i][j] for j in cols] for i in rows]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return tuple(factors)
+
+
+@given(int_matrices(4))
+@settings(max_examples=400, deadline=None)
+def test_snf_matches_dense_and_determinantal_divisors(mat):
+    res = smith_normal_form(mat)
+    assert res == _dense_smith(mat)
+    factors = determinantal_invariant_factors(mat)
+    nr = len(mat)
+    nc = len(mat[0]) if nr else 0
+    assert res.divisors == factors
+    assert res.rank == len(factors)
+    assert res.kernel_rank == nc - len(factors)
+    assert res.cokernel == (nr - len(factors), tuple(d for d in factors if d != 1))
+
+
+@given(int_matrices(8))
+@settings(max_examples=200, deadline=None)
+def test_snf_matches_dense_on_larger_matrices(mat):
+    assert smith_normal_form(mat) == _dense_smith(mat)
