@@ -35,7 +35,6 @@ from .lattice import (
     DEFAULT_CONVENTION,
     IntersectionForm,
     dehn_twist,
-    intersection_form,
     smith_normal_form,
 )
 from .moves import (
@@ -89,7 +88,6 @@ __all__ = [
     "from_json",
     "hurwitz_a",
     "hurwitz_b",
-    "intersection_form",
     "layout",
     "matching_cycles",
     "order_tree",

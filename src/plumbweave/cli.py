@@ -16,11 +16,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import fibration, invariants, moves, treecore
-from .errors import BadDimension, PlumbweaveError
-from .lattice import Convention, DEFAULT_CONVENTION
+from .errors import FormatError, PlumbweaveError
+from .lattice import Convention
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -28,42 +27,12 @@ EXIT_INPUT = 2
 EXIT_LIMIT = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    n: int | None = None
-    seed: int = 0
-    convention: Convention = DEFAULT_CONVENTION
-    depth: int | None = None
-    count: int | None = None
-    max_vertices: int = 14
-
-    def __post_init__(self):
-        if self.n is not None and self.n < 2:
-            raise BadDimension(f"total-space parameter n={self.n} below 2")
-        for name in ("depth", "count"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise PlumbweaveError(f"{name} must be positive")
-        if self.max_vertices < 2:
-            raise PlumbweaveError("max-vertices must be at least 2")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("PLUMBWEAVE_SEED", "0"))
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load_ordered(path: str) -> treecore.OrderedTree:
@@ -76,7 +45,7 @@ def _dump_json(doc) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _write_atomic(out, text)
+        fibration.write_atomic(out, text)
     else:
         sys.stdout.write(text)
 
@@ -89,15 +58,19 @@ def _convention_from_args(args) -> Convention:
     )
 
 
-def _count(text: str) -> int:
-    """argparse type for a count: an integer that is not negative."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
-    return value
+def _at_least(low: int):
+    """argparse type for a count: an integer of ``low`` or more."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a count of {low} or more, got {text!r}")
+        return value
+
+    return count
 
 
 def _add_convention_args(parser: argparse.ArgumentParser) -> None:
@@ -185,7 +158,6 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_fibrate(args) -> int:
-    RunConfig(n=args.n)
     ot = _load_ordered(args.tree)
     alf = fibration.fibrate(ot, args.n)
     _emit(fibration.to_json(alf), args.out)
@@ -196,7 +168,6 @@ def _cmd_fibrate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    RunConfig(n=args.n)
     ot = _load_ordered(args.tree)
     alf = fibration.fibrate(ot, args.n)
     matching = fibration.matching_cycles(alf, ot)
@@ -226,10 +197,6 @@ def _invariants_report(tree_id, t, n, convention) -> dict:
 
 def _cmd_invariants(args) -> int:
     convention = _convention_from_args(args)
-    cfg = RunConfig(
-        n=args.n, seed=args.seed, convention=convention,
-        count=args.count, max_vertices=args.max_vertices,
-    )
     if args.count is None:
         if args.tree is None:
             raise PlumbweaveError("either a tree file or --count is required")
@@ -239,16 +206,16 @@ def _cmd_invariants(args) -> int:
         return EXIT_OK if report["oracle_match"] else EXIT_FALSE
     reports = []
     all_match = True
-    for i in range(cfg.count):
-        t = treecore.random_tree(cfg.seed + i, cfg.max_vertices)
-        rep = _invariants_report(f"random:{cfg.seed + i}", t, args.n, convention)
+    for i in range(args.count):
+        t = treecore.random_tree(args.seed + i, args.max_vertices)
+        rep = _invariants_report(f"random:{args.seed + i}", t, args.n, convention)
         all_match = all_match and rep["oracle_match"]
         reports.append(rep)
     doc = {
-        "seed": cfg.seed,
-        "count": cfg.count,
+        "seed": args.seed,
+        "count": args.count,
         "n": args.n,
-        "max_vertices": cfg.max_vertices,
+        "max_vertices": args.max_vertices,
         "all_match": all_match,
         "mismatches": [r["tree_id"] for r in reports if not r["oracle_match"]],
         "reports": reports if args.full else [],
@@ -280,7 +247,7 @@ def _cmd_moves_apply(args) -> int:
     result = moves.replay(alf, seq, convention)
     _emit(fibration.to_json(result), args.out)
     if args.seq_out:
-        _write_atomic(args.seq_out, moves.moves_to_json(seq))
+        fibration.write_atomic(args.seq_out, moves.moves_to_json(seq))
     return EXIT_OK
 
 
@@ -295,7 +262,6 @@ def _cmd_moves_replay(args) -> int:
 
 def _cmd_moves_search(args) -> int:
     convention = _convention_from_args(args)
-    RunConfig(depth=args.depth, convention=convention)
     a = fibration.from_json(_read_text(args.source))
     b = fibration.from_json(_read_text(args.target))
     witness = moves.search_equivalence(a, b, args.depth, convention)
@@ -346,7 +312,7 @@ def _cmd_moves_repl(args) -> int:
         out.write(_word_line(alf) + "\n")
         out.write(_invariant_line(alf) + "\n")
     if args.out:
-        _write_atomic(args.out, fibration.to_json(alf))
+        fibration.write_atomic(args.out, fibration.to_json(alf))
     return EXIT_OK
 
 
@@ -356,7 +322,6 @@ def _cmd_moves_repl(args) -> int:
 
 def _cmd_family(args) -> int:
     convention = _convention_from_args(args)
-    RunConfig(n=args.n, convention=convention)
     if args.shift not in (2, 4):
         raise PlumbweaveError("shift must be 2 or 4")
     if not 1 <= args.j or args.j + args.shift > args.m:
@@ -512,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="homology of the total space vs oracle")
     p.add_argument("tree", nargs="?")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--count", type=_at_least(1))
+    p.add_argument("--seed", type=int, default=os.environ.get("PLUMBWEAVE_SEED", "0"))
     p.add_argument("--max-vertices", type=int, default=14)
     p.add_argument("--full", action="store_true", help="include per-tree reports")
     p.add_argument("--out")
@@ -542,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = msub.add_parser("search", help="breadth-first witness search")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_at_least(1), required=True)
     p.add_argument("--out")
     _add_convention_args(p)
     p.set_defaults(func=_cmd_moves_search)
@@ -570,9 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("selftest", help="base-case audit plus random suites")
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--trees", type=_count, default=1000)
-    p.add_argument("--oracle-trees", type=_count, default=200)
+    p.add_argument("--seed", type=int, default=os.environ.get("PLUMBWEAVE_SEED", "0"))
+    p.add_argument("--trees", type=_at_least(0), default=1000)
+    p.add_argument("--oracle-trees", type=_at_least(0), default=200)
     p.add_argument("--max-vertices", type=int, default=14)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")

@@ -59,6 +59,7 @@ __all__ = [
     "layout",
     "render_svg",
     "render_base",
+    "write_atomic",
     "family_word",
     "family_tree",
     "family_interior_index",
@@ -289,17 +290,31 @@ def to_json(alf: AbstractLF) -> str:
     return json.dumps(_alf_to_doc(alf), ensure_ascii=False, indent=2) + "\n"
 
 
+def load_json(text: str):
+    """Parse a JSON document, raising :class:`FormatError` on any bad input
+    (syntax, integers past the digit limit, nesting past the recursion limit)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"not valid JSON: {exc}") from exc
+
+
+def _text(value) -> str:
+    """``str(value)``; a lone surrogate, which no UTF-8 output can carry,
+    raises :class:`UnicodeEncodeError`, a ``ValueError``."""
+    text = str(value)
+    text.encode("utf-8")
+    return text
+
+
 def from_json(text: str) -> AbstractLF:
     """Inverse of :func:`to_json`; validates structure and tree shape."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    doc = load_json(text)
     try:
         pat = doc["fiber"]["pattern"]
         pattern = UnrootedTree(
-            tuple(str(v) for v in pat["vertices"]),
-            tuple((str(a), str(b)) for a, b in pat["edges"]),
+            tuple(_text(v) for v in pat["vertices"]),
+            tuple((_text(a), _text(b)) for a, b in pat["edges"]),
         )
         fiber = PlumbingDescriptor(pattern, int(doc["fiber"]["sphere_dim"]))
         rank = len(pattern.vertices)
@@ -310,12 +325,12 @@ def from_json(text: str) -> AbstractLF:
                 raise FormatError(
                     f"cycle coords of length {len(coords)} against fiber rank {rank}"
                 )
-            label = str(c["label"])
+            label = _text(c["label"])
             if label.split(":", 1)[0] not in _LABEL_KINDS:
                 raise FormatError(f"unknown cycle label kind in {label!r}")
-            cycles.append(VanishingCycle(label, coords, str(c["display"])))
+            cycles.append(VanishingCycle(label, coords, _text(c["display"])))
         n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed fibration document: {exc}") from exc
     if fiber.sphere_dim != n - 1:
         raise FormatError(
@@ -416,8 +431,20 @@ def render_base(
     alf: AbstractLF, matching: list[MatchingCycle] | None, path: str
 ) -> None:
     """Write the base diagram SVG atomically."""
-    svg = render_svg(alf, matching)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    os.replace(tmp, path)
+    write_atomic(path, render_svg(alf, matching))
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temporary file of its own
+    next to it, renamed over ``path`` once the write succeeded and removed
+    when it failed.  Mode ``"x"`` creates it like ``open(path, "w")`` would,
+    with the umask's permissions."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

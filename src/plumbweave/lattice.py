@@ -7,7 +7,8 @@ bundles along a tree pattern, so its middle homology is free on one class
 * the (anti)symmetric intersection pairing on that lattice — symmetric with
   diagonal ``s`` (default -2) when the spheres are even dimensional,
   antisymmetric with zero diagonal when odd, off-diagonal ``±1`` exactly on
-  pattern edges;
+  pattern edges, stored as the tree gives it (the diagonal value plus each
+  vertex's edge entries) and built by :func:`pattern_form` alone;
 * the homological twist action ``x -> x + eps * <x, l> * l`` of a Dehn twist
   around a sphere with class ``l``, including exact integer inverses;
 * exact Smith normal form over the integers, the workhorse behind all
@@ -32,14 +33,13 @@ from .errors import (
     FormatError,
     NonInvertibleTwist,
 )
-from .treecore import QuotientData, UnrootedTree
+from .treecore import UnrootedTree
 
 __all__ = [
     "Convention",
     "DEFAULT_CONVENTION",
     "IntersectionForm",
     "pattern_form",
-    "intersection_form",
     "dehn_twist",
     "SmithResult",
     "smith_normal_form",
@@ -76,31 +76,31 @@ ANTISYMMETRIC = "antisymmetric"
 
 @dataclass(frozen=True)
 class IntersectionForm:
-    """Intersection pairing on the fiber lattice, basis = pattern vertices."""
+    """Intersection pairing on the fiber lattice, basis = pattern vertices.
+
+    Stored as the tree gives it: one ``diagonal`` value, and for each basis
+    vertex the ``(neighbour index, entry)`` pairs of its pattern edges.
+    Every other entry of the matrix is zero.
+    """
 
     basis: tuple[str, ...]
-    pairing: tuple[tuple[int, ...], ...]
+    diagonal: int
+    neighbours: tuple[tuple[tuple[int, int], ...], ...]
     parity: str
     convention: Convention
 
-    def index(self, w: str) -> int:
-        return self.basis.index(w)
-
-    def basis_vector(self, w: str) -> CycleClass:
-        i = self.index(w)
-        return tuple(1 if j == i else 0 for j in range(len(self.basis)))
-
     def pair(self, x: CycleClass, y: CycleClass) -> int:
-        """Evaluate <x, y> = x^T B y."""
-        if len(x) != len(self.basis) or len(y) != len(self.basis):
-            raise DimensionMismatch(
-                f"vectors of length {len(x)}, {len(y)} against rank {len(self.basis)}"
-            )
+        """Evaluate <x, y> = x^T B y over the nonzero coordinates of x."""
+        r = len(self.basis)
+        if len(x) != r or len(y) != r:
+            raise DimensionMismatch(f"vectors of length {len(x)}, {len(y)} against rank {r}")
+        diag, neighbours = self.diagonal, self.neighbours
         total = 0
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.pairing[i]
-                total += xi * sum(r * yj for r, yj in zip(row, y))
+        for i in compress(range(r), x):
+            row = diag * y[i]
+            for j, entry in neighbours[i]:
+                row += entry * y[j]
+            total += x[i] * row
         return total
 
 
@@ -116,32 +116,23 @@ def pattern_form(
     if sphere_dim < 1:
         raise BadDimension(f"sphere dimension {sphere_dim} below 1")
     parity = SYMMETRIC if sphere_dim % 2 == 0 else ANTISYMMETRIC
-    r = len(pattern.vertices)
-    diag = convention.self_intersection if parity == SYMMETRIC else 0
-    mat = [[diag if i == j else 0 for j in range(r)] for i in range(r)]
+    upper = convention.edge_sign
+    lower = upper if parity == SYMMETRIC else -upper
     pos = {v: i for i, v in enumerate(pattern.vertices)}
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in pattern.vertices]
     for a, b in pattern.edges:
         i, j = pos[a], pos[b]
         if i > j:
             i, j = j, i
-        mat[i][j] = convention.edge_sign
-        mat[j][i] = convention.edge_sign if parity == SYMMETRIC else -convention.edge_sign
+        neighbours[i].append((j, upper))
+        neighbours[j].append((i, lower))
     return IntersectionForm(
         basis=pattern.vertices,
-        pairing=tuple(tuple(row) for row in mat),
+        diagonal=convention.self_intersection if parity == SYMMETRIC else 0,
+        neighbours=tuple(map(tuple, neighbours)),
         parity=parity,
         convention=convention,
     )
-
-
-def intersection_form(
-    qd: QuotientData, n: int, convention: Convention = DEFAULT_CONVENTION
-) -> IntersectionForm:
-    """Form on the fiber lattice of the dimension-n plumbing: the fiber is a
-    plumbing of (n-1)-spheres along the quotient tree."""
-    if n < 2:
-        raise BadDimension(f"total-space parameter n={n} below 2")
-    return pattern_form(qd.quotient_tree, n - 1, convention)
 
 
 def dehn_twist(

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 import json
 
 from .errors import (
@@ -33,8 +34,9 @@ from .fibration import (
     PlumbingDescriptor,
     VanishingCycle,
     fiber_form,
+    load_json,
 )
-from .lattice import Convention, DEFAULT_CONVENTION, IntersectionForm, dehn_twist
+from .lattice import Convention, DEFAULT_CONVENTION, dehn_twist
 from .treecore import UnrootedTree
 
 __all__ = [
@@ -76,36 +78,51 @@ def cyclic_permute(alf: AbstractLF) -> AbstractLF:
     return replace(alf, cycles=alf.cycles[1:] + alf.cycles[:1])
 
 
-def _check_pair_index(alf: AbstractLF, i: int) -> None:
-    m = len(alf.cycles)
-    if not 0 <= i < m - 1:
-        raise IndexOutOfRange(f"pair index {i} not in 0..{m - 2}")
-
-
 def hurwitz_a(
     alf: AbstractLF, i: int, convention: Convention = DEFAULT_CONVENTION
 ) -> AbstractLF:
     """Replace the pair (x, y) at (i, i+1) with (y, twist_y(x))."""
-    _check_pair_index(alf, i)
-    form = fiber_form(alf.fiber, convention)
-    x, y = alf.cycles[i], alf.cycles[i + 1]
-    moved = VanishingCycle(
-        x.label, dehn_twist(form, y.cls, x.cls, 1), f"τ[{y.display}]({x.display})"
-    )
-    return replace(alf, cycles=alf.cycles[:i] + (y, moved) + alf.cycles[i + 2 :])
+    return _hurwitz(alf, MoveRecord(HURWITZ_A, i), convention)
 
 
 def hurwitz_b(
     alf: AbstractLF, i: int, convention: Convention = DEFAULT_CONVENTION
 ) -> AbstractLF:
     """Replace the pair (x, y) at (i, i+1) with (twist_x^{-1}(y), x)."""
-    _check_pair_index(alf, i)
+    return _hurwitz(alf, MoveRecord(HURWITZ_B, i), convention)
+
+
+def _hurwitz(alf: AbstractLF, move: MoveRecord, convention: Convention) -> AbstractLF:
+    """Check the pair index, then run :func:`_move_word` on the vanishing
+    cycles: a twisted cycle keeps its label and its display records the twist."""
+    m = len(alf.cycles)
+    if not 0 <= move.index < m - 1:
+        raise IndexOutOfRange(f"pair index {move.index} not in 0..{m - 2}")
     form = fiber_form(alf.fiber, convention)
-    x, y = alf.cycles[i], alf.cycles[i + 1]
-    moved = VanishingCycle(
-        y.label, dehn_twist(form, x.cls, y.cls, -1), f"τ^{{-1}}[{x.display}]({y.display})"
-    )
-    return replace(alf, cycles=alf.cycles[:i] + (moved, x) + alf.cycles[i + 2 :])
+
+    def twist(l: VanishingCycle, x: VanishingCycle, power: int) -> VanishingCycle:
+        tau = "τ" if power == 1 else "τ^{-1}"
+        return VanishingCycle(
+            x.label, dehn_twist(form, l.cls, x.cls, power), f"{tau}[{l.display}]({x.display})"
+        )
+
+    return replace(alf, cycles=_move_word(alf.cycles, move, twist))
+
+
+def _move_word(word: tuple, move: MoveRecord, twist) -> tuple:
+    """The word after one cyclic or Hurwitz move: the one twist-and-swap rule.
+
+    ``twist(l, x, power)`` twists the entry ``x`` ``power`` times around
+    ``l``.  Search runs this on bare class words, the public moves on words
+    of vanishing cycles; the index is checked by the caller.
+    """
+    if move.kind == CYCLIC:
+        return word[1:] + word[:1]
+    i = move.index
+    x, y = word[i], word[i + 1]
+    if move.kind == HURWITZ_A:
+        return word[:i] + (y, twist(y, x, 1)) + word[i + 2 :]
+    return word[:i] + (twist(x, y, -1), x) + word[i + 2 :]
 
 
 def stabilize(alf: AbstractLF, attach_vertex: str, position: int) -> AbstractLF:
@@ -163,23 +180,25 @@ def replay(
     return alf
 
 
+def _same_fiber(a: AbstractLF, b: AbstractLF) -> bool:
+    """Structurally identical fibers: sphere dimension, n, and the pattern
+    compared by position (the relabeling is fixed by construction)."""
+    fa, fb = a.fiber, b.fiber
+    return (
+        fa.sphere_dim == fb.sphere_dim
+        and a.n == b.n
+        and len(fa.pattern.vertices) == len(fb.pattern.vertices)
+        and fa.pattern.edge_index_pairs() == fb.pattern.edge_index_pairs()
+    )
+
+
 def equal_homology(a: AbstractLF, b: AbstractLF) -> bool:
     """Pointwise class equality over structurally identical fibers.
 
-    Fiber patterns are compared by position (the relabeling is fixed by
-    construction), then n, word length, and every cycle class.  Labels and
-    displays never matter here.
+    Fibers are compared by :func:`_same_fiber`, then the class words, which
+    includes their length.  Labels and displays never matter here.
     """
-    fa, fb = a.fiber, b.fiber
-    if fa.sphere_dim != fb.sphere_dim or a.n != b.n:
-        return False
-    if len(fa.pattern.vertices) != len(fb.pattern.vertices):
-        return False
-    if fa.pattern.edge_index_pairs() != fb.pattern.edge_index_pairs():
-        return False
-    if len(a.cycles) != len(b.cycles):
-        return False
-    return all(ca.cls == cb.cls for ca, cb in zip(a.cycles, b.cycles))
+    return _same_fiber(a, b) and a.word_classes() == b.word_classes()
 
 
 def _state_moves(m: int) -> list[MoveRecord]:
@@ -187,16 +206,6 @@ def _state_moves(m: int) -> list[MoveRecord]:
     out.extend(MoveRecord(HURWITZ_A, i) for i in range(m - 1))
     out.extend(MoveRecord(HURWITZ_B, i) for i in range(m - 1))
     return out
-
-
-def _apply_state(state, move: MoveRecord, form: IntersectionForm):
-    if move.kind == CYCLIC:
-        return state[1:] + state[:1]
-    i = move.index
-    x, y = state[i], state[i + 1]
-    if move.kind == HURWITZ_A:
-        return state[:i] + (y, dehn_twist(form, y, x, 1)) + state[i + 2 :]
-    return state[:i] + (dehn_twist(form, x, y, -1), x) + state[i + 2 :]
 
 
 def search_equivalence(
@@ -213,13 +222,7 @@ def search_equivalence(
     States are class words; returns a tuple of MoveRecord, or None when the
     depth is exhausted.  A None is never evidence of inequivalence.
     """
-    fa, fb = a.fiber, b.fiber
-    if (
-        fa.sphere_dim != fb.sphere_dim
-        or a.n != b.n
-        or len(fa.pattern.vertices) != len(fb.pattern.vertices)
-        or fa.pattern.edge_index_pairs() != fb.pattern.edge_index_pairs()
-    ):
+    if not _same_fiber(a, b):
         raise DimensionMismatch("search requires identical fibers")
     if len(a.cycles) != len(b.cycles):
         raise DimensionMismatch("search requires words of equal length")
@@ -228,7 +231,7 @@ def search_equivalence(
     goal = b.word_classes()
     if start == goal:
         return ()
-    form = fiber_form(fa, convention)
+    twist = partial(dehn_twist, fiber_form(a.fiber, convention))
     alphabet = _state_moves(len(start))
     parents: dict = {start: None}
     frontier = deque([start])
@@ -238,7 +241,7 @@ def search_equivalence(
         next_frontier: deque = deque()
         for state in frontier:
             for move in alphabet:
-                child = _apply_state(state, move, form)
+                child = _move_word(state, move, twist)
                 if child == goal:
                     seq = [move]
                     back = state
@@ -270,20 +273,21 @@ def moves_to_json(seq) -> str:
 
 
 def moves_from_json(text: str):
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
+    raw = load_json(text)
     if not isinstance(raw, list):
         raise FormatError("move sequence document must be a JSON list")
     seq = []
     for item in raw:
+        if not isinstance(item, dict):
+            raise FormatError(f"move {item!r} is not a JSON object")
         kind = item.get("kind")
         if kind not in (CYCLIC, HURWITZ_A, HURWITZ_B, STABILIZE):
             raise FormatError(f"unknown move kind {kind!r}")
         index = item.get("index")
         vertex = item.get("vertex")
-        if kind in (HURWITZ_A, HURWITZ_B, STABILIZE) and not isinstance(index, int):
+        if kind in (HURWITZ_A, HURWITZ_B, STABILIZE) and (
+            not isinstance(index, int) or isinstance(index, bool)
+        ):
             raise FormatError(f"move {kind} needs an integer index")
         if kind == STABILIZE and not isinstance(vertex, str):
             raise FormatError("stabilize needs a fiber vertex name")

@@ -135,6 +135,35 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 77
 
 
+def exit_code(argv):
+    """main's return code, or argparse's exit code when it rejects argv."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_bad_seed_env_fails_only_seeded_commands(capsys, monkeypatch, ex_file):
+    monkeypatch.setenv("PLUMBWEAVE_SEED", "abc")
+    assert exit_code(["order", ex_file]) == 0
+    assert exit_code(["invariants", "--n", "3", "--count", "1"]) == 2
+    assert exit_code(["selftest", "--trees", "1", "--oracle-trees", "0"]) == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fibrate", "{tree}", "--n", "1"],
+        ["invariants", "--n", "3", "--count", "0"],
+        ["moves", "search", "{fib}", "{fib}", "--depth", "0"],
+        ["invariants", "--n", "3", "--count", "2", "--max-vertices", "1"],
+    ],
+)
+def test_bad_run_parameters_exit_2(capsys, ex_file, fib_json, argv):
+    assert exit_code([a.format(tree=ex_file, fib=fib_json) for a in argv]) == 2
+
+
 # ---------------------------------------------------------------------------
 # moves
 
@@ -176,6 +205,49 @@ def test_moves_apply_bad_index_exits_2(capsys, fib_json):
     code, _, err = run(capsys, "moves", "apply", fib_json, "--move", "hurwitzA 99")
     assert code == 2
     assert "IndexOutOfRange" in err
+
+
+MALFORMED_FIBRATIONS = {
+    "infinite n": ('"n": 3', '"n": Infinity'),
+    "infinite sphere_dim": ('"sphere_dim": 2', '"sphere_dim": Infinity'),
+    "lone surrogate display": ('"display": "L_{q(v1)}"', '"display": "\\ud800"'),
+    "lone surrogate label": ('"label": "edge:e0"', '"label": "edge:\\udfff"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIBRATIONS))
+def test_malformed_fibration_exits_2_and_writes_nothing(capsys, fib_json, tmp_path, case):
+    old, new = MALFORMED_FIBRATIONS[case]
+    text = open(fib_json, encoding="utf-8").read()
+    assert old in text
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "moves", "apply", str(bad), "--move", "cyclic", "--out", str(out))
+    assert code == 2
+    assert "FormatError" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "ex.tree", "fib.json"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    ["[1, 2]", '[{"kind": "hurwitz_a", "index": true}]', "[" + "9" * 5000 + "]"],
+    ids=["numbers", "boolean index", "past the digit limit"],
+)
+def test_malformed_move_sequence_exits_2(capsys, fib_json, tmp_path, doc):
+    seq = tmp_path / "seq.json"
+    seq.write_text(doc)
+    code, _, err = run(capsys, "moves", "replay", fib_json, str(seq))
+    assert code == 2
+    assert "FormatError" in err
+
+
+def test_non_utf8_tree_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.tree"
+    bad.write_bytes(b"root v0 e0\nedge e0 v0 \xff\n")
+    code, _, err = run(capsys, "order", str(bad))
+    assert code == 2
+    assert "FormatError" in err and "not UTF-8" in err
 
 
 def test_moves_search_found_and_not_found(capsys, tmp_path):

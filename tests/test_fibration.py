@@ -22,7 +22,7 @@ from plumbweave.errors import (
     IndexOutOfRange,
     NotAlgorithmOutput,
 )
-from plumbweave.fibration import class_word_json, family_interior_index, render_svg
+from plumbweave.fibration import class_word_json, family_interior_index, render_svg, write_atomic
 from plumbweave import render_base
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -317,3 +317,24 @@ def test_class_word_json_ignores_labels(ex_ordered):
     )
     assert class_word_json(alf) == class_word_json(relabeled)
     assert to_json(alf) != to_json(relabeled)
+
+
+def test_write_atomic_removes_its_temp_on_failure(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(str(target), "\ud800")
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_write_atomic_uses_a_temp_of_its_own(tmp_path):
+    # a stale fixed-name temp (here a directory) must not block the write
+    (tmp_path / "out.json.tmp").mkdir()
+    reference = tmp_path / "reference"
+    reference.write_text("")
+    target = tmp_path / "out.json"
+    write_atomic(str(target), "new\n")
+    assert target.read_text() == "new\n"
+    assert target.stat().st_mode == reference.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.tmp", "reference"]

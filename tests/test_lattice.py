@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from plumbweave import (
     Convention,
     dehn_twist,
-    intersection_form,
     quotient,
     smith_normal_form,
 )
@@ -27,6 +26,16 @@ ALPHA = (1, 0)
 BETA = (0, 1)
 
 
+def unit(r, i):
+    return tuple(int(j == i) for j in range(r))
+
+
+def matrix(form):
+    """The form's Gram matrix, read through ``pair`` on basis vectors."""
+    r = len(form.basis)
+    return tuple(tuple(form.pair(unit(r, i), unit(r, j)) for j in range(r)) for i in range(r))
+
+
 # ---------------------------------------------------------------------------
 # intersection forms
 
@@ -34,38 +43,97 @@ BETA = (0, 1)
 def test_form_a2_symmetric():
     form = a2_form(3)
     assert form.parity == "symmetric"
-    assert form.pairing == ((-2, 1), (1, -2))
+    assert matrix(form) == ((-2, 1), (1, -2))
 
 
 def test_form_a2_antisymmetric():
     form = a2_form(4)
     assert form.parity == "antisymmetric"
-    assert form.pairing == ((0, 1), (-1, 0))
+    assert matrix(form) == ((0, 1), (-1, 0))
 
 
 def test_form_single_vertex_antisymmetric():
     form = pattern_form(UnrootedTree(("w0",), ()), 3)
-    assert form.pairing == ((0,),)
+    assert matrix(form) == ((0,),)
 
 
 def test_form_from_quotient(ex_ordered):
     qd = quotient(ex_ordered)
-    form = intersection_form(qd, 3)
+    form = pattern_form(qd.quotient_tree, 2)
     assert form.basis == ("w0", "w1", "w2", "w3")
     # star: center w0 pairs with every leaf, leaves do not pair
-    assert form.pairing[0] == (-2, 1, 1, 1)
-    assert form.pairing[1] == (1, -2, 0, 0)
-    assert form.pairing[2][3] == 0
+    assert matrix(form)[0] == (-2, 1, 1, 1)
+    assert matrix(form)[1] == (1, -2, 0, 0)
+    assert matrix(form)[2][3] == 0
 
 
 def test_form_rejects_small_n(ex_ordered):
     with pytest.raises(BadDimension):
-        intersection_form(quotient(ex_ordered), 1)
+        pattern_form(quotient(ex_ordered).quotient_tree, 0)
 
 
 def test_form_convention_overrides():
     form = pattern_form(A2_PATTERN, 2, Convention(self_intersection=2, edge_sign=-1))
-    assert form.pairing == ((2, -1), (-1, 2))
+    assert matrix(form) == ((2, -1), (-1, 2))
+
+
+def test_pair_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        a2_form(3).pair(ALPHA, (1, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        a2_form(3).pair((0, 0, 1), BETA)
+
+
+def dense_pattern_matrix(pattern, sphere_dim, convention):
+    """Dense r x r Gram matrix of a tree plumbing: the reference for the
+    tree-sparse form (entry (i, j), i < j, on an edge gets ``edge_sign``,
+    entry (j, i) the same or its negative by parity)."""
+    symmetric = sphere_dim % 2 == 0
+    r = len(pattern.vertices)
+    diag = convention.self_intersection if symmetric else 0
+    mat = [[diag if i == j else 0 for j in range(r)] for i in range(r)]
+    pos = {v: i for i, v in enumerate(pattern.vertices)}
+    for a, b in pattern.edges:
+        i, j = sorted((pos[a], pos[b]))
+        mat[i][j] = convention.edge_sign
+        mat[j][i] = convention.edge_sign if symmetric else -convention.edge_sign
+    return tuple(tuple(row) for row in mat)
+
+
+@st.composite
+def tree_patterns(draw):
+    """A random tree on 1..12 vertices, with shuffled vertex order, edge
+    order and edge orientation, so basis positions do not follow the tree."""
+    r = draw(st.integers(1, 12))
+    names = draw(st.permutations([f"w{i}" for i in range(r)]))
+    edges = []
+    for k in range(1, r):
+        edge = (names[k], names[draw(st.integers(0, k - 1))])
+        edges.append(edge if draw(st.booleans()) else edge[::-1])
+    return UnrootedTree(tuple(names), tuple(draw(st.permutations(edges))))
+
+
+conventions = st.builds(
+    Convention,
+    self_intersection=st.integers(-4, 4),
+    edge_sign=st.sampled_from([1, -1]),
+    twist_sign=st.sampled_from([1, -1]),
+)
+
+
+@given(st.data(), tree_patterns(), st.integers(1, 6), conventions)
+@settings(max_examples=150, deadline=None)
+def test_pair_matches_dense_matrix(data, pattern, sphere_dim, convention):
+    form = pattern_form(pattern, sphere_dim, convention)
+    mat = dense_pattern_matrix(pattern, sphere_dim, convention)
+    assert form.parity == ("symmetric" if sphere_dim % 2 == 0 else "antisymmetric")
+    assert matrix(form) == mat
+    r = len(pattern.vertices)
+    vec = st.tuples(*(st.integers(-9, 9) | st.just(0) for _ in range(r)))
+    x, y = data.draw(vec), data.draw(vec)
+    assert form.pair(x, y) == sum(
+        x[i] * mat[i][j] * y[j] for i in range(r) for j in range(r)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,17 @@ def test_hurwitz_a_example():
     assert "τ[" in moved.cycles[3].display
 
 
+def test_hurwitz_b_example():
+    # (α, β) -> (τ_α^{-1}(β), α) = (β + α, α): the twist is its own inverse here
+    alf = family_word(1, 1, 5)  # (α, α, β, α, β); act at index 1
+    moved = hurwitz_b(alf, 1)
+    assert moved.cycles[1].cls == (1, 1)
+    assert moved.cycles[2] == alf.cycles[1]
+    assert moved.cycles[1].label == alf.cycles[2].label
+    assert moved.cycles[1].display == "τ^{-1}[α](β)"
+    assert hurwitz_a(alf, 1).cycles[2].display == "τ[β](α)"
+
+
 def test_hurwitz_inverse_pair(ex_ordered):
     alf = fibrate(ex_ordered, 3)
     for i in (0, 3, 8):
@@ -138,10 +149,14 @@ def test_stabilize_preserves_old_pairings(ex_ordered):
     grown = stabilize(alf, "w2", 4)
     gform = pattern_form(grown.fiber.pattern, grown.fiber.sphere_dim)
     r = len(alf.fiber.pattern.vertices)
+
+    def unit(size, i):
+        return tuple(int(j == i) for j in range(size))
+
     for i in range(r):
         for j in range(r):
-            assert gform.pairing[i][j] == form.pairing[i][j]
-    assert gform.pairing[r][form.basis.index("w2")] != 0
+            assert gform.pair(unit(r + 1, i), unit(r + 1, j)) == form.pair(unit(r, i), unit(r, j))
+    assert gform.pair(unit(r + 1, r), unit(r + 1, form.basis.index("w2"))) != 0
 
 
 def test_stabilize_argument_checks(a2_ordered):
@@ -182,6 +197,15 @@ def test_equal_homology_depends_on_classes_only(ex_ordered):
         cycles=tuple(replace(c, display="???") for c in alf.cycles),
     )
     assert equal_homology(alf, renamed)
+
+
+def test_equal_homology_compares_n():
+    from dataclasses import replace
+
+    alf = family_word(2, 1, 5)
+    assert not equal_homology(alf, replace(alf, n=7))
+    with pytest.raises(DimensionMismatch):
+        search_equivalence(alf, replace(alf, n=7), 1)
 
 
 def test_family_shift_equivalence_by_parity():
