@@ -7,7 +7,9 @@ files are written atomically and byte-stable.  The environment variable
 ``PLUMBWEAVE_SEED`` overrides the default seed of randomized batches.
 
 Exit codes: 0 success/verified, 1 verified-false, 2 input error, 3 search
-or iteration limit exhausted.
+or iteration limit exhausted, 4 internal error (any other exception: its
+traceback, then ``internal error: Type: message``), so that 1 never stands
+for a crash.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import fibration, invariants, moves, treecore
 from .errors import FormatError, PlumbweaveError
@@ -25,6 +28,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -504,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_convention_args(p)
     p.set_defaults(func=_cmd_moves_replay)
 
-    p = msub.add_parser("search", help="breadth-first witness search")
+    p = msub.add_parser("search", help="bidirectional breadth-first witness search")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--depth", type=_at_least(1), required=True)
@@ -557,6 +561,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: IoError: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:  # a bug, not a verdict: keep it off exit 1
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -307,6 +307,14 @@ def _text(value) -> str:
     return text
 
 
+def _int(value) -> int:
+    """``value`` itself when it is a JSON integer; a float, a string or a
+    boolean (which Python counts as an int) raises :class:`FormatError`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FormatError(f"expected an integer, got {value!r}")
+
+
 def from_json(text: str) -> AbstractLF:
     """Inverse of :func:`to_json`; validates structure and tree shape."""
     doc = load_json(text)
@@ -316,11 +324,11 @@ def from_json(text: str) -> AbstractLF:
             tuple(_text(v) for v in pat["vertices"]),
             tuple((_text(a), _text(b)) for a, b in pat["edges"]),
         )
-        fiber = PlumbingDescriptor(pattern, int(doc["fiber"]["sphere_dim"]))
+        fiber = PlumbingDescriptor(pattern, _int(doc["fiber"]["sphere_dim"]))
         rank = len(pattern.vertices)
         cycles = []
         for c in doc["cycles"]:
-            coords = tuple(int(x) for x in c["coords"])
+            coords = tuple(_int(x) for x in c["coords"])
             if len(coords) != rank:
                 raise FormatError(
                     f"cycle coords of length {len(coords)} against fiber rank {rank}"
@@ -329,8 +337,8 @@ def from_json(text: str) -> AbstractLF:
             if label.split(":", 1)[0] not in _LABEL_KINDS:
                 raise FormatError(f"unknown cycle label kind in {label!r}")
             cycles.append(VanishingCycle(label, coords, _text(c["display"])))
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = _int(doc["n"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed fibration document: {exc}") from exc
     if fiber.sphere_dim != n - 1:
         raise FormatError(

@@ -14,11 +14,19 @@ Deformation is not a move here: at the homology level it is the identity,
 so it is represented by equality itself.  Whether the four moves connect all
 fibrations of a fixed total space is unknown; a failed bounded search is
 therefore never evidence of inequivalence.
+
+Search is a bidirectional breadth-first search over class words (Pohl,
+"Bi-directional search", 1971).  When every class is an isometric centre,
+a class whose twist is an integer isometry, the moves form a group action
+with explicit inverses (``hurwitz_b`` at i undoes ``hurwitz_a`` at i and
+the reverse; Seidel, *Fukaya Categories and Picard-Lefschetz Theory*,
+2008), so a second frontier grows backward from the target; and since
+isometries keep every class's square, a target with a class of another
+square is cut off at once.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 import json
@@ -36,7 +44,7 @@ from .fibration import (
     fiber_form,
     load_json,
 )
-from .lattice import Convention, DEFAULT_CONVENTION, dehn_twist
+from .lattice import ANTISYMMETRIC, Convention, DEFAULT_CONVENTION, dehn_twist
 from .treecore import UnrootedTree
 
 __all__ = [
@@ -214,13 +222,27 @@ def search_equivalence(
     max_depth: int,
     convention: Convention = DEFAULT_CONVENTION,
 ):
-    """Breadth-first search for a move sequence turning a's word into b's.
+    """Bidirectional breadth-first search for a move sequence turning a's
+    word into b's.
 
     The alphabet is cyclic permutation plus both Hurwitz moves at every
-    index (no stabilization), explored in that fixed order, so the result
-    is the shortest witness and lexicographically least among those.
-    States are class words; returns a tuple of MoveRecord, or None when the
-    depth is exhausted.  A None is never evidence of inequivalence.
+    index (no stabilization), in that fixed order; the result is the
+    shortest witness and lexicographically least among those.  States are
+    class words; returns a tuple of MoveRecord, or None when no witness has
+    at most ``max_depth`` moves.  A None is never evidence of inequivalence.
+
+    When every class of both words is an isometric centre (see
+    :func:`_isometric_centre`), every move is an integer isometry with an
+    explicit inverse, so a second search grows from b over predecessors
+    (right rotation, and ``hurwitz_b`` at i for ``hurwitz_a`` at i and the
+    reverse), always on the smaller frontier, until the two meet or their
+    depths add up to ``max_depth``.  Isometries keep each class's square,
+    so when every class of a is a centre and some class of b is not, b is
+    unreachable and None comes back at once; even that None shows only
+    that these moves do not reach b, not that the fibrations differ.
+    Otherwise only the forward side grows, and a twist that has no integer
+    inverse raises :class:`NonInvertibleTwist` where a one-sided search
+    meets it.
     """
     if not _same_fiber(a, b):
         raise DimensionMismatch("search requires identical fibers")
@@ -231,30 +253,83 @@ def search_equivalence(
     goal = b.word_classes()
     if start == goal:
         return ()
-    twist = partial(dehn_twist, fiber_form(a.fiber, convention))
+    form = fiber_form(a.fiber, convention)
+    twist = partial(dehn_twist, form)
+    bidirectional = all(_isometric_centre(form, c) for c in start)
+    if bidirectional and not all(_isometric_centre(form, c) for c in goal):
+        return None
     alphabet = _state_moves(len(start))
-    parents: dict = {start: None}
-    frontier = deque([start])
-    for _ in range(max_depth):
-        if not frontier:
-            break
-        next_frontier: deque = deque()
-        for state in frontier:
-            for move in alphabet:
-                child = _move_word(state, move, twist)
-                if child == goal:
-                    seq = [move]
-                    back = state
-                    while parents[back] is not None:
-                        prev, mv = parents[back]
-                        seq.append(mv)
-                        back = prev
-                    return tuple(reversed(seq))
-                if child not in parents:
-                    parents[child] = (state, move)
-                    next_frontier.append(child)
-        frontier = next_frontier
+    parents: dict = {start: None}  # forward state -> (parent, move) of its least path
+    dist = {goal: 0}  # backward state -> moves from it to the goal
+    forward, backward = [start], [goal]
+    depth_f = depth_b = 0
+    while depth_f + depth_b < max_depth and forward and backward:
+        if not bidirectional or len(forward) <= len(backward):
+            # discovery order is the order of least paths, so the first
+            # child that meets the backward side starts the least witness
+            layer = []
+            for state in forward:
+                for move in alphabet:
+                    child = _move_word(state, move, twist)
+                    if child in dist:
+                        return _path(parents, state) + (move,) + _descend(
+                            child, dist, alphabet, twist
+                        )
+                    if child not in parents:
+                        parents[child] = (state, move)
+                        layer.append(child)
+            forward = layer
+            depth_f += 1
+        else:
+            layer = []
+            for state in backward:
+                preds = [state[-1:] + state[:-1]]  # undoes the cyclic permutation
+                preds.extend(_move_word(state, move, twist) for move in alphabet[1:])
+                for pred in preds:
+                    if pred not in dist:
+                        dist[pred] = depth_b + 1
+                        layer.append(pred)
+            backward = layer
+            depth_b += 1
+            for state in forward:
+                if dist.get(state) == depth_b:
+                    return _path(parents, state) + _descend(state, dist, alphabet, twist)
     return None
+
+
+def _isometric_centre(form, cls) -> bool:
+    """Whether the twist around ``cls`` is an integer isometry of ``form``:
+    always for an antisymmetric form, else when eps * <cls, cls> = -2.
+
+    A class of the wrong length is no centre; it fails in the twist."""
+    if len(cls) != len(form.basis):
+        return False
+    if form.parity == ANTISYMMETRIC:
+        return True
+    return form.convention.twist_sign * form.pair(cls, cls) == -2
+
+
+def _path(parents, state) -> tuple:
+    """The moves of the least path from the search start to ``state``."""
+    seq = []
+    while parents[state] is not None:
+        state, move = parents[state]
+        seq.append(move)
+    return tuple(reversed(seq))
+
+
+def _descend(state, dist, alphabet, twist) -> tuple:
+    """The least shortest move sequence from ``state`` down to distance 0:
+    at each step the first move whose child is one step closer."""
+    seq = []
+    for d in range(dist[state] - 1, -1, -1):
+        for move in alphabet:
+            child = _move_word(state, move, twist)
+            if dist.get(child) == d:
+                break
+        seq.append(move)
+        state = child
+    return tuple(seq)
 
 
 # ---------------------------------------------------------------------------

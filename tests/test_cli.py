@@ -352,3 +352,21 @@ def test_fibration_json_round_trips_through_cli(capsys, fib_json, tmp_path):
 
     text = open(fib_json).read()
     assert to_json(from_json(text)) == text
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch, ex_file):
+    from plumbweave import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_order", broken)
+    code, out, err = run(capsys, "order", ex_file)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert err.endswith("\ninternal error: RuntimeError: boom\n")

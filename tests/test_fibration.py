@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -303,6 +304,31 @@ def test_json_rejects_garbage():
         from_json("not json")
     with pytest.raises(FormatError):
         from_json('{"fiber": {}}')
+
+
+def _edited(alf, edit):
+    doc = json.loads(to_json(alf))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(n=3.9),
+        lambda doc: doc.update(n=3.0),
+        lambda doc: doc["fiber"].update(sphere_dim="2"),
+        lambda doc: doc["fiber"].update(sphere_dim=True),
+        lambda doc: doc["cycles"][0].update(coords=[True, 0.7] + [0] * 2),
+        lambda doc: doc["cycles"][1].update(coords=[1.0, 0, 0, 0]),
+    ],
+    ids=["n-float", "n-integral-float", "sphere-dim-string", "sphere-dim-bool",
+         "coords-bool-float", "coords-integral-float"],
+)
+def test_json_rejects_non_integer_numbers(ex_ordered, edit):
+    alf = fibrate(ex_ordered, 3)  # four-vertex star fiber, sphere_dim 2
+    with pytest.raises(FormatError, match="expected an integer"):
+        from_json(_edited(alf, edit))
 
 
 def test_class_word_json_ignores_labels(ex_ordered):

@@ -1,7 +1,7 @@
 """Malformed input may raise only PlumbweaveError, never a bare Python error.
 
-The CLI maps PlumbweaveError to exit code 2; any other exception escapes as
-exit 1, which is reserved for a verified-false answer.
+The CLI maps PlumbweaveError to exit code 2 and any other exception to the
+internal-error exit 4; exit 1 is reserved for a verified-false answer.
 """
 
 import json
@@ -14,6 +14,8 @@ from plumbweave.moves import CYCLIC, HURWITZ_A, HURWITZ_B, STABILIZE, moves_from
 
 # values that broke a loader once: non-finite numbers, lone surrogates
 EDGE_CASES = [float("inf"), float("-inf"), float("nan"), "\ud800", "vertex:\udfff"]
+# values that a loose loader once read as integers
+NUMBER_LOOKALIKES = [True, False, 0.0, 1.0, 2.0, 2.5, "0", "2"]
 
 json_values = st.recursive(
     st.none()
@@ -51,7 +53,7 @@ def damaged_docs(draw):
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = draw(st.sampled_from(EDGE_CASES) | json_values)
+    node[path[-1]] = draw(st.sampled_from(EDGE_CASES + NUMBER_LOOKALIKES) | json_values)
     return doc
 
 
@@ -73,7 +75,17 @@ def only_plumbweave_errors(fn, text):
 def test_from_json_raises_only_plumbweave_errors(doc):
     alf = only_plumbweave_errors(from_json, json.dumps(doc))
     if alf is not None:  # what it accepts, the CLI can write back out
-        to_json(alf).encode("utf-8")
+        out = json.loads(to_json(alf).encode("utf-8"))
+        assert integers(out) == integers(doc)
+        assert from_json(to_json(alf)) == alf
+
+
+def integers(doc):
+    """The integers a fibration document carries, spelled as JSON, so that
+    ``true`` or ``3.0`` never pass for ``1`` or ``3``."""
+    return json.dumps(
+        [doc["n"], doc["fiber"]["sphere_dim"], [c["coords"] for c in doc["cycles"]]]
+    )
 
 
 @given(json_values | st.lists(move_items | json_values, max_size=4))

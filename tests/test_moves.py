@@ -1,4 +1,7 @@
 import random
+from collections import deque
+from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +24,18 @@ from plumbweave.errors import (
     DimensionMismatch,
     FormatError,
     IndexOutOfRange,
+    NonInvertibleTwist,
+    PlumbweaveError,
     UnknownVertex,
 )
-from plumbweave.fibration import class_word_json, family_interior_index
-from plumbweave.lattice import pattern_form
+from plumbweave.fibration import class_word_json, family_interior_index, fiber_form
+from plumbweave.lattice import Convention, DEFAULT_CONVENTION, dehn_twist, pattern_form
 from plumbweave.moves import (
     HURWITZ_A,
     MoveRecord,
+    _move_word,
+    _same_fiber,
+    _state_moves,
     moves_from_json,
     moves_to_json,
     parse_move_line,
@@ -265,6 +273,163 @@ def test_search_replays_to_target(seed, depth):
     wit = search_equivalence(a, b, depth)
     assert wit is not None and len(wit) <= depth
     assert class_word_json(replay(a, wit)) == class_word_json(b)
+
+
+def _reference_bfs(
+    a,
+    b,
+    max_depth: int,
+    convention: Convention = DEFAULT_CONVENTION,
+):
+    """The one-sided breadth-first search that search_equivalence replaced,
+    kept verbatim as its differential oracle."""
+    if not _same_fiber(a, b):
+        raise DimensionMismatch("search requires identical fibers")
+    if len(a.cycles) != len(b.cycles):
+        raise DimensionMismatch("search requires words of equal length")
+
+    start = a.word_classes()
+    goal = b.word_classes()
+    if start == goal:
+        return ()
+    twist = partial(dehn_twist, fiber_form(a.fiber, convention))
+    alphabet = _state_moves(len(start))
+    parents: dict = {start: None}
+    frontier = deque([start])
+    for _ in range(max_depth):
+        if not frontier:
+            break
+        next_frontier: deque = deque()
+        for state in frontier:
+            for move in alphabet:
+                child = _move_word(state, move, twist)
+                if child == goal:
+                    seq = [move]
+                    back = state
+                    while parents[back] is not None:
+                        prev, mv = parents[back]
+                        seq.append(mv)
+                        back = prev
+                    return tuple(reversed(seq))
+                if child not in parents:
+                    parents[child] = (state, move)
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return None
+
+
+# reflections and isometric centres, non-invertible twists (eps * s = 2),
+# and invertible non-isometric transvections (s = 0 on a symmetric form)
+SEARCH_CONVENTIONS = [
+    Convention(-2, 1, 1),
+    Convention(-2, 1, -1),
+    Convention(-2, -1, 1),
+    Convention(-2, -1, -1),
+    Convention(2, 1, 1),
+    Convention(2, 1, -1),
+    Convention(0, 1, 1),
+]
+
+
+def _map_classes(alf, matrix):
+    r = len(matrix)
+    return replace(
+        alf,
+        cycles=tuple(
+            replace(c, cls=tuple(sum(matrix[i][j] * c.cls[j] for j in range(r)) for i in range(r)))
+            for c in alf.cycles
+        ),
+    )
+
+
+@st.composite
+def search_cases(draw):
+    """A short word, a target reached from it by a random move script, and
+    optionally one of the two mapped through a random integer matrix."""
+    convention = draw(st.sampled_from(SEARCH_CONVENTIONS))
+    n = draw(st.sampled_from([3, 4, 5]))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 2))
+        source = family_word(m, draw(st.integers(1, m)), n)
+    else:
+        source = fibrate(order_tree(random_tree(draw(seeds), 3)), n)
+    target = source
+    script = st.tuples(st.sampled_from("cab"), st.integers(0, len(source.cycles) - 2))
+    for kind, i in draw(st.lists(script, min_size=1, max_size=5)):
+        try:
+            if kind == "c":
+                target = cyclic_permute(target)
+            else:
+                target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
+        except NonInvertibleTwist:
+            pass
+    if draw(st.booleans()):
+        r = len(source.fiber.pattern.vertices)
+        row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+        matrix = draw(st.lists(row, min_size=r, max_size=r))
+        if draw(st.booleans()):
+            target = _map_classes(target, matrix)
+        else:
+            source = _map_classes(source, matrix)
+    if draw(st.booleans()):
+        source, target = target, source
+    return source, target, convention
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except PlumbweaveError as exc:
+        return type(exc)
+
+
+@given(search_cases(), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_search_matches_reference_bfs(case, depth):
+    source, target, convention = case
+    assert search_outcome(search_equivalence, source, target, depth, convention) == (
+        search_outcome(_reference_bfs, source, target, depth, convention)
+    )
+
+
+@pytest.mark.slow
+def test_search_reaches_past_one_sided_depth():
+    a, b = family_word(10, 1, 5), family_word(10, 7, 5)
+    wit = search_equivalence(a, b, 6)
+    assert wit is not None and len(wit) <= 6
+    assert class_word_json(replay(a, wit)) == class_word_json(b)
+
+
+@pytest.mark.slow
+def test_search_exhausts_a_finite_orbit():
+    # the antisymmetric orbit of this word is finite (about 2000 states)
+    # and does not hold the target, so both frontiers run dry before depth 8
+    assert search_equivalence(family_word(6, 1, 4), family_word(6, 3, 4), 8) is None
+
+
+def test_search_isometry_cut_returns_none():
+    # squares are kept by isometries, so a target class of square -8 is
+    # out of reach of a word of (-2)-classes at any depth
+    a = family_word(6, 1, 5)
+    b = _map_classes(family_word(6, 3, 5), ((2, 0), (0, 1)))
+    assert search_equivalence(a, b, 50) is None
+    assert _reference_bfs(a, b, 2) is None
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_search_wrong_length_class_matches_reference(side):
+    # a hand-built word may carry a class of the wrong length: the twist
+    # rejects it in the source, and a target holding one is out of reach
+    a, b = family_word(2, 1, 5), family_word(2, 2, 5)
+    bad = replace(b.cycles[0], cls=(1, 0, 0))
+    if side == "source":
+        a = replace(a, cycles=(bad,) + a.cycles[1:])
+    else:
+        b = replace(b, cycles=(bad,) + b.cycles[1:])
+    for depth in (0, 1, 3):
+        assert search_outcome(search_equivalence, a, b, depth) == (
+            search_outcome(_reference_bfs, a, b, depth)
+        )
 
 
 # ---------------------------------------------------------------------------
