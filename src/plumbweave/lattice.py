@@ -144,11 +144,6 @@ def dehn_twist(
     twist sign.  Negative powers invert; the inverse is again of twist shape
     with coefficient -eps - <l,l>, which is an integer automorphism exactly
     when eps*<l,l> is 0 or -2 (transvection resp. reflection).
-
-    Any power costs one pairing and one vector update: a twist of shape
-    x -> x + a*<x,l>*l multiplies <x,l> by q = 1 + a*<l,l>, so k of them
-    add a*<x,l>*(1 + q + ... + q^(k-1))*l, an exact geometric sum (k for a
-    transvection, k mod 2 for a reflection).
     """
     r = len(form.basis)
     if len(l) != r or len(x) != r:
@@ -156,25 +151,20 @@ def dehn_twist(
             f"twist on vectors of length {len(l)}, {len(x)} against rank {r}"
         )
     eps = form.convention.twist_sign
-    coeff, reps = eps, power
-    if power < 0:
+    if power >= 0:
+        coeff, reps = eps, power
+    else:
         s = form.pair(l, l)
         if eps * s not in (0, -2):
             raise NonInvertibleTwist(
                 f"twist with eps={eps} around a class of square {s} has no integer inverse"
             )
         coeff, reps = -eps - s, -power
-    elif power > 1:
-        s = form.pair(l, l)
-    if not reps:
-        return x
-    c = coeff * form.pair(x, l)
-    if reps > 1:
-        q = 1 + coeff * s
-        c *= reps if q == 1 else (q**reps - 1) // (q - 1)
-    if not c:
-        return x
-    return tuple(xi + c * li for xi, li in zip(x, l))
+    for _ in range(reps):
+        c = form.pair(x, l)
+        if c:
+            x = tuple(xi + coeff * c * li for xi, li in zip(x, l))
+    return x
 
 
 @dataclass(frozen=True)

@@ -203,26 +203,6 @@ def test_reflection_has_order_two(l, x):
     assert dehn_twist(form, l, x, 2) == x
 
 
-def looped_twist(form, l, x, power):
-    """The k-fold loop of single twists: the reference for the closed form."""
-    r = len(form.basis)
-    if len(l) != r or len(x) != r:
-        raise DimensionMismatch("twist dimension")
-    eps = form.convention.twist_sign
-    if power >= 0:
-        coeff, reps = eps, power
-    else:
-        s = form.pair(l, l)
-        if eps * s not in (0, -2):
-            raise NonInvertibleTwist("no integer inverse")
-        coeff, reps = -eps - s, -power
-    for _ in range(reps):
-        c = form.pair(x, l)
-        if c:
-            x = tuple(xi + coeff * c * li for xi, li in zip(x, l))
-    return x
-
-
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -230,17 +210,24 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def repeated_twist(form, l, x, power):
+    """|power| single twists of the sign of power, one after the other."""
+    for _ in range(abs(power)):
+        x = dehn_twist(form, l, x, 1 if power > 0 else -1)
+    return x
+
+
 @given(st.data(), tree_patterns(), st.integers(1, 4), conventions, st.integers(-6, 6))
 @settings(max_examples=300, deadline=None)
-def test_twist_power_matches_loop(data, pattern, sphere_dim, convention, power):
+def test_twist_power_is_repeated_twist(data, pattern, sphere_dim, convention, power):
     form = pattern_form(pattern, sphere_dim, convention)
     r = len(pattern.vertices)
     vec = st.tuples(*(st.integers(-3, 3) | st.just(0) for _ in range(r)))
     l, x = data.draw(vec), data.draw(vec)
-    assert outcome(dehn_twist, form, l, x, power) == outcome(looped_twist, form, l, x, power)
+    assert outcome(dehn_twist, form, l, x, power) == outcome(repeated_twist, form, l, x, power)
 
 
-def test_twist_power_closed_form_cases():
+def test_twist_power_cases():
     # transvection: linear in k; reflection: k mod 2; square 2 with eps=+1:
     # <x,l> is multiplied by q = 3 per twist, so k twists add 1+3+9+... of it
     assert dehn_twist(a2_form(4), ALPHA, BETA, -5) == (5, 1)
