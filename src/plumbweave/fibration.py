@@ -124,26 +124,31 @@ def fiber_form(
 
 
 def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
-    """Run the three-step algorithm on an ordered tree."""
+    """Run the three-step algorithm on an ordered tree.
+
+    The class of a cycle is the unit vector of its quotient class in the
+    fiber basis.  The r unit tuples are built once, and every cycle of a
+    class holds that class's tuple: the word costs O(m + r^2) in C-level
+    slicing instead of a Python loop of length r per cycle.
+    """
     if n < 2:
         raise BadDimension(f"total-space parameter n={n} below 2")
     qd = quotient(ot)
     fiber = PlumbingDescriptor(qd.quotient_tree, n - 1)
-    basis_index = {w: i for i, w in enumerate(qd.quotient_tree.vertices)}
-    rank = len(qd.quotient_tree.vertices)
-
-    def basis_vec(w: str) -> tuple[int, ...]:
-        i = basis_index[w]
-        return tuple(1 if j == i else 0 for j in range(rank))
+    zeros = (0,) * len(qd.quotient_tree.vertices)
+    unit = {
+        w: zeros[:i] + (1,) + zeros[i + 1 :]
+        for i, w in enumerate(qd.quotient_tree.vertices)
+    }
 
     def vertex_cycle(v: str) -> VanishingCycle:
         lab = ot.vertex_label(v)
-        return VanishingCycle(f"vertex:{lab}", basis_vec(qd.q[v]), f"L_{{q({lab})}}")
+        return VanishingCycle(f"vertex:{lab}", unit[qd.q[v]], f"L_{{q({lab})}}")
 
     def edge_cycle(e: str) -> VanishingCycle:
         h = ot.head[e]
         return VanishingCycle(
-            f"edge:{ot.edge_label(e)}", basis_vec(qd.q[h]), f"L_{{q({ot.vertex_label(h)})}}"
+            f"edge:{ot.edge_label(e)}", unit[qd.q[h]], f"L_{{q({ot.vertex_label(h)})}}"
         )
 
     word: list[VanishingCycle] = [edge_cycle(ot.base.root[1])]
@@ -300,11 +305,14 @@ def load_json(text: str):
 
 
 def _text(value) -> str:
-    """``str(value)``; a lone surrogate, which no UTF-8 output can carry,
-    raises :class:`UnicodeEncodeError`, a ``ValueError``."""
-    text = str(value)
-    text.encode("utf-8")
-    return text
+    """``value`` itself when it is a JSON string; a number, a boolean or
+    ``null`` raises :class:`FormatError`, and a lone surrogate, which no
+    UTF-8 output can carry, raises :class:`UnicodeEncodeError`, a
+    ``ValueError``."""
+    if not isinstance(value, str):
+        raise FormatError(f"expected a string, got {value!r}")
+    value.encode("utf-8")
+    return value
 
 
 def _int(value) -> int:
@@ -315,14 +323,22 @@ def _int(value) -> int:
     raise FormatError(f"expected an integer, got {value!r}")
 
 
+def _list(value) -> list:
+    """``value`` itself when it is a JSON array; a string or an object,
+    which would iterate as characters or keys, raises :class:`FormatError`."""
+    if isinstance(value, list):
+        return value
+    raise FormatError(f"expected an array, got {value!r}")
+
+
 def from_json(text: str) -> AbstractLF:
     """Inverse of :func:`to_json`; validates structure and tree shape."""
     doc = load_json(text)
     try:
         pat = doc["fiber"]["pattern"]
         pattern = UnrootedTree(
-            tuple(_text(v) for v in pat["vertices"]),
-            tuple((_text(a), _text(b)) for a, b in pat["edges"]),
+            tuple(_text(v) for v in _list(pat["vertices"])),
+            tuple((_text(a), _text(b)) for a, b in map(_list, _list(pat["edges"]))),
         )
         fiber = PlumbingDescriptor(pattern, _int(doc["fiber"]["sphere_dim"]))
         rank = len(pattern.vertices)

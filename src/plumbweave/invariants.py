@@ -3,9 +3,17 @@
 The total space is built from the fiber's subcritical skeleton plus one
 n-handle per vanishing cycle, so its homology in the carried degrees comes
 from the thimble boundary map Z^m -> H_{n-1}(fiber): H_n is its kernel,
-H_{n-1} its cokernel (computed by exact Smith normal form), H_0 = Z.  For a
-tree plumbing fiber those are the only degrees that can carry anything in
-the relevant range; the rest are reported as zero by construction.
+H_{n-1} its cokernel, H_0 = Z.  For a tree plumbing fiber those are the
+only degrees that can carry anything in the relevant range; the rest are
+reported as zero by construction.
+
+The exact Smith normal form runs on the transpose of the boundary map: one
+row per cycle, which is the word's class tuples as they stand, so no
+r x m matrix is ever built.  A matrix and its transpose have the same
+elementary divisors, so the rank k and the torsion agree, while kernel and
+cokernel trade their free parts: the kernel of the m x r transpose has
+rank r - k, the free rank of H_{n-1}, and its cokernel has free rank m - k,
+the rank of H_n.
 
 The independent ground truth is the wedge oracle: a plumbing of copies of
 T*S^n along a tree deformation-retracts to a wedge of |V| n-spheres, so its
@@ -39,17 +47,32 @@ __all__ = [
 class HomologyReport:
     """Euler characteristic and per-degree (free rank, torsion orders).
 
-    ``h`` carries degrees 0, n-1, n.  The boundary matrix is kept for
-    inspection but excluded from equality: reports are compared by what
-    they say about the space, not by the presentation that produced it.
+    ``h`` carries degrees 0, n-1, n.  The cycle classes the report was
+    computed from are kept for inspection but excluded from equality:
+    reports are compared by what they say about the space, not by the
+    presentation that produced it.  The Smith normal form ran on those
+    classes as rows, the transpose of the boundary map, which is why H_n
+    came from its cokernel and H_{n-1} from its kernel (see the module
+    docstring).
     """
 
     euler: int
     h: tuple[tuple[int, int, tuple[int, ...]], ...]
     caveat: bool
-    boundary_matrix: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False
+    classes: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False
     )
+    fiber_rank: int = field(default=0, compare=False, repr=False)
+
+    @property
+    def boundary_matrix(self) -> tuple[tuple[int, ...], ...] | None:
+        """The boundary map with row i holding coordinate i of every cycle
+        class, built on each read; None for a report with no classes."""
+        if self.classes is None:
+            return None
+        if not self.classes:
+            return ((),) * self.fiber_rank
+        return tuple(zip(*self.classes))
 
     def as_dict(self) -> dict:
         return {
@@ -76,23 +99,27 @@ def total_homology(alf: AbstractLF, n: int | None = None) -> HomologyReport:
     if n is None:
         n = alf.n
     rank = len(alf.fiber.pattern.vertices)
-    m = len(alf.cycles)
-    if any(len(c.cls) != rank for c in alf.cycles):
+    classes = alf.word_classes()
+    if any(len(c) != rank for c in classes):
         raise DimensionMismatch(f"cycle classes against fiber rank {rank}")
-    # row i holds coordinate i of every cycle class
-    boundary = tuple(zip(*(c.cls for c in alf.cycles))) if m else ((),) * rank
-    snf = smith_normal_form(boundary)
-    free_cok, torsion = snf.cokernel
+    if classes:
+        # one row per cycle: the transpose of the boundary map
+        snf = smith_normal_form(classes)
+        free_cok, torsion = snf.kernel_rank, snf.cokernel[1]
+        h_n = snf.cokernel[0]
+    else:  # no row to read r from: H_{n-1} = Z^r
+        free_cok, torsion, h_n = rank, (), 0
     h = (
         (0, 1, ()),
         (n - 1, free_cok, torsion),
-        (n, snf.kernel_rank, ()),
+        (n, h_n, ()),
     )
     return HomologyReport(
         euler=euler_characteristic(alf, n),
         h=h,
         caveat=(n == 2),
-        boundary_matrix=boundary,
+        classes=classes,
+        fiber_rank=rank,
     )
 
 

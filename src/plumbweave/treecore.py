@@ -29,6 +29,7 @@ quotient tree whose vertices index the sphere classes of the plumbing fiber.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -97,14 +98,15 @@ class _UnionFind:
 def _check_tree_shape(vertices, edge_pairs, *, what: str) -> None:
     """Validate that the given edges form a tree on the given vertices."""
     uf = _UnionFind(vertices)
+    components = len(vertices)  # each successful union merges two of them
     for a, b in edge_pairs:
         if a == b:
             raise CycleDetected(f"{what}: self-loop at vertex {a!r}")
         if not uf.union(a, b):
             raise CycleDetected(f"{what}: edge {a!r}--{b!r} closes a cycle")
-    roots = {uf.find(v) for v in vertices}
-    if len(roots) > 1:
-        raise Disconnected(f"{what}: {len(roots)} connected components")
+        components -= 1
+    if components > 1:
+        raise Disconnected(f"{what}: {components} connected components")
 
 
 @dataclass(frozen=True)
@@ -282,9 +284,9 @@ def order_tree(t: RootedEmbeddedTree) -> OrderedTree:
     head: dict[str, str] = {}
     incoming: dict[str, str] = {}
     dist: dict[str, int] = {root_v: 0}
-    queue = [root_v]
+    queue = deque([root_v])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for eid in t.rotation[v]:
             if eid in tail:
                 continue

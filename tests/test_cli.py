@@ -212,6 +212,9 @@ MALFORMED_FIBRATIONS = {
     "infinite sphere_dim": ('"sphere_dim": 2', '"sphere_dim": Infinity'),
     "lone surrogate display": ('"display": "L_{q(v1)}"', '"display": "\\ud800"'),
     "lone surrogate label": ('"label": "edge:e0"', '"label": "edge:\\udfff"'),
+    "numeric display": ('"display": "L_{q(v1)}"', '"display": 5'),
+    "null display": ('"display": "L_{q(v1)}"', '"display": null'),
+    "numeric pattern vertex": ('"w0"', "0"),
 }
 
 

@@ -86,6 +86,39 @@ def test_cycle_count_identity(seed, n):
     assert len(alf.cycles) == len(t.vertices) + len(qd.quotient_tree.vertices)
 
 
+def _dense_classes(ot, alf):
+    """The classes of ``alf`` as the per-cycle construction builds them: a
+    Python loop of length r per cycle writes the unit vector of the quotient
+    class of the cycle's vertex (a vertex cycle) or edge head (an edge
+    cycle)."""
+    qd = quotient(ot)
+    basis_index = {w: i for i, w in enumerate(qd.quotient_tree.vertices)}
+    rank = len(qd.quotient_tree.vertices)
+
+    def basis_vec(w):
+        i = basis_index[w]
+        return tuple(1 if j == i else 0 for j in range(rank))
+
+    out = []
+    for c in alf.cycles:
+        kind, name = c.label.split(":")
+        k = int(name[1:])
+        v = ot.vertex_order[k] if kind == "vertex" else ot.head[ot.edge_order[k]]
+        out.append(basis_vec(qd.q[v]))
+    return tuple(out)
+
+
+@given(seeds, st.sampled_from([30, 120]), st.sampled_from([2, 3, 4]))
+@settings(max_examples=60, deadline=None)
+def test_fibrate_classes_match_dense_construction(seed, size, n):
+    ot = order_tree(random_tree(seed, size))
+    alf = fibrate(ot, n)
+    assert alf.word_classes() == _dense_classes(ot, alf)
+    # one shared tuple per class, however many cycles carry it
+    distinct = set(alf.word_classes())
+    assert len({id(c.cls) for c in alf.cycles}) == len(distinct)
+
+
 @given(seeds)
 @settings(max_examples=100, deadline=None)
 def test_label_audit(seed):
@@ -328,6 +361,47 @@ def _edited(alf, edit):
 def test_json_rejects_non_integer_numbers(ex_ordered, edit):
     alf = fibrate(ex_ordered, 3)  # four-vertex star fiber, sphere_dim 2
     with pytest.raises(FormatError, match="expected an integer"):
+        from_json(_edited(alf, edit))
+
+
+def _rename_vertex(doc, old, new):
+    pat = doc["fiber"]["pattern"]
+    pat["vertices"] = [new if v == old else v for v in pat["vertices"]]
+    pat["edges"] = [[new if v == old else v for v in e] for e in pat["edges"]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: _rename_vertex(doc, "w0", 5),
+        lambda doc: _rename_vertex(doc, "w1", True),
+        lambda doc: _rename_vertex(doc, "w2", None),
+        lambda doc: doc["cycles"][0].update(display=None),
+        lambda doc: doc["cycles"][1].update(display=7),
+        lambda doc: doc["cycles"][2].update(label=False),
+    ],
+    ids=["vertex-int", "vertex-bool", "vertex-null", "display-null", "display-int",
+         "label-bool"],
+)
+def test_json_rejects_non_string_names(ex_ordered, edit):
+    alf = fibrate(ex_ordered, 3)
+    with pytest.raises(FormatError, match="expected a string"):
+        from_json(_edited(alf, edit))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["fiber"]["pattern"].update(vertices="w0w1w2w3"),
+        lambda doc: doc["fiber"]["pattern"].update(
+            edges=["".join(e) for e in doc["fiber"]["pattern"]["edges"]]
+        ),
+    ],
+    ids=["vertices-string", "edges-strings"],
+)
+def test_json_rejects_strings_for_arrays(ex_ordered, edit):
+    alf = fibrate(ex_ordered, 3)
+    with pytest.raises(FormatError, match="expected an array"):
         from_json(_edited(alf, edit))
 
 

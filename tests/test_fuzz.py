@@ -14,8 +14,8 @@ from plumbweave.moves import CYCLIC, HURWITZ_A, HURWITZ_B, STABILIZE, moves_from
 
 # values that broke a loader once: non-finite numbers, lone surrogates
 EDGE_CASES = [float("inf"), float("-inf"), float("nan"), "\ud800", "vertex:\udfff"]
-# values that a loose loader once read as integers
-NUMBER_LOOKALIKES = [True, False, 0.0, 1.0, 2.0, 2.5, "0", "2"]
+# values that a loose loader once read as integers, or as names
+NUMBER_LOOKALIKES = [True, False, None, 0, 5, 0.0, 1.0, 2.0, 2.5, "0", "2"]
 
 json_values = st.recursive(
     st.none()
@@ -77,6 +77,7 @@ def test_from_json_raises_only_plumbweave_errors(doc):
     if alf is not None:  # what it accepts, the CLI can write back out
         out = json.loads(to_json(alf).encode("utf-8"))
         assert integers(out) == integers(doc)
+        assert names(out) == names(doc)
         assert from_json(to_json(alf)) == alf
 
 
@@ -85,6 +86,21 @@ def integers(doc):
     ``true`` or ``3.0`` never pass for ``1`` or ``3``."""
     return json.dumps(
         [doc["n"], doc["fiber"]["sphere_dim"], [c["coords"] for c in doc["cycles"]]]
+    )
+
+
+def names(doc):
+    """The names a fibration document carries, spelled as JSON, so that
+    ``5``, ``true`` or ``null`` never pass for ``"5"``, ``"True"`` or
+    ``"None"``."""
+    pat = doc["fiber"]["pattern"]
+    return json.dumps(
+        [
+            pat["vertices"],
+            pat["edges"],
+            [[c["label"], c["display"]] for c in doc["cycles"]],
+        ],
+        ensure_ascii=False,
     )
 
 

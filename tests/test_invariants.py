@@ -18,8 +18,15 @@ from plumbweave import (
     wedge_oracle,
 )
 from plumbweave.errors import DimensionMismatch
-from plumbweave.fibration import VanishingCycle, family_interior_index
+from plumbweave.fibration import (
+    AbstractLF,
+    PlumbingDescriptor,
+    VanishingCycle,
+    family_interior_index,
+)
 from plumbweave.invariants import base_case_audit
+from plumbweave.lattice import smith_normal_form
+from plumbweave.treecore import UnrootedTree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -64,6 +71,93 @@ def test_homology_ex_n3(ex_ordered):
 def test_homology_two_vertex_chain(a2_ordered):
     rep = total_homology(fibrate(a2_ordered, 4), 4)
     assert rep.h == ((0, 1, ()), (3, 0, ()), (4, 2, ()))
+
+
+def _reference_h(alf, n):
+    """``h`` from the Smith normal form of the boundary map itself: row i
+    holds coordinate i of every class, H_{n-1} is its cokernel and H_n its
+    kernel."""
+    rank = len(alf.fiber.pattern.vertices)
+    m = len(alf.cycles)
+    boundary = tuple(zip(*(c.cls for c in alf.cycles))) if m else ((),) * rank
+    snf = smith_normal_form(boundary)
+    free_cok, torsion = snf.cokernel
+    return ((0, 1, ()), (n - 1, free_cok, torsion), (n, snf.kernel_rank, ()))
+
+
+def _with_classes(alf, classes):
+    cycles = tuple(
+        VanishingCycle(f"stab:{i}", tuple(c), f"c{i}") for i, c in enumerate(classes)
+    )
+    return replace(alf, cycles=cycles)
+
+
+def _check_against_reference(alf):
+    rep = total_homology(alf)
+    assert rep.h == _reference_h(alf, alf.n)
+    assert rep.euler == euler_characteristic(alf)
+    rank = len(alf.fiber.pattern.vertices)
+    if alf.cycles:
+        assert rep.boundary_matrix == tuple(zip(*alf.word_classes()))
+    else:
+        assert rep.boundary_matrix == ((),) * rank
+    return rep
+
+
+@given(seeds, st.sampled_from([2, 3, 4, 5]), st.lists(st.integers(0, 2**16), max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_homology_matches_boundary_snf_on_moved_words(seed, n, script):
+    alf = fibrate(order_tree(random_tree(seed, 40)), n)
+    _check_against_reference(alf)
+    for k in script:
+        move = hurwitz_a if k % 2 else hurwitz_b
+        alf = move(alf, (k // 2) % (len(alf.cycles) - 1))
+    _check_against_reference(alf)
+
+
+@given(seeds, st.sampled_from([2, 3, 4, 5]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_homology_matches_boundary_snf_with_torsion(seed, n, data):
+    """Classes pushed through a random integer matrix span a sublattice of
+    finite or infinite index, so the cokernel may carry torsion."""
+    alf = fibrate(order_tree(random_tree(seed, 10)), n)
+    r = len(alf.fiber.pattern.vertices)
+    entries = st.integers(-4, 4)
+    mat = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    classes = [
+        tuple(sum(row[j] * c[j] for j in range(r)) for row in mat) for c in alf.word_classes()
+    ]
+    _check_against_reference(_with_classes(alf, classes))
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.sampled_from([2, 3, 4]),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_homology_matches_boundary_snf_on_arbitrary_words(r, m, n, data):
+    chain = UnrootedTree(
+        tuple(f"w{i}" for i in range(r)), tuple((f"w{i}", f"w{i + 1}") for i in range(r - 1))
+    )
+    alf = AbstractLF(PlumbingDescriptor(chain, n - 1), (), n)
+    word = data.draw(
+        st.lists(st.lists(st.integers(-6, 6), min_size=r, max_size=r), min_size=m, max_size=m)
+    )
+    _check_against_reference(_with_classes(alf, word))
+
+
+def test_homology_of_an_empty_word(a2_ordered):
+    alf = replace(fibrate(a2_ordered, 3), cycles=())
+    rep = _check_against_reference(alf)
+    assert rep.h == ((0, 1, ()), (2, 1, ()), (3, 0, ()))  # H_{n-1} = Z^r, r = 1
+
+
+def test_homology_torsion_at_rank_one(a2_ordered):
+    alf = fibrate(a2_ordered, 4)
+    rep = _check_against_reference(_with_classes(alf, [(4,), (6,), (0,)]))
+    assert rep.h == ((0, 1, ()), (3, 0, (2,)), (4, 2, ()))
 
 
 def test_homology_rejects_classes_of_wrong_length(a2_ordered):
@@ -126,6 +220,21 @@ def test_moved_word_matches_oracle_at_scale(n):
     t = random_tree(15, 1000)
     assert len(t.vertices) == 990
     pristine = fibrate(order_tree(t), n)
+    rng = random.Random(n)
+    alf = pristine
+    for _ in range(50):
+        alf = hurwitz_a(alf, rng.randrange(len(alf.cycles) - 1))
+    assert alf.word_classes() != pristine.word_classes()
+    assert total_homology(alf) == wedge_oracle(t, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [3, 4])
+def test_word_matches_oracle_at_largest_scale(n):
+    t = max((random_tree(seed, 2000) for seed in range(5)), key=lambda t: len(t.vertices))
+    assert len(t.vertices) == 1959
+    pristine = fibrate(order_tree(t), n)
+    assert total_homology(pristine) == wedge_oracle(t, n)
     rng = random.Random(n)
     alf = pristine
     for _ in range(50):

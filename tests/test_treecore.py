@@ -59,8 +59,10 @@ def test_parse_self_loop():
 
 
 def test_parse_disconnected():
-    with pytest.raises(Disconnected):
+    with pytest.raises(Disconnected, match="tree: 2 connected components"):
         parse_tree("root a ab\nedge ab a b\nedge cd c d\n")
+    with pytest.raises(Disconnected, match="tree: 3 connected components"):
+        parse_tree("root a ab\nedge ab a b\nedge cd c d\nedge ef e f\nedge eg e g\n")
 
 
 def test_parse_duplicate_edge_id():
