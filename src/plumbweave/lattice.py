@@ -7,10 +7,12 @@ bundles along a tree pattern, so its middle homology is free on one class
 * the (anti)symmetric intersection pairing on that lattice — symmetric with
   diagonal ``s`` (default -2) when the spheres are even dimensional,
   antisymmetric with zero diagonal when odd, off-diagonal ``±1`` exactly on
-  pattern edges, stored as the tree gives it (the diagonal value plus each
-  vertex's edge entries) and built by :func:`pattern_form` alone;
+  pattern edges, stored as the tree gives it (the pattern's index adjacency
+  plus the diagonal, upper and lower entries) and built by
+  :func:`pattern_form` alone;
 * the homological twist action ``x -> x + eps * <x, l> * l`` of a Dehn twist
-  around a sphere with class ``l``, including exact integer inverses;
+  around a sphere with class ``l``, including exact integer inverses, which
+  touches only the coordinates where ``l`` is nonzero;
 * exact Smith normal form over the integers, the workhorse behind all
   homology computations: sparse elimination of ±1 pivots first, then the
   dense Smith routine on whatever block is left.
@@ -78,14 +80,20 @@ ANTISYMMETRIC = "antisymmetric"
 class IntersectionForm:
     """Intersection pairing on the fiber lattice, basis = pattern vertices.
 
-    Stored as the tree gives it: one ``diagonal`` value, and for each basis
-    vertex the ``(neighbour index, entry)`` pairs of its pattern edges.
-    Every other entry of the matrix is zero.
+    Stored as the tree gives it: the pattern's own index adjacency
+    (``above[i]`` and ``below[i]`` are the basis positions of the
+    neighbours after and before i, shared with the pattern, not copied)
+    and three scalars: the ``diagonal`` entry, the ``upper`` entry (i, j)
+    and the ``lower`` entry (j, i) of an edge with i < j.  Every other
+    entry of the matrix is zero.
     """
 
     basis: tuple[str, ...]
+    above: tuple[tuple[int, ...], ...]
+    below: tuple[tuple[int, ...], ...]
     diagonal: int
-    neighbours: tuple[tuple[tuple[int, int], ...], ...]
+    upper: int
+    lower: int
     parity: str
     convention: Convention
 
@@ -94,12 +102,15 @@ class IntersectionForm:
         r = len(self.basis)
         if len(x) != r or len(y) != r:
             raise DimensionMismatch(f"vectors of length {len(x)}, {len(y)} against rank {r}")
-        diag, neighbours = self.diagonal, self.neighbours
+        diag, upper, lower = self.diagonal, self.upper, self.lower
+        above, below = self.above, self.below
         total = 0
         for i in compress(range(r), x):
             row = diag * y[i]
-            for j, entry in neighbours[i]:
-                row += entry * y[j]
+            for j in above[i]:
+                row += upper * y[j]
+            for j in below[i]:
+                row += lower * y[j]
             total += x[i] * row
         return total
 
@@ -111,26 +122,22 @@ def pattern_form(
 
     Symmetric iff ``sphere_dim`` is even.  For an edge whose endpoints are
     the i-th and j-th basis vertices with i < j, entry (i, j) gets
-    ``edge_sign`` and (j, i) gets ``±edge_sign`` by parity.
+    ``edge_sign`` and (j, i) gets ``±edge_sign`` by parity.  The form reads
+    the adjacency the pattern stored when it was validated, so building
+    one does not depend on the size of the pattern.
     """
     if sphere_dim < 1:
         raise BadDimension(f"sphere dimension {sphere_dim} below 1")
-    parity = SYMMETRIC if sphere_dim % 2 == 0 else ANTISYMMETRIC
+    symmetric = sphere_dim % 2 == 0
     upper = convention.edge_sign
-    lower = upper if parity == SYMMETRIC else -upper
-    pos = {v: i for i, v in enumerate(pattern.vertices)}
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in pattern.vertices]
-    for a, b in pattern.edges:
-        i, j = pos[a], pos[b]
-        if i > j:
-            i, j = j, i
-        neighbours[i].append((j, upper))
-        neighbours[j].append((i, lower))
     return IntersectionForm(
         basis=pattern.vertices,
-        diagonal=convention.self_intersection if parity == SYMMETRIC else 0,
-        neighbours=tuple(map(tuple, neighbours)),
-        parity=parity,
+        above=pattern.above,
+        below=pattern.below,
+        diagonal=convention.self_intersection if symmetric else 0,
+        upper=upper,
+        lower=upper if symmetric else -upper,
+        parity=SYMMETRIC if symmetric else ANTISYMMETRIC,
         convention=convention,
     )
 
@@ -141,9 +148,10 @@ def dehn_twist(
     """Apply the homological twist around ``l`` to ``x``, ``power`` times.
 
     One application sends x to x + eps*<x,l>*l with eps the convention's
-    twist sign.  Negative powers invert; the inverse is again of twist shape
-    with coefficient -eps - <l,l>, which is an integer automorphism exactly
-    when eps*<l,l> is 0 or -2 (transvection resp. reflection).
+    twist sign, changing x only where l is nonzero.  Negative powers
+    invert; the inverse is again of twist shape with coefficient
+    -eps - <l,l>, which is an integer automorphism exactly when eps*<l,l>
+    is 0 or -2 (transvection resp. reflection).
     """
     r = len(form.basis)
     if len(l) != r or len(x) != r:
@@ -163,7 +171,11 @@ def dehn_twist(
     for _ in range(reps):
         c = form.pair(x, l)
         if c:
-            x = tuple(xi + coeff * c * li for xi, li in zip(x, l))
+            k = coeff * c
+            out = list(x)
+            for i in compress(range(r), l):
+                out[i] += k * l[i]
+            x = tuple(out)
     return x
 
 

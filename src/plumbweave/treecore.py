@@ -95,18 +95,40 @@ class _UnionFind:
         return True
 
 
-def _check_tree_shape(vertices, edge_pairs, *, what: str) -> None:
-    """Validate that the given edges form a tree on the given vertices."""
-    uf = _UnionFind(vertices)
+def _check_tree_shape(vertices, index_pairs, *, what: str) -> None:
+    """Validate that the edges, given as pairs of positions in ``vertices``,
+    form a tree on those vertices (union-find with path halving)."""
+    parent = list(range(len(vertices)))
     components = len(vertices)  # each successful union merges two of them
-    for a, b in edge_pairs:
+    for a, b in index_pairs:
         if a == b:
-            raise CycleDetected(f"{what}: self-loop at vertex {a!r}")
-        if not uf.union(a, b):
-            raise CycleDetected(f"{what}: edge {a!r}--{b!r} closes a cycle")
+            raise CycleDetected(f"{what}: self-loop at vertex {vertices[a]!r}")
+        i, j = a, b
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i == j:
+            raise CycleDetected(
+                f"{what}: edge {vertices[a]!r}--{vertices[b]!r} closes a cycle"
+            )
+        parent[i] = j
         components -= 1
     if components > 1:
         raise Disconnected(f"{what}: {components} connected components")
+
+
+def _lists_incident_edges(v, rot, degree: int, by_id) -> bool:
+    """Whether ``rot`` lists each of the ``degree`` edges at ``v`` exactly
+    once.  Edge ids are unique, so that holds iff it has ``degree`` distinct
+    entries and each is the id of an edge incident to ``v``."""
+    if len(rot) != degree or len(set(rot)) != degree:
+        return False
+    for eid in rot:
+        e = by_id.get(eid)
+        if e is None or (e.a != v and e.b != v):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -126,34 +148,36 @@ class RootedEmbeddedTree:
     def __post_init__(self):
         if not self.edges:
             raise EmptyTree("a tree needs at least one edge to carry a root")
-        if len(set(self.vertices)) != len(self.vertices):
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        if len(pos) != len(self.vertices):
             raise DuplicateId("duplicate vertex identifier")
-        vset = set(self.vertices)
-        seen_e: set[str] = set()
+        by_id: dict[str, Edge] = {}
+        degree = [0] * len(pos)
+        pairs = []
         for e in self.edges:
-            if e.id in seen_e:
+            if e.id in by_id:
                 raise DuplicateId(f"duplicate edge identifier {e.id!r}")
-            seen_e.add(e.id)
-            if e.a not in vset or e.b not in vset:
+            by_id[e.id] = e
+            i, j = pos.get(e.a), pos.get(e.b)
+            if i is None or j is None:
                 raise UnknownVertex(f"edge {e.id!r} references an unknown vertex")
-        _check_tree_shape(self.vertices, [(e.a, e.b) for e in self.edges], what="tree")
+            degree[i] += 1
+            degree[j] += 1
+            pairs.append((i, j))
+        _check_tree_shape(self.vertices, pairs, what="tree")
 
-        incident: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            incident[e.a].append(e.id)
-            incident[e.b].append(e.id)
-        if set(self.rotation) != vset:
+        if set(self.rotation) != pos.keys():
             raise BadRotation("rotation must cover exactly the vertex set")
-        for v in self.vertices:
-            if sorted(self.rotation[v]) != sorted(incident[v]):
+        for v, d in zip(self.vertices, degree):
+            if not _lists_incident_edges(v, self.rotation[v], d, by_id):
                 raise BadRotation(
                     f"rotation at {v!r} is not a permutation of its incident edges"
                 )
 
         rv, re = self.root
-        if rv not in vset:
+        if rv not in pos:
             raise BadRoot(f"root vertex {rv!r} does not exist")
-        if re not in seen_e:
+        if re not in by_id:
             raise BadRoot(f"root edge {re!r} does not exist")
         if re not in self.rotation[rv]:
             raise BadRoot(f"root edge {re!r} is not incident to root vertex {rv!r}")
@@ -390,33 +414,46 @@ class UnrootedTree:
     """A bare tree pattern: ordered vertex names plus undirected edges.
 
     Used for quotient trees and plumbing patterns; a single vertex with no
-    edges is legal here (unlike rooted trees).
+    edges is legal here (unlike rooted trees).  Validation also stores the
+    index adjacency: ``above[i]`` and ``below[i]`` are the positions of the
+    neighbours of the i-th vertex that come after and before it.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+    above: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    below: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.vertices:
             raise EmptyTree("a pattern needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        if len(pos) != len(self.vertices):
             raise DuplicateId("duplicate pattern vertex")
         if len(self.edges) != len(self.vertices) - 1:
             raise CycleDetected(
                 f"{len(self.edges)} edges on {len(self.vertices)} vertices is not a tree"
             )
-        vset = set(self.vertices)
+        pairs = []
         for a, b in self.edges:
-            if a not in vset or b not in vset:
+            i, j = pos.get(a), pos.get(b)
+            if i is None or j is None:
                 raise UnknownVertex(f"pattern edge ({a!r}, {b!r}) references unknown vertex")
-        _check_tree_shape(self.vertices, self.edges, what="pattern")
+            pairs.append((i, j))
+        _check_tree_shape(self.vertices, pairs, what="pattern")
+        above: list[list[int]] = [[] for _ in pos]
+        below: list[list[int]] = [[] for _ in pos]
+        for i, j in pairs:
+            if i > j:
+                i, j = j, i
+            above[i].append(j)
+            below[j].append(i)
+        object.__setattr__(self, "above", tuple(map(tuple, above)))
+        object.__setattr__(self, "below", tuple(map(tuple, below)))
 
     def edge_index_pairs(self) -> frozenset[tuple[int, int]]:
         """Edges as position pairs, for name-independent comparison."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        return frozenset(
-            (min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in self.edges
-        )
+        return frozenset((i, j) for i, ups in enumerate(self.above) for j in ups)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 
 import pytest
@@ -225,6 +225,93 @@ def test_twist_power_is_repeated_twist(data, pattern, sphere_dim, convention, po
     vec = st.tuples(*(st.integers(-3, 3) | st.just(0) for _ in range(r)))
     l, x = data.draw(vec), data.draw(vec)
     assert outcome(dehn_twist, form, l, x, power) == outcome(repeated_twist, form, l, x, power)
+
+
+class ReferenceForm:
+    """The form built directly from the edge list: per basis vertex, the
+    ``(neighbour index, signed entry)`` pairs of its pattern edges, found
+    through a position dict.  The reference for the adjacency a pattern
+    stores and for ``pair``."""
+
+    def __init__(self, pattern, sphere_dim, convention):
+        symmetric = sphere_dim % 2 == 0
+        upper = convention.edge_sign
+        lower = upper if symmetric else -upper
+        pos = {v: i for i, v in enumerate(pattern.vertices)}
+        neighbours = [[] for _ in pattern.vertices]
+        for a, b in pattern.edges:
+            i, j = pos[a], pos[b]
+            if i > j:
+                i, j = j, i
+            neighbours[i].append((j, upper))
+            neighbours[j].append((i, lower))
+        self.rank = len(pattern.vertices)
+        self.diagonal = convention.self_intersection if symmetric else 0
+        self.neighbours = neighbours
+        self.eps = convention.twist_sign
+
+    def pair(self, x, y):
+        r = self.rank
+        if len(x) != r or len(y) != r:
+            raise DimensionMismatch(f"vectors of length {len(x)}, {len(y)} against rank {r}")
+        total = 0
+        for i in compress(range(r), x):
+            row = self.diagonal * y[i]
+            for j, entry in self.neighbours[i]:
+                row += entry * y[j]
+            total += x[i] * row
+        return total
+
+
+def reference_twist(ref, l, x, power=1):
+    """The twist that rebuilds every coordinate through ``zip``: the
+    reference for ``dehn_twist``, which touches only the support of l."""
+    r = ref.rank
+    if len(l) != r or len(x) != r:
+        raise DimensionMismatch(f"twist on vectors of length {len(l)}, {len(x)} against rank {r}")
+    eps = ref.eps
+    if power >= 0:
+        coeff, reps = eps, power
+    else:
+        s = ref.pair(l, l)
+        if eps * s not in (0, -2):
+            raise NonInvertibleTwist(f"square {s}")
+        coeff, reps = -eps - s, -power
+    for _ in range(reps):
+        c = ref.pair(x, l)
+        if c:
+            x = tuple(xi + coeff * c * li for xi, li in zip(x, l))
+    return x
+
+
+def classes(r):
+    """Dense classes, sparse ones (a few nonzeros among zeros) and, now and
+    then, a class of the wrong length."""
+    dense = st.tuples(*(st.integers(-9, 9) for _ in range(r)))
+    sparse = st.dictionaries(st.integers(0, r - 1), st.integers(-3, 3), max_size=3).map(
+        lambda d: tuple(d.get(i, 0) for i in range(r))
+    )
+    wrong = st.lists(st.integers(-2, 2), min_size=r + 1, max_size=r + 2).map(tuple)
+    return st.one_of(dense, sparse, sparse, wrong)
+
+
+@given(st.data(), tree_patterns(), st.integers(1, 6), conventions, st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_form_and_twist_match_reference(data, pattern, sphere_dim, convention, power):
+    form = pattern_form(pattern, sphere_dim, convention)
+    ref = ReferenceForm(pattern, sphere_dim, convention)
+    r = len(pattern.vertices)
+    l, x, y = data.draw(classes(r)), data.draw(classes(r)), data.draw(classes(r))
+    assert outcome(form.pair, x, y) == outcome(ref.pair, x, y)
+    assert outcome(dehn_twist, form, l, x, power) == outcome(reference_twist, ref, l, x, power)
+
+
+def test_form_shares_the_pattern_adjacency():
+    pattern = UnrootedTree(("c", "a", "b"), (("a", "c"), ("b", "c")))
+    assert (pattern.above, pattern.below) == (((1, 2), (), ()), ((), (0,), (0,)))
+    form = pattern_form(pattern, 2)
+    assert form.above is pattern.above and form.below is pattern.below
+    assert pattern.edge_index_pairs() == frozenset({(0, 1), (0, 2)})
 
 
 def test_twist_power_cases():

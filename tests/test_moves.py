@@ -19,6 +19,7 @@ from plumbweave import (
     search_equivalence,
     stabilize,
     total_homology,
+    wedge_oracle,
 )
 from plumbweave.errors import (
     DimensionMismatch,
@@ -40,6 +41,8 @@ from plumbweave.moves import (
     moves_to_json,
     parse_move_line,
 )
+
+from .test_lattice import ReferenceForm, reference_twist
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -459,6 +462,36 @@ def test_moves_preserve_homology(seed, n):
             ]
             cur = stabilize(cur, attach, rng.randrange(mlen + 1))
         assert total_homology(cur) == base
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [3, 4])
+def test_move_script_matches_reference_twist_at_scale(n):
+    t = random_tree(84, 1500)
+    assert len(t.vertices) == 1500
+    alf = fibrate(order_tree(t), n)
+    ref = ReferenceForm(alf.fiber.pattern, alf.fiber.sphere_dim, DEFAULT_CONVENTION)
+    word = list(alf.word_classes())
+    rng = random.Random(n)
+    twisted = 0
+    for _ in range(86):
+        kind = rng.choice("abc")
+        if kind == "c":
+            alf = cyclic_permute(alf)
+            word = word[1:] + word[:1]
+            continue
+        i = rng.randrange(len(word) - 1)
+        x, y = word[i], word[i + 1]
+        if kind == "a":
+            alf = hurwitz_a(alf, i)
+            word[i : i + 2] = [y, reference_twist(ref, y, x)]
+        else:
+            alf = hurwitz_b(alf, i)
+            word[i : i + 2] = [reference_twist(ref, x, y, -1), x]
+        twisted += word[i : i + 2] != [y, x]
+        assert alf.word_classes() == tuple(word)
+    assert twisted >= 25
+    assert total_homology(alf) == wedge_oracle(t, n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,17 @@ from plumbweave import (
 )
 from plumbweave.errors import (
     BadRoot,
+    BadRotation,
     CycleDetected,
     Disconnected,
     DuplicateId,
     EmptyTree,
     FormatError,
     IndexOutOfRange,
+    PlumbweaveError,
     UnknownVertex,
 )
+from plumbweave.treecore import Edge, RootedEmbeddedTree
 from .conftest import EX_TEXT
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -92,6 +95,130 @@ def test_parse_malformed_line():
 def test_parse_comments_and_blanks(ex_tree):
     noisy = "\n# header\n" + EX_TEXT.replace("edge e1 v1 v2", "edge e1 v1 v2  # chain")
     assert parse_tree(noisy) == ex_tree
+
+
+def reference_validate(vertices, edges, rotation, root):
+    """The rooted-tree validator that built the incidence lists a second
+    time and compared sorted rotations: the reference for the checks in
+    ``RootedEmbeddedTree.__post_init__``."""
+    if not edges:
+        raise EmptyTree("a tree needs at least one edge to carry a root")
+    if len(set(vertices)) != len(vertices):
+        raise DuplicateId("duplicate vertex identifier")
+    vset = set(vertices)
+    seen_e = set()
+    for e in edges:
+        if e.id in seen_e:
+            raise DuplicateId(f"duplicate edge identifier {e.id!r}")
+        seen_e.add(e.id)
+        if e.a not in vset or e.b not in vset:
+            raise UnknownVertex(f"edge {e.id!r} references an unknown vertex")
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    components = len(vertices)
+    for e in edges:
+        if e.a == e.b:
+            raise CycleDetected(f"tree: self-loop at vertex {e.a!r}")
+        ra, rb = find(e.a), find(e.b)
+        if ra == rb:
+            raise CycleDetected(f"tree: edge {e.a!r}--{e.b!r} closes a cycle")
+        parent[ra] = rb
+        components -= 1
+    if components > 1:
+        raise Disconnected(f"tree: {components} connected components")
+
+    incident = {v: [] for v in vertices}
+    for e in edges:
+        incident[e.a].append(e.id)
+        incident[e.b].append(e.id)
+    if set(rotation) != vset:
+        raise BadRotation("rotation must cover exactly the vertex set")
+    for v in vertices:
+        if sorted(rotation[v]) != sorted(incident[v]):
+            raise BadRotation(f"rotation at {v!r} is not a permutation of its incident edges")
+    rv, re = root
+    if rv not in vset:
+        raise BadRoot(f"root vertex {rv!r} does not exist")
+    if re not in seen_e:
+        raise BadRoot(f"root edge {re!r} does not exist")
+    if re not in rotation[rv]:
+        raise BadRoot(f"root edge {re!r} is not incident to root vertex {rv!r}")
+
+
+DAMAGES = (
+    "drop_rot", "dup_rot", "repeat_rot", "replace_rot", "bogus_rot", "shuffle_rot", "drop_key",
+    "extra_key", "root_vertex", "root_edge", "dup_edge", "unknown_end", "self_loop",
+    "drop_edge", "extra_edge", "dup_vertex", "no_edges",
+)
+
+
+@st.composite
+def damaged_trees(draw):
+    """The fields of a random rooted tree after up to three damages to its
+    rotation, root, edge list or vertex list (a shuffled rotation stays valid)."""
+    t = random_tree(draw(seeds), 8)
+    vertices, edges, rotation, root = list(t.vertices), list(t.edges), dict(t.rotation), t.root
+    for kind in draw(st.lists(st.sampled_from(DAMAGES), max_size=3)):
+        v = draw(st.sampled_from(vertices))
+        rot = rotation.get(v, ())
+        eids = [e.id for e in edges] + ["zz"]
+        if kind == "drop_rot":
+            rotation[v] = rot[1:]
+        elif kind == "dup_rot":
+            rotation[v] = rot + rot[:1]
+        elif kind == "repeat_rot":
+            rotation[v] = rot[:1] + rot[:-1]  # same length, one edge twice
+        elif kind == "replace_rot":
+            rotation[v] = (draw(st.sampled_from(eids)),) + rot[1:]
+        elif kind == "bogus_rot":
+            rotation[v] = rot + ("zz",)
+        elif kind == "shuffle_rot":
+            rotation[v] = tuple(draw(st.permutations(rot)))
+        elif kind == "drop_key":
+            rotation.pop(v, None)
+        elif kind == "extra_key":
+            rotation["ghost"] = ()
+        elif kind == "root_vertex":
+            root = (draw(st.sampled_from(vertices + ["ghost"])), root[1])
+        elif kind == "root_edge":
+            root = (root[0], draw(st.sampled_from(eids)))
+        elif kind in ("dup_edge", "extra_edge") and edges:
+            eid = draw(st.sampled_from(eids[:-1])) if kind == "dup_edge" else "new"
+            edges.append(Edge(eid, v, draw(st.sampled_from(vertices))))
+        elif kind == "unknown_end" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = Edge(edges[k].id, edges[k].a, "ghost")
+        elif kind == "self_loop" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = Edge(edges[k].id, edges[k].a, edges[k].a)
+        elif kind == "drop_edge" and edges:
+            del edges[draw(st.integers(0, len(edges) - 1))]
+        elif kind == "dup_vertex":
+            vertices.append(v)
+        elif kind == "no_edges":
+            edges = []
+    return tuple(vertices), tuple(edges), rotation, root
+
+
+def validation_outcome(fn, *fields):
+    try:
+        fn(*fields)
+    except PlumbweaveError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(damaged_trees())
+@settings(max_examples=400, deadline=None)
+def test_tree_validation_matches_reference(fields):
+    assert validation_outcome(RootedEmbeddedTree, *fields) == validation_outcome(
+        reference_validate, *fields
+    )
 
 
 # ---------------------------------------------------------------------------
