@@ -6,30 +6,37 @@ of an embedding into the oriented plane up to orientation-preserving
 diffeomorphism, so no coordinates are kept.
 
 Choosing a root (vertex, edge) turns every cyclic order into a linear one:
+edges are oriented away from the root, giving each edge a tail and a head,
+and the incident edges ``E_v`` of a vertex are linearized by putting the
+root edge first (at the root) or the unique incoming edge last (elsewhere).
 
-* edges are oriented away from the root, giving each edge a tail and a head;
-* the incident edges ``E_v`` of a vertex are linearized by putting the root
-  edge first (at the root) or the unique incoming edge last (elsewhere);
-* the boundary (degree-1) vertices are enumerated by the depth-first
-  traversal that explores outgoing edges in linearized order, which equals
-  the outer-face walk of the plane tree; a degree-1 root goes last;
-* ``height(v)`` is the boundary index (1-based) of the leaf reached from
-  ``v`` by repeatedly taking the first outgoing edge, and ``dist(v)`` is the
-  edge distance from the root.
+The canonical vertex order is the depth-first preorder from the root that
+explores outgoing edges in linearized order (Tarjan, "Depth-first search
+and linear graph algorithms", 1972); edges inherit the order of their
+heads, so the head of the i-th edge is the (i+1)-th vertex.  The same pass
+yields the rest of the order data:
 
-Vertices are then totally ordered by ``(height, dist)`` lexicographically —
-the order is strict because vertices of equal height lie on a single
-first-edge chain — and edges inherit the order of their heads: the head of
-the i-th edge is the (i+1)-th vertex.
+* the boundary (degree-1) vertices in preorder, which is the outer-face
+  walk of the plane tree; a degree-1 root goes last;
+* ``dist(v)``, the edge distance from the root;
+* ``height(v)``, the boundary index (1-based) of the first non-root leaf at
+  or after ``v`` in preorder, which is the leaf reached from ``v`` by
+  repeatedly taking the first outgoing edge.
+
+Vertices of equal height lie on one first-edge chain, so the preorder is
+also the lexicographic ``(height, dist)`` order.
 
 Contracting the first outgoing edge of every vertex that has one yields the
 quotient tree whose vertices index the sphere classes of the plumbing fiber.
+A vertex's incoming edge is contracted exactly when it is its tail's first
+outgoing edge, and then the tail is the vertex just before it in preorder.
+So each quotient class is a run of the preorder that ends at a non-root
+leaf, and the class of ``v`` is the one of its height.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -75,26 +82,6 @@ class Edge:
         raise UnknownVertex(f"vertex {v!r} is not an endpoint of edge {self.id!r}")
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self._parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self._parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        """Merge the classes of x and y; False if they were already equal."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self._parent[rx] = ry
-        return True
-
-
 def _check_tree_shape(vertices, index_pairs, *, what: str) -> None:
     """Validate that the edges, given as pairs of positions in ``vertices``,
     form a tree on those vertices (union-find with path halving)."""
@@ -137,13 +124,15 @@ class RootedEmbeddedTree:
 
     ``vertices`` and ``edges`` keep their declaration order; ``rotation``
     maps each vertex to the cyclic sequence of its incident edge ids.
-    Instances are validated on construction and immutable afterwards.
+    Instances are validated on construction and immutable afterwards;
+    validation also stores ``edge_by_id``, the edge record of each id.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     rotation: dict[str, tuple[str, ...]]
     root: tuple[str, str]
+    edge_by_id: dict[str, Edge] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.edges:
@@ -181,10 +170,7 @@ class RootedEmbeddedTree:
             raise BadRoot(f"root edge {re!r} does not exist")
         if re not in self.rotation[rv]:
             raise BadRoot(f"root edge {re!r} is not incident to root vertex {rv!r}")
-
-    @property
-    def edge_by_id(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
+        object.__setattr__(self, "edge_by_id", by_id)
 
     def degree(self, v: str) -> int:
         return len(self.rotation[v])
@@ -198,30 +184,20 @@ def parse_tree(text: str) -> RootedEmbeddedTree:
     optional; the default rotation is the edge declaration order.
     """
     edges: list[Edge] = []
-    edge_ids: set[str] = set()
-    vertices: list[str] = []
-    vset: set[str] = set()
+    ends: list[str] = []
     rot_lines: dict[str, tuple[str, ...]] = {}
     root: tuple[str, str] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         kind, args = tokens[0], tokens[1:]
         if kind == "edge":
             if len(args) != 3:
                 raise FormatError(f"line {lineno}: edge wants ID A B")
-            eid, a, b = args
-            if eid in edge_ids:
-                raise DuplicateId(f"line {lineno}: duplicate edge identifier {eid!r}")
-            edge_ids.add(eid)
-            edges.append(Edge(eid, a, b))
-            for v in (a, b):
-                if v not in vset:
-                    vset.add(v)
-                    vertices.append(v)
+            edges.append(Edge(*args))
+            ends += args[1:]
         elif kind == "root":
             if len(args) != 2:
                 raise FormatError(f"line {lineno}: root wants VERTEX EDGE")
@@ -242,17 +218,21 @@ def parse_tree(text: str) -> RootedEmbeddedTree:
         raise EmptyTree("no edges declared; a single vertex cannot carry a root")
     if root is None:
         raise BadRoot("no root declared")
+    vertices = dict.fromkeys(ends)  # first mention order
     for v in rot_lines:
-        if v not in vset:
+        if v not in vertices:
             raise BadRotation(f"rot line for unknown vertex {v!r}")
 
-    incident: dict[str, list[str]] = {v: [] for v in vertices}
-    for e in edges:
-        incident[e.a].append(e.id)
-        incident[e.b].append(e.id)
-    rotation = {
-        v: rot_lines.get(v, tuple(incident[v])) for v in vertices
-    }
+    # incidence lists only where a rot line is missing; duplicate edge ids
+    # are left to RootedEmbeddedTree's validation
+    incident: dict[str, list[str]] = {v: [] for v in vertices if v not in rot_lines}
+    if incident:
+        for e in edges:
+            if e.a in incident:
+                incident[e.a].append(e.id)
+            if e.b in incident:
+                incident[e.b].append(e.id)
+    rotation = {v: rot_lines.get(v) or tuple(incident[v]) for v in vertices}
     return RootedEmbeddedTree(tuple(vertices), tuple(edges), rotation, root)
 
 
@@ -286,100 +266,65 @@ class OrderedTree:
     def vertex_label(self, v: str) -> str:
         return f"v{self.vertex_index[v]}"
 
-    def edge_label(self, e: str) -> str:
-        return f"e{self.edge_index[e]}"
-
-    def outgoing(self, v: str) -> tuple[str, ...]:
-        """Outgoing edges of v in linearized order."""
-        local = self.local_edges[v]
-        if v == self.base.root[0]:
-            return local
-        return local[:-1]
-
 
 def order_tree(t: RootedEmbeddedTree) -> OrderedTree:
     """Compute directions, local orders, boundary order, heights, and the
-    total orders on vertices and edges of a rooted plane tree."""
+    total orders on vertices and edges of a rooted plane tree, in one
+    depth-first pass from the root and one backward sweep for the heights."""
     root_v, root_e = t.root
     by_id = t.edge_by_id
-
-    # orient away from the root; dist = BFS depth
+    rotation = t.rotation
     tail: dict[str, str] = {}
     head: dict[str, str] = {}
-    incoming: dict[str, str] = {}
-    dist: dict[str, int] = {root_v: 0}
-    queue = deque([root_v])
-    while queue:
-        v = queue.popleft()
-        for eid in t.rotation[v]:
-            if eid in tail:
-                continue
-            w = by_id[eid].other(v)
-            if w in dist:
-                continue
-            tail[eid] = v
-            head[eid] = w
-            incoming[w] = eid
-            dist[w] = dist[v] + 1
-            queue.append(w)
-
-    # linearize each cyclic E_v: root edge first at the root, incoming last elsewhere
+    dist: dict[str, int] = {}
     local: dict[str, tuple[str, ...]] = {}
-    for v in t.vertices:
-        rot = t.rotation[v]
-        if v == root_v:
-            k = rot.index(root_e)
-            local[v] = rot[k:] + rot[:k]
-        else:
-            k = rot.index(incoming[v])
-            local[v] = rot[k + 1 :] + rot[: k + 1]
-
-    first_outgoing = {
-        v: local[v][0]
-        for v in t.vertices
-        if (v == root_v or len(local[v]) > 1)
-    }
-
-    # boundary vertices in DFS order (outer-face walk); degree-1 root goes last
+    first_outgoing: dict[str, str] = {}
+    vertex_order: list[str] = []
+    edge_order: list[str] = []
     boundary: list[str] = []
-    stack = [root_v]
+
+    # the root (depth 0) is entered through its root edge, which its local
+    # order puts first; every other vertex through its incoming edge, which
+    # its local order puts last
+    stack = [(root_v, root_e, 0)]
     while stack:
-        v = stack.pop()
-        outs = local[v] if v == root_v else local[v][:-1]
+        v, e_in, d = stack.pop()
+        vertex_order.append(v)
+        dist[v] = d
+        rot = rotation[v]
+        k = rot.index(e_in)
+        if d:
+            edge_order.append(e_in)
+            local[v] = rot[k + 1 :] + rot[: k + 1]
+            outs = local[v][:-1]
+        else:
+            outs = local[v] = rot[k:] + rot[:k]
         if not outs:
             boundary.append(v)
-        for eid in reversed(outs):
-            stack.append(head[eid])
-    if t.degree(root_v) == 1:
-        boundary.append(root_v)
-    bindex = {v: i + 1 for i, v in enumerate(boundary)}
+            continue
+        first_outgoing[v] = outs[0]
+        for e in reversed(outs):
+            w = by_id[e].other(v)
+            tail[e] = v
+            head[e] = w
+            stack.append((w, e, d + 1))
 
-    # height: boundary index of the leaf at the end of the first-edge chain
-    succ = {v: head[e] for v, e in first_outgoing.items()}
+    # heights: each non-root leaf closes the run of vertices before it
     height: dict[str, int] = {}
-    for v in t.vertices:
-        chain: list[str] = []
-        u = v
-        while u not in height and u in succ:
-            chain.append(u)
-            u = succ[u]
-        if u not in height:
-            height[u] = bindex[u]
-        for w in reversed(chain):
-            height[w] = height[succ[w]]
-
-    vertex_order = tuple(sorted(t.vertices, key=lambda v: (height[v], dist[v])))
-    keys = [(height[v], dist[v]) for v in vertex_order]
-    if len(set(keys)) != len(keys):  # impossible for valid rotation systems
-        raise AssertionError("(height, dist) collision: vertex order not strict")
-    edge_order = tuple(incoming[v] for v in vertex_order[1:])
+    b = len(boundary) + 1
+    for v in reversed(vertex_order):
+        if v not in first_outgoing:
+            b -= 1
+        height[v] = b
+    if len(rotation[root_v]) == 1:
+        boundary.append(root_v)
 
     return OrderedTree(
         base=t,
         tail=tail,
         head=head,
-        vertex_order=vertex_order,
-        edge_order=edge_order,
+        vertex_order=tuple(vertex_order),
+        edge_order=tuple(edge_order),
         dist=dist,
         height=height,
         boundary_order=tuple(boundary),
@@ -472,24 +417,22 @@ class QuotientData:
 
 
 def quotient(ot: OrderedTree) -> QuotientData:
-    """Contract every vertex's first outgoing edge and name the classes."""
-    contracted = set(ot.first_outgoing.values())
-    uf = _UnionFind(ot.vertex_order)
-    for eid in contracted:
-        uf.union(ot.tail[eid], ot.head[eid])
+    """Contract every vertex's first outgoing edge and name the classes.
 
-    names: dict[str, str] = {}
-    class_list: list[str] = []
-    for v in ot.vertex_order:
-        r = uf.find(v)
-        if r not in names:
-            names[r] = f"w{len(class_list)}"
-            class_list.append(names[r])
-    q = {v: names[uf.find(v)] for v in ot.vertex_order}
-
-    surviving = tuple(e for e in ot.edge_order if e not in contracted)
-    qedges = tuple((q[ot.tail[e]], q[ot.head[e]]) for e in surviving)
-    return QuotientData(UnrootedTree(tuple(class_list), qedges), q, surviving)
+    Each class is a run of the vertex order that ends at a non-root leaf,
+    which has no first outgoing edge, so the class of ``v`` is the one of
+    its height.  The next run starts at a vertex whose incoming edge is not
+    its tail's first outgoing edge; those incoming edges are the surviving
+    ones."""
+    height, edge_order = ot.height, ot.edge_order
+    # the last vertex is the last non-root leaf, whose height is their number
+    names = [f"w{k}" for k in range(height[ot.vertex_order[-1]])]
+    q = {v: names[height[v] - 1] for v in ot.vertex_order}
+    surviving = tuple(
+        edge_order[ot.vertex_index[leaf]] for leaf in ot.boundary_order[: len(names) - 1]
+    )
+    qedges = tuple((q[ot.tail[e]], w) for e, w in zip(surviving, names[1:]))
+    return QuotientData(UnrootedTree(tuple(names), qedges), q, surviving)
 
 
 def canonical_coords(ot: OrderedTree, v: str) -> tuple[int, int]:

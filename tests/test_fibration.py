@@ -1,20 +1,26 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
+    cyclic_permute,
     family_tree,
     family_word,
     fibrate,
     from_json,
+    hurwitz_a,
+    hurwitz_b,
     layout,
     matching_cycles,
     order_tree,
+    parse_tree,
     prefix_subtree,
     quotient,
     random_tree,
+    stabilize,
     to_json,
 )
 from plumbweave.errors import (
@@ -23,8 +29,16 @@ from plumbweave.errors import (
     IndexOutOfRange,
     NotAlgorithmOutput,
 )
-from plumbweave.fibration import class_word_json, family_interior_index, render_svg, write_atomic
+from plumbweave.fibration import (
+    MatchingCycle,
+    class_word_json,
+    family_interior_index,
+    render_svg,
+    write_atomic,
+)
+from plumbweave.treecore import UnrootedTree
 from plumbweave import render_base
+from .conftest import EX_TEXT
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -199,6 +213,106 @@ def test_matching_rejects_moved_word(ex_ordered):
     alf = cyclic_permute(fibrate(ex_ordered, 3))
     with pytest.raises(NotAlgorithmOutput):
         matching_cycles(alf, ex_ordered)
+
+
+def _moved_words(ot, n):
+    """(move, word) for every kind of moved word: a Hurwitz move at each
+    index, once and twice, a cyclic move, a stabilization, another n, the
+    word of another tree with as many vertices, and words whose labels and
+    displays are pristine but whose classes or fiber are not."""
+    alf = fibrate(ot, n)
+    for i in range(len(alf.cycles) - 1):
+        for move in (hurwitz_a, hurwitz_b):
+            yield f"{move.__name__}({i})", move(alf, i)
+            yield f"{move.__name__}({i}) twice", move(move(alf, i), i)
+    yield "cyclic_permute", cyclic_permute(alf)
+    yield "stabilize", stabilize(alf, "w0", len(alf.cycles))
+    yield "n + 1", replace(alf, n=n + 1)
+    yield "n = 1", replace(alf, n=1, fiber=replace(alf.fiber, sphere_dim=0))
+    rerooted = order_tree(parse_tree(EX_TEXT.replace("root v0 e0", "root v0 e4")))
+    yield "another tree", fibrate(rerooted, n)
+    # the last cycle is not the first of its class in the word
+    last = alf.cycles[-1]
+    yield "one class changed", replace(
+        alf, cycles=alf.cycles[:-1] + (replace(last, cls=alf.cycles[0].cls),)
+    )
+    # reversing every class keeps each class apart from the others
+    yield "classes permuted", replace(
+        alf, cycles=tuple(replace(c, cls=c.cls[::-1]) for c in alf.cycles)
+    )
+    path = UnrootedTree(("w0", "w1", "w2", "w3"), (("w0", "w1"), ("w1", "w2"), ("w2", "w3")))
+    yield "another fiber", replace(alf, fiber=replace(alf.fiber, pattern=path))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_matching_rejects_every_moved_word(ex_ordered, n):
+    kinds = 0
+    for move, alf in _moved_words(ex_ordered, n):
+        with pytest.raises(NotAlgorithmOutput):
+            matching_cycles(alf, ex_ordered)
+            pytest.fail(f"{move} accepted")
+        kinds += 1
+    assert kinds == 4 * 9 + 8
+
+
+@st.composite
+def words_and_trees(draw):
+    """A word of a small tree after up to two moves or JSON round trips, and
+    a small tree to read it against: often another tree, which may order to
+    the same word."""
+    t_word = random_tree(draw(seeds), 6)
+    t_read = random_tree(draw(seeds), 6) if draw(st.booleans()) else t_word
+    alf = fibrate(order_tree(t_word), draw(st.sampled_from([2, 3, 4])))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["a", "b", "c", "s", "n", "dim", "json"]))
+        i = draw(st.integers(0, len(alf.cycles) - 2))
+        if kind == "a":
+            alf = hurwitz_a(alf, i)
+        elif kind == "b":
+            alf = hurwitz_b(alf, i)
+        elif kind == "c":
+            alf = cyclic_permute(alf)
+        elif kind == "s":
+            alf = stabilize(alf, "w0", i)
+        elif kind == "n":
+            alf = replace(alf, n=draw(st.integers(1, 5)))
+        elif kind == "json":
+            if alf.fiber.sphere_dim == alf.n - 1:  # from_json refuses the others
+                alf = from_json(to_json(alf))  # equal classes, not shared tuples
+        else:  # another n with the matching fiber: still pristine
+            n = draw(st.integers(2, 5))
+            alf = replace(alf, n=n, fiber=replace(alf.fiber, sphere_dim=n - 1))
+    return alf, order_tree(t_read)
+
+
+def reference_matching(alf, ot):
+    """The pairs of a pristine word found by label, as the check that built
+    the word again did it."""
+    index_of = {c.label: i for i, c in enumerate(alf.cycles)}
+    out = []
+    for i, v in enumerate(ot.vertex_order):
+        if i == 0:
+            partner = index_of["edge:e0"]
+        elif ot.tail[ot.edge_order[i - 1]] == ot.vertex_order[i - 1]:
+            partner = index_of[f"vertex:v{i - 1}"]
+        else:
+            partner = index_of[f"edge:e{i - 1}"]
+        out.append(MatchingCycle(f"v{i}", (index_of[f"vertex:v{i}"], partner)))
+    return out
+
+
+@given(words_and_trees())
+@settings(max_examples=300, deadline=None)
+def test_matching_accepts_exactly_the_pristine_word(case):
+    alf, ot = case
+    pristine = alf.n >= 2 and alf == fibrate(ot, alf.n)
+    try:
+        pairs = matching_cycles(alf, ot)
+    except NotAlgorithmOutput:
+        assert not pristine
+    else:
+        assert pristine
+        assert pairs == reference_matching(alf, ot)
 
 
 @given(seeds)

@@ -1,14 +1,18 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
     canonical_coords,
+    fibrate,
     order_tree,
     parse_tree,
     prefix_subtree,
     quotient,
     random_tree,
 )
+from plumbweave.fibration import AbstractLF, PlumbingDescriptor, VanishingCycle
 from plumbweave.errors import (
     BadRoot,
     BadRotation,
@@ -21,7 +25,13 @@ from plumbweave.errors import (
     PlumbweaveError,
     UnknownVertex,
 )
-from plumbweave.treecore import Edge, RootedEmbeddedTree
+from plumbweave.treecore import (
+    Edge,
+    OrderedTree,
+    QuotientData,
+    RootedEmbeddedTree,
+    UnrootedTree,
+)
 from .conftest import EX_TEXT
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -354,6 +364,215 @@ def test_random_tree_validates(seed):
     assert 2 <= len(t.vertices) <= 14
     assert len(t.edges) == len(t.vertices) - 1
     order_tree(t)  # no exception: orders exist for every generated tree
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first, sort-based order and the union-find quotient, kept as
+# oracles for the one-pass depth-first versions
+
+
+def reference_order_tree(t: RootedEmbeddedTree) -> OrderedTree:
+    """Orient by BFS, linearize each rotation, walk each first-edge chain to
+    its leaf for the height, and sort the vertices by ``(height, dist)``."""
+    root_v, root_e = t.root
+    by_id = t.edge_by_id
+
+    tail, head, incoming = {}, {}, {}
+    dist = {root_v: 0}
+    queue = deque([root_v])
+    while queue:
+        v = queue.popleft()
+        for eid in t.rotation[v]:
+            if eid in tail:
+                continue
+            w = by_id[eid].other(v)
+            if w in dist:
+                continue
+            tail[eid] = v
+            head[eid] = w
+            incoming[w] = eid
+            dist[w] = dist[v] + 1
+            queue.append(w)
+
+    local = {}
+    for v in t.vertices:
+        rot = t.rotation[v]
+        if v == root_v:
+            k = rot.index(root_e)
+            local[v] = rot[k:] + rot[:k]
+        else:
+            k = rot.index(incoming[v])
+            local[v] = rot[k + 1 :] + rot[: k + 1]
+
+    first_outgoing = {
+        v: local[v][0] for v in t.vertices if (v == root_v or len(local[v]) > 1)
+    }
+
+    boundary = []
+    stack = [root_v]
+    while stack:
+        v = stack.pop()
+        outs = local[v] if v == root_v else local[v][:-1]
+        if not outs:
+            boundary.append(v)
+        for eid in reversed(outs):
+            stack.append(head[eid])
+    if t.degree(root_v) == 1:
+        boundary.append(root_v)
+    bindex = {v: i + 1 for i, v in enumerate(boundary)}
+
+    succ = {v: head[e] for v, e in first_outgoing.items()}
+    height = {}
+    for v in t.vertices:
+        chain = []
+        u = v
+        while u not in height and u in succ:
+            chain.append(u)
+            u = succ[u]
+        if u not in height:
+            height[u] = bindex[u]
+        for w in reversed(chain):
+            height[w] = height[succ[w]]
+
+    vertex_order = tuple(sorted(t.vertices, key=lambda v: (height[v], dist[v])))
+    keys = [(height[v], dist[v]) for v in vertex_order]
+    assert len(set(keys)) == len(keys), "(height, dist) collision"
+    edge_order = tuple(incoming[v] for v in vertex_order[1:])
+    return OrderedTree(
+        base=t,
+        tail=tail,
+        head=head,
+        vertex_order=vertex_order,
+        edge_order=edge_order,
+        dist=dist,
+        height=height,
+        boundary_order=tuple(boundary),
+        local_edges=local,
+        first_outgoing=first_outgoing,
+        vertex_index={v: i for i, v in enumerate(vertex_order)},
+        edge_index={e: i for i, e in enumerate(edge_order)},
+    )
+
+
+def reference_quotient(ot: OrderedTree) -> QuotientData:
+    """Union the ends of every first outgoing edge, then name the classes by
+    first occurrence along the vertex order."""
+    parent = {v: v for v in ot.vertex_order}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    contracted = set(ot.first_outgoing.values())
+    for eid in contracted:
+        parent[find(ot.tail[eid])] = find(ot.head[eid])
+
+    names = {}
+    for v in ot.vertex_order:
+        names.setdefault(find(v), f"w{len(names)}")
+    q = {v: names[find(v)] for v in ot.vertex_order}
+    surviving = tuple(e for e in ot.edge_order if e not in contracted)
+    qedges = tuple((q[ot.tail[e]], q[ot.head[e]]) for e in surviving)
+    return QuotientData(UnrootedTree(tuple(names.values()), qedges), q, surviving)
+
+
+def reference_fibrate(ot: OrderedTree, n: int) -> AbstractLF:
+    """The word from ``reference_quotient``, with each vertex's non-first
+    outgoing edges sorted into edge order and labels looked up by id."""
+    qd = reference_quotient(ot)
+    rank = len(qd.quotient_tree.vertices)
+    unit = {
+        w: tuple(1 if j == i else 0 for j in range(rank))
+        for i, w in enumerate(qd.quotient_tree.vertices)
+    }
+
+    def vertex_cycle(v):
+        lab = ot.vertex_label(v)
+        return VanishingCycle(f"vertex:{lab}", unit[qd.q[v]], f"L_{{q({lab})}}")
+
+    def edge_cycle(e):
+        h = ot.head[e]
+        return VanishingCycle(
+            f"edge:e{ot.edge_index[e]}", unit[qd.q[h]], f"L_{{q({ot.vertex_label(h)})}}"
+        )
+
+    root_v = ot.base.root[0]
+    word = [edge_cycle(ot.base.root[1])]
+    for v in ot.vertex_order:
+        if v in ot.first_outgoing:
+            outgoing = ot.local_edges[v] if v == root_v else ot.local_edges[v][:-1]
+            extras = [e for e in outgoing if e != ot.first_outgoing[v]]
+            extras.sort(key=lambda e: ot.edge_index[e])
+            word.extend(edge_cycle(e) for e in reversed(extras))
+        word.append(vertex_cycle(v))
+    return AbstractLF(PlumbingDescriptor(qd.quotient_tree, n - 1), tuple(word), n)
+
+
+def tree_text(t: RootedEmbeddedTree, keep_rot) -> str:
+    """The tree file of ``t``, with a ``rot`` line only for the vertices
+    ``keep_rot`` accepts; the others get the default rotation on parsing."""
+    lines = [f"root {t.root[0]} {t.root[1]}"]
+    lines += [f"edge {e.id} {e.a} {e.b}" for e in t.edges]
+    lines += [f"rot {v} {' '.join(t.rotation[v])}" for v in t.vertices if keep_rot(v)]
+    return "\n".join(lines) + "\n"
+
+
+def variant(t: RootedEmbeddedTree, leaf_root: bool, dropped: frozenset) -> RootedEmbeddedTree:
+    """``t`` rerooted at its first degree-1 vertex when ``leaf_root``, then
+    parsed back with the ``rot`` lines of ``dropped`` vertices left out."""
+    if leaf_root:
+        v = next(v for v in t.vertices if t.degree(v) == 1)
+        t = RootedEmbeddedTree(t.vertices, t.edges, t.rotation, (v, t.rotation[v][0]))
+    return parse_tree(tree_text(t, lambda v: v not in dropped))
+
+
+@given(seeds, st.data())
+@settings(max_examples=100, deadline=None)
+def test_parse_defaults_missing_rotations_to_declaration_order(seed, data):
+    t = random_tree(seed, 14)
+    dropped = data.draw(st.frozensets(st.sampled_from(t.vertices)))
+    parsed = parse_tree(tree_text(t, lambda v: v not in dropped))
+    for v in t.vertices:
+        want = (
+            tuple(e.id for e in t.edges if v in (e.a, e.b)) if v in dropped else t.rotation[v]
+        )
+        assert parsed.rotation[v] == want
+    assert list(parsed.rotation) == list(parsed.vertices)
+
+
+@st.composite
+def front_end_inputs(draw, max_vertices=40):
+    t = random_tree(draw(seeds), max_vertices)
+    dropped = frozenset(draw(st.lists(st.sampled_from(t.vertices), max_size=len(t.vertices))))
+    return variant(t, draw(st.booleans()), dropped)
+
+
+def assert_front_end_matches_reference(t: RootedEmbeddedTree) -> None:
+    ot = order_tree(t)
+    assert ot == reference_order_tree(t)
+    assert quotient(ot) == reference_quotient(ot)
+    for n in (3, 4):
+        assert fibrate(ot, n) == reference_fibrate(ot, n)
+
+
+@given(front_end_inputs())
+@settings(max_examples=300, deadline=None)
+def test_front_end_matches_reference(t):
+    assert_front_end_matches_reference(t)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("leaf_root", [False, True])
+@pytest.mark.parametrize("drop_every", [0, 3])
+def test_front_end_matches_reference_at_scale(leaf_root, drop_every):
+    t = max((random_tree(seed, 2000) for seed in range(5)), key=lambda t: len(t.vertices))
+    assert len(t.vertices) == 1959
+    dropped = frozenset(t.vertices[::drop_every] if drop_every else ())
+    t = variant(t, leaf_root, dropped)
+    assert t.degree(t.root[0]) == 1 or not leaf_root
+    assert_front_end_matches_reference(t)
 
 
 # ---------------------------------------------------------------------------
