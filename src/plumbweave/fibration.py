@@ -123,32 +123,6 @@ def fiber_form(
     return pattern_form(fiber.pattern, fiber.sphere_dim, convention)
 
 
-def _unit_row(r: int) -> tuple[int, ...]:
-    """r zeros, a one, r zeros: the unit vector e_i of length r is the slice
-    ``[r - i : 2r - i]``."""
-    return (0,) * r + (1,) + (0,) * r
-
-
-def _word_shape(ot: OrderedTree) -> list[tuple[str, str, int]]:
-    """The word of :func:`fibrate` as ``(label, display, j)`` triples in word
-    order, where ``v_j`` is the vertex whose quotient class the cycle carries.
-
-    The root-edge cycle ``e0`` (head ``v1``) comes first; then each vertex
-    adds the cycles of its outgoing edges after the first, reversed, and its
-    own cycle.  Those edges are already in edge order, because the vertex
-    order is the depth-first preorder.
-    """
-    edge_index, local = ot.edge_index, ot.local_edges
-    display = [f"L_{{q(v{j})}}" for j in range(len(ot.vertex_order))]
-    shape = [("edge:e0", display[1], 1)]
-    for i, v in enumerate(ot.vertex_order):
-        for e in local[v][:0:-1] if i == 0 else local[v][-2:0:-1]:
-            j = edge_index[e] + 1
-            shape.append((f"edge:e{j - 1}", display[j], j))
-        shape.append((f"vertex:v{i}", display[i], i))
-    return shape
-
-
 def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
     """Run the three-step algorithm on an ordered tree.
 
@@ -163,12 +137,23 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
     qd = quotient(ot)
     fiber = PlumbingDescriptor(qd.quotient_tree, n - 1)
     r = len(qd.quotient_tree.vertices)
-    row = _unit_row(r)
+    row = (0,) * r + (1,) + (0,) * r  # e_i is row[r - i : 2r - i]
     unit = {w: row[r - i : 2 * r - i] for i, w in enumerate(qd.quotient_tree.vertices)}
-    q = qd.q
+    q, edge_index = qd.q, ot.edge_index
     cls = [unit[q[v]] for v in ot.vertex_order]
-    word = tuple(VanishingCycle(label, cls[j], show) for label, show, j in _word_shape(ot))
-    return AbstractLF(fiber, word, n)
+    display = [f"L_{{q(v{j})}}" for j in range(len(cls))]
+    # the root-edge cycle (head v1) first; then each vertex adds the cycles
+    # of its outgoing edges after the first, reversed, and its own cycle.
+    # Those edges are already in edge order, for the vertex order is the
+    # depth-first preorder.
+    word = [VanishingCycle("edge:e0", cls[1], display[1])]
+    for i, v in enumerate(ot.vertex_order):
+        local = ot.local_edges[v]
+        for e in local[:0:-1] if i == 0 else local[-2:0:-1]:
+            j = edge_index[e] + 1
+            word.append(VanishingCycle(f"edge:e{j - 1}", cls[j], display[j]))
+        word.append(VanishingCycle(f"vertex:v{i}", cls[i], display[i]))
+    return AbstractLF(fiber, tuple(word), n)
 
 
 def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
@@ -179,63 +164,19 @@ def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
     predecessor pairs with the predecessor's cycle; otherwise it pairs with
     the cycle of its incoming edge.  Both endpoints always carry the same
     class and denote the same fiber sphere.
-
-    The word is read against ``ot`` instead of being built again, and
-    :class:`NotAlgorithmOutput` is raised unless its fiber, ``n`` and every
-    cycle's label, class and display are the ones :func:`fibrate` gives.
-    The quotient class of ``v`` is ``w_{height(v) - 1}``, the run of the
-    vertex order that ends at the non-root leaf of ``v``'s height, so a
-    vertex is adjacent to its predecessor exactly when both have one height.
     """
-    cycles = alf.cycles
-    pattern = alf.fiber.pattern
-    vertex_order = ot.vertex_order
-    klass = [ot.height[v] - 1 for v in vertex_order]
-    shape = _word_shape(ot)
-    r = len(pattern.vertices)
-    if (
-        alf.n < 2
-        or alf.fiber.sphere_dim != alf.n - 1
-        or len(cycles) != len(shape)
-        or r != klass[-1] + 1
-    ):
-        raise _not_pristine()
-
-    # every cycle, and where the cycles of each vertex and incoming edge sit
-    row = _unit_row(r)
-    unit: list = [None] * r  # each class's tuple, as the word holds it
-    vertex_at = [0] * len(vertex_order)
-    edge_at = [0] * len(vertex_order)  # by the index of the edge's head
-    for p, (c, (label, show, j)) in enumerate(zip(cycles, shape)):
-        k = klass[j]
-        u = unit[k]
-        if u is None:
-            unit[k] = u = c.cls
-            if u != row[r - k : 2 * r - k]:
-                raise _not_pristine()
-        if not (c.label == label and c.display == show and (c.cls is u or c.cls == u)):
-            raise _not_pristine()
-        (vertex_at if label.startswith("vertex:") else edge_at)[j] = p
-
-    # the root pairs with the root-edge cycle, e0, whose head is v1
-    out = [MatchingCycle(vertex="v0", endpoints=(vertex_at[0], edge_at[1]))]
-    qedges = []
-    tail, vertex_index = ot.tail, ot.vertex_index
-    for i in range(1, len(vertex_order)):
-        if klass[i] == klass[i - 1]:
-            partner = vertex_at[i - 1]
-        else:
-            partner = edge_at[i]
-            e = ot.edge_order[i - 1]
-            qedges.append((f"w{klass[vertex_index[tail[e]]]}", f"w{klass[i]}"))
-        out.append(MatchingCycle(vertex=f"v{i}", endpoints=(vertex_at[i], partner)))
-    if pattern.vertices != tuple(f"w{k}" for k in range(r)) or pattern.edges != tuple(qedges):
-        raise _not_pristine()
+    if alf.n < 2 or alf != fibrate(ot, alf.n):
+        raise NotAlgorithmOutput(
+            "matching cycles are defined on the pristine algorithm output"
+        )
+    index_of = {c.label: i for i, c in enumerate(alf.cycles)}
+    tail, order = ot.tail, ot.vertex_order
+    out = [MatchingCycle("v0", (index_of["vertex:v0"], index_of["edge:e0"]))]
+    for i in range(1, len(order)):
+        adjacent = tail[ot.edge_order[i - 1]] == order[i - 1]
+        partner = f"vertex:v{i - 1}" if adjacent else f"edge:e{i - 1}"
+        out.append(MatchingCycle(f"v{i}", (index_of[f"vertex:v{i}"], index_of[partner])))
     return out
-
-
-def _not_pristine() -> NotAlgorithmOutput:
-    return NotAlgorithmOutput("matching cycles are defined on the pristine algorithm output")
 
 
 def layout(alf: AbstractLF) -> tuple[float, ...]:
