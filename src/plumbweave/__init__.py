@@ -21,7 +21,6 @@ from .fibration import (
     from_json,
     layout,
     matching_cycles,
-    render_base,
     to_json,
 )
 from .invariants import (
@@ -52,7 +51,6 @@ from .treecore import (
     QuotientData,
     RootedEmbeddedTree,
     UnrootedTree,
-    canonical_coords,
     order_tree,
     parse_tree,
     prefix_subtree,
@@ -77,7 +75,6 @@ __all__ = [
     "RootedEmbeddedTree",
     "UnrootedTree",
     "VanishingCycle",
-    "canonical_coords",
     "cyclic_permute",
     "dehn_twist",
     "equal_homology",
@@ -95,7 +92,6 @@ __all__ = [
     "prefix_subtree",
     "quotient",
     "random_tree",
-    "render_base",
     "replay",
     "search_equivalence",
     "smith_normal_form",

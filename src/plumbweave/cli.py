@@ -15,7 +15,7 @@ for a crash.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import os
 import sys
 import traceback
@@ -41,10 +41,6 @@ def _read_text(path: str) -> str:
 
 def _load_ordered(path: str) -> treecore.OrderedTree:
     return treecore.order_tree(treecore.parse_tree(_read_text(path)))
-
-
-def _dump_json(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -110,7 +106,7 @@ def _order_doc(ot: treecore.OrderedTree) -> dict:
                 "id": v,
                 "dist": ot.dist[v],
                 "height": ot.height[v],
-                "coords": list(treecore.canonical_coords(ot, v)),
+                "coords": [ot.dist[v], ot.height[v]],
             }
             for i, v in enumerate(ot.vertex_order)
         ],
@@ -152,7 +148,7 @@ def _order_text(ot: treecore.OrderedTree) -> str:
 
 def _cmd_order(args) -> int:
     ot = _load_ordered(args.tree)
-    text = _dump_json(_order_doc(ot)) if args.json else _order_text(ot)
+    text = fibration.dump_json(_order_doc(ot)) if args.json else _order_text(ot)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -167,7 +163,7 @@ def _cmd_fibrate(args) -> int:
     _emit(fibration.to_json(alf), args.out)
     if args.render:
         matching = fibration.matching_cycles(alf, ot)
-        fibration.render_base(alf, matching, args.render)
+        fibration.write_atomic(args.render, fibration.render_svg(alf, matching))
     return EXIT_OK
 
 
@@ -175,7 +171,7 @@ def _cmd_render(args) -> int:
     ot = _load_ordered(args.tree)
     alf = fibration.fibrate(ot, args.n)
     matching = fibration.matching_cycles(alf, ot)
-    fibration.render_base(alf, matching, args.out)
+    fibration.write_atomic(args.out, fibration.render_svg(alf, matching))
     return EXIT_OK
 
 
@@ -206,7 +202,7 @@ def _cmd_invariants(args) -> int:
             raise PlumbweaveError("either a tree file or --count is required")
         t = treecore.parse_tree(_read_text(args.tree))
         report = _invariants_report(os.path.basename(args.tree), t, args.n, convention)
-        _emit(_dump_json(report), args.out)
+        _emit(fibration.dump_json(report), args.out)
         return EXIT_OK if report["oracle_match"] else EXIT_FALSE
     reports = []
     all_match = True
@@ -224,7 +220,7 @@ def _cmd_invariants(args) -> int:
         "mismatches": [r["tree_id"] for r in reports if not r["oracle_match"]],
         "reports": reports if args.full else [],
     }
-    _emit(_dump_json(doc), args.out)
+    _emit(fibration.dump_json(doc), args.out)
     return EXIT_OK if all_match else EXIT_FALSE
 
 
@@ -277,11 +273,9 @@ def _cmd_moves_search(args) -> int:
     return EXIT_OK
 
 
-def _word_line(alf) -> str:
-    return f"word[{len(alf.cycles)}]: " + ", ".join(alf.word_displays())
-
-
-def _invariant_line(alf) -> str:
+def _state_text(alf) -> str:
+    """The word and the invariants of its total space, one line each."""
+    word = f"word[{len(alf.cycles)}]: " + ", ".join(alf.word_displays())
     rep = invariants.total_homology(alf)
     parts = [f"chi={rep.euler}"]
     for deg, free, tors in rep.h:
@@ -289,32 +283,25 @@ def _invariant_line(alf) -> str:
         if tors:
             label += "+torsion" + str(list(tors))
         parts.append(label)
-    return " ".join(parts)
+    return f"{word}\n{' '.join(parts)}\n"
 
 
 def _cmd_moves_repl(args) -> int:
     convention = _convention_from_args(args)
     alf = fibration.from_json(_read_text(args.fibration))
-    out = sys.stdout
-    out.write(_word_line(alf) + "\n")
-    out.write(_invariant_line(alf) + "\n")
-    for raw in sys.stdin:
-        line = raw.split("#", 1)[0].strip()
+    lines = (raw.split("#", 1)[0].strip() for raw in sys.stdin)
+    for line in itertools.chain(["show"], lines):
         if not line:
             continue
         if line in ("quit", "exit"):
             break
-        if line == "show":
-            out.write(_word_line(alf) + "\n")
-            out.write(_invariant_line(alf) + "\n")
-            continue
-        try:
-            alf = moves.apply_move(alf, moves.parse_move_line(line), convention)
-        except PlumbweaveError as exc:
-            out.write(f"error: {type(exc).__name__}: {exc}\n")
-            continue
-        out.write(_word_line(alf) + "\n")
-        out.write(_invariant_line(alf) + "\n")
+        if line != "show":
+            try:
+                alf = moves.apply_move(alf, moves.parse_move_line(line), convention)
+            except PlumbweaveError as exc:
+                sys.stdout.write(f"error: {type(exc).__name__}: {exc}\n")
+                continue
+        sys.stdout.write(_state_text(alf))
     if args.out:
         fibration.write_atomic(args.out, fibration.to_json(alf))
     return EXIT_OK
@@ -348,7 +335,7 @@ def _cmd_family(args) -> int:
         "j": args.j,
         "shift": args.shift,
         "n": args.n,
-        "parity": "symmetric" if args.n % 2 == 1 else "antisymmetric",
+        "parity": fibration.fiber_form(source.fiber, convention).parity,
         "convention": convention.as_dict(),
         "interior_position": {"zero_based": pos, "one_based": pos + 1},
         "word_length": len(source.cycles),
@@ -366,7 +353,7 @@ def _cmd_family(args) -> int:
         "equal": equal,
     }
     if args.json:
-        _emit(_dump_json(doc), args.out)
+        _emit(fibration.dump_json(doc), args.out)
     else:
         lines = [
             f"family m={args.m} j={args.j} shift={args.shift} n={args.n} "
@@ -389,23 +376,17 @@ def _cmd_selftest(args) -> int:
     seed = args.seed
     audit = invariants.base_case_audit()
 
-    identity_failures = []
-    for i in range(args.trees):
+    identity_failures, oracle_failures = [], []
+    for i in range(max(args.trees, args.oracle_trees)):
         t = treecore.random_tree(seed + i, args.max_vertices)
         ot = treecore.order_tree(t)
-        alf = fibration.fibrate(ot, 3)
-        qd = treecore.quotient(ot)
-        expected = len(t.vertices) + len(qd.quotient_tree.vertices)
-        if len(alf.cycles) != expected:
-            identity_failures.append(seed + i)
-
-    oracle_failures = []
-    for i in range(args.oracle_trees):
-        t = treecore.random_tree(seed + i, args.max_vertices)
-        ot = treecore.order_tree(t)
-        for n in (3, 4, 5):
+        oracle = i < args.oracle_trees
+        for n in (3, 4, 5) if oracle else (3,):
             alf = fibration.fibrate(ot, n)
-            if invariants.total_homology(alf, n) != invariants.wedge_oracle(t, n):
+            rank = len(alf.fiber.pattern.vertices)
+            if n == 3 and i < args.trees and len(alf.cycles) != len(t.vertices) + rank:
+                identity_failures.append(seed + i)
+            if oracle and invariants.total_homology(alf, n) != invariants.wedge_oracle(t, n):
                 oracle_failures.append([seed + i, n])
 
     ok = not identity_failures and not oracle_failures
@@ -423,7 +404,7 @@ def _cmd_selftest(args) -> int:
         "ok": ok,
     }
     if args.json:
-        _emit(_dump_json(doc), args.out)
+        _emit(fibration.dump_json(doc), args.out)
     else:
         lines = ["base case (two-vertex chain):"]
         for name, rows in audit["variants"].items():

@@ -58,7 +58,6 @@ __all__ = [
     "matching_cycles",
     "layout",
     "render_svg",
-    "render_base",
     "write_atomic",
     "family_word",
     "family_tree",
@@ -274,7 +273,13 @@ def _alf_to_doc(alf: AbstractLF) -> dict:
 
 def to_json(alf: AbstractLF) -> str:
     """Stable JSON form of a fibration; byte-identical for equal inputs."""
-    return json.dumps(_alf_to_doc(alf), ensure_ascii=False, indent=2) + "\n"
+    return dump_json(_alf_to_doc(alf))
+
+
+def dump_json(doc) -> str:
+    """The layout of every JSON document the package emits: non-ASCII
+    characters as they are, a two-space indent and a final newline."""
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
 def load_json(text: str):
@@ -287,13 +292,15 @@ def load_json(text: str):
 
 
 def _text(value) -> str:
-    """``value`` itself when it is a JSON string; a number, a boolean or
-    ``null`` raises :class:`FormatError`, and a lone surrogate, which no
-    UTF-8 output can carry, raises :class:`UnicodeEncodeError`, a
-    ``ValueError``."""
+    """``value`` itself when it is a JSON string; a number, a boolean,
+    ``null`` or a string with a lone surrogate, which no UTF-8 output can
+    carry, raises :class:`FormatError`."""
     if not isinstance(value, str):
         raise FormatError(f"expected a string, got {value!r}")
-    value.encode("utf-8")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from None
     return value
 
 
@@ -314,7 +321,8 @@ def _list(value) -> list:
 
 
 def from_json(text: str) -> AbstractLF:
-    """Inverse of :func:`to_json`; validates structure and tree shape."""
+    """Inverse of :func:`to_json`; validates structure, tree shape and n,
+    which must be at least 2 as in :func:`fibrate`."""
     doc = load_json(text)
     try:
         pat = doc["fiber"]["pattern"]
@@ -338,6 +346,8 @@ def from_json(text: str) -> AbstractLF:
         n = _int(doc["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed fibration document: {exc}") from exc
+    if n < 2:
+        raise BadDimension(f"total-space parameter n={n} below 2")
     if fiber.sphere_dim != n - 1:
         raise FormatError(
             f"fiber sphere_dim {fiber.sphere_dim} inconsistent with n={n}"
@@ -391,10 +401,9 @@ def _star(cx: float, cy: float, outer: float = 8.0, inner: float = 3.2) -> str:
     return " ".join(pts)
 
 
-def render_svg(alf: AbstractLF, matching: list[MatchingCycle] | None = None) -> str:
+def render_svg(alf: AbstractLF, matching: list[MatchingCycle]) -> str:
     """Base diagram as SVG text: unit circle, base point, radial skeleton
     segments, matching chords, star-marked singular values with labels."""
-    matching = matching or []
     angles = layout(alf)
     pts = [_pt(a) for a in angles]
     lines = [
@@ -431,13 +440,6 @@ def render_svg(alf: AbstractLF, matching: list[MatchingCycle] | None = None) -> 
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def render_base(
-    alf: AbstractLF, matching: list[MatchingCycle] | None, path: str
-) -> None:
-    """Write the base diagram SVG atomically."""
-    write_atomic(path, render_svg(alf, matching))
 
 
 def write_atomic(path: str, text: str) -> None:

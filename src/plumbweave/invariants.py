@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from .errors import DimensionMismatch
 from .fibration import AbstractLF, PlumbingDescriptor, VanishingCycle, fibrate
 from .lattice import smith_normal_form
-from .treecore import RootedEmbeddedTree, UnrootedTree, order_tree
+from .treecore import RootedEmbeddedTree, UnrootedTree, order_tree, parse_tree
 
 __all__ = [
     "HomologyReport",
@@ -145,21 +145,22 @@ def _two_cycle_base_variant(n: int) -> AbstractLF:
     return AbstractLF(PlumbingDescriptor(pattern, n - 1), cycles, n)
 
 
-def base_case_audit(n_values: tuple[int, ...] = (2, 3, 4, 5)) -> dict:
+_BASE_CASE_N = (2, 3, 4, 5)
+
+
+def base_case_audit() -> dict:
     """Run both readings of the two-vertex base case against the oracle.
 
     The literal three-step algorithm emits three cycles for the two-vertex
     chain (root edge plus both vertices); an alternative reading emits one
-    cycle per vertex only.  The audit reports, per n, whether each variant's
-    Euler characteristic and homology match the wedge oracle.  Neither
-    variant is patched to agree: the verdicts stand as computed.
+    cycle per vertex only.  The audit reports, for n = 2 to 5, whether each
+    variant's Euler characteristic and homology match the wedge oracle.
+    Neither variant is patched to agree: the verdicts stand as computed.
     """
-    from .treecore import parse_tree
-
     a2 = parse_tree("root v0 e0\nedge e0 v0 v1\n")
     ot = order_tree(a2)
     verdicts: dict = {"literal_steps": {}, "two_cycle_variant": {}}
-    for n in n_values:
+    for n in _BASE_CASE_N:
         oracle = wedge_oracle(a2, n)
         lit = fibrate(ot, n)
         two = _two_cycle_base_variant(n)
@@ -180,7 +181,7 @@ def base_case_audit(n_values: tuple[int, ...] = (2, 3, 4, 5)) -> dict:
         )
 
     return {
-        "n_values": list(n_values),
+        "n_values": list(_BASE_CASE_N),
         "variants": verdicts,
         "summary": {
             "literal_steps_matches_oracle": _all_match("literal_steps"),

@@ -26,7 +26,7 @@ A cycle class is a plain tuple of ints in the basis order of its form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 
 from .errors import (
@@ -63,11 +63,7 @@ class Convention:
             raise FormatError("edge_sign and twist_sign must be +1 or -1")
 
     def as_dict(self) -> dict:
-        return {
-            "self_intersection": self.self_intersection,
-            "edge_sign": self.edge_sign,
-            "twist_sign": self.twist_sign,
-        }
+        return asdict(self)
 
 
 DEFAULT_CONVENTION = Convention()

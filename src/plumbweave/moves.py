@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-import json
 
 from .errors import (
     DimensionMismatch,
@@ -41,6 +40,9 @@ from .fibration import (
     AbstractLF,
     PlumbingDescriptor,
     VanishingCycle,
+    _int,
+    _text,
+    dump_json,
     fiber_form,
     load_json,
 )
@@ -49,7 +51,6 @@ from .treecore import UnrootedTree
 
 __all__ = [
     "MoveRecord",
-    "MoveSequence",
     "cyclic_permute",
     "hurwitz_a",
     "hurwitz_b",
@@ -74,9 +75,6 @@ class MoveRecord:
     kind: str
     index: int | None = None
     vertex: str | None = None
-
-
-MoveSequence = tuple  # of MoveRecord; replayable against a source fibration
 
 
 def cyclic_permute(alf: AbstractLF) -> AbstractLF:
@@ -344,7 +342,7 @@ def moves_to_json(seq) -> str:
         if mv.vertex is not None:
             doc["vertex"] = mv.vertex
         out.append(doc)
-    return json.dumps(out, ensure_ascii=False, indent=2) + "\n"
+    return dump_json(out)
 
 
 def moves_from_json(text: str):
@@ -360,12 +358,10 @@ def moves_from_json(text: str):
             raise FormatError(f"unknown move kind {kind!r}")
         index = item.get("index")
         vertex = item.get("vertex")
-        if kind in (HURWITZ_A, HURWITZ_B, STABILIZE) and (
-            not isinstance(index, int) or isinstance(index, bool)
-        ):
-            raise FormatError(f"move {kind} needs an integer index")
-        if kind == STABILIZE and not isinstance(vertex, str):
-            raise FormatError("stabilize needs a fiber vertex name")
+        if kind != CYCLIC:
+            index = _int(index)
+        if kind == STABILIZE:
+            vertex = _text(vertex)
         seq.append(MoveRecord(kind, index, vertex))
     return tuple(seq)
 

@@ -36,6 +36,7 @@ leaf, and the class of ``v`` is the one of its height.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -61,7 +62,6 @@ __all__ = [
     "order_tree",
     "prefix_subtree",
     "quotient",
-    "canonical_coords",
     "random_tree",
 ]
 
@@ -435,13 +435,6 @@ def quotient(ot: OrderedTree) -> QuotientData:
     return QuotientData(UnrootedTree(tuple(names), qedges), q, surviving)
 
 
-def canonical_coords(ot: OrderedTree, v: str) -> tuple[int, int]:
-    """Drawing coordinates (dist, height) of a vertex."""
-    if v not in ot.dist:
-        raise UnknownVertex(f"unknown vertex {v!r}")
-    return (ot.dist[v], ot.height[v])
-
-
 def random_tree(seed: int, max_vertices: int) -> RootedEmbeddedTree:
     """Deterministic-in-seed random rooted plane tree with 2..max_vertices
     vertices, a shuffled rotation system, and a random legal root."""
@@ -460,8 +453,6 @@ def random_tree(seed: int, max_vertices: int) -> RootedEmbeddedTree:
         degree = [1] * nv
         for s in seq:
             degree[s] += 1
-        import heapq
-
         leaves = [i for i in range(nv) if degree[i] == 1]
         heapq.heapify(leaves)
         for s in seq:

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from plumbweave import fibration, invariants, order_tree, parse_tree, random_tree
 from plumbweave.cli import main
+from .test_treecore import tree_text
 
 
 def run(capsys, *argv):
@@ -40,6 +43,27 @@ def test_order_json(capsys, ex_file):
         "label": "e0", "id": "e0",
         "tail": "v0", "head": "v1", "tail_label": "v0", "head_label": "v1",
     }
+
+
+@pytest.mark.parametrize("seed", [None, 37], ids=["running-example", "random-40"])
+def test_order_json_coords_are_dist_and_height(capsys, ex_file, tmp_path, seed):
+    path = ex_file
+    if seed is not None:
+        t = random_tree(seed, 40)
+        assert len(t.vertices) == 40
+        path = tmp_path / "random.tree"
+        path.write_text(tree_text(t, lambda v: True), encoding="utf-8")
+    code, out, _ = run(capsys, "order", str(path), "--json")
+    assert code == 0
+    ot = order_tree(parse_tree(open(path, encoding="utf-8").read()))
+    vertices = json.loads(out)["vertices"]
+    assert [v["id"] for v in vertices] == list(ot.vertex_order)
+    for v in vertices:
+        assert v["coords"] == [v["dist"], v["height"]]
+        assert v["coords"] == [ot.dist[v["id"]], ot.height[v["id"]]]
+    if seed is None:
+        coords = {v["id"]: v["coords"] for v in vertices}
+        assert coords["v3"] == [2, 2] and coords["v5"] == [1, 4] and coords["v0"][0] == 0
 
 
 def test_order_bad_file_exits_2(capsys, tmp_path):
@@ -86,10 +110,13 @@ def test_fibrate_render_flag(capsys, ex_file, tmp_path):
 
 
 def test_render_subcommand(capsys, ex_file, tmp_path):
-    svg1, svg2 = tmp_path / "a.svg", tmp_path / "b.svg"
+    svg1, svg2, svg3 = tmp_path / "a.svg", tmp_path / "b.svg", tmp_path / "c.svg"
     assert run(capsys, "render", ex_file, "--n", "3", "--out", str(svg1))[0] == 0
     assert run(capsys, "render", ex_file, "--n", "3", "--out", str(svg2))[0] == 0
     assert svg1.read_bytes() == svg2.read_bytes()
+    # fibrate --render writes the same bytes as render
+    assert run(capsys, "fibrate", ex_file, "--n", "3", "--render", str(svg3))[0] == 0
+    assert svg3.read_bytes() == svg1.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +226,19 @@ def test_moves_apply_script(capsys, fib_json, tmp_path):
     assert [c["coords"] for c in doc["cycles"]] == [
         c["coords"] for c in original["cycles"]
     ]
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_moves_apply_n_below_2_exits_2_and_writes_nothing(capsys, fib_json, tmp_path, n):
+    doc = json.loads(open(fib_json, encoding="utf-8").read())
+    doc["n"], doc["fiber"]["sphere_dim"] = n, n - 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "moves", "apply", str(bad), "--move", "cyclic", "--out", str(out))
+    assert code == 2
+    assert "BadDimension" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "ex.tree", "fib.json"]
 
 
 def test_moves_apply_bad_index_exits_2(capsys, fib_json):
@@ -323,6 +363,38 @@ def test_selftest_ok(capsys):
     assert doc["base_case"]["summary"]["literal_steps_matches_oracle"] is True
     assert doc["base_case"]["summary"]["two_cycle_variant_matches_oracle"] is False
     assert doc["random_suite"]["cycle_identity"]["failures"] == []
+
+
+@pytest.mark.parametrize("trees, oracle_trees", [(3, 5), (5, 3)])
+def test_selftest_suites_of_different_sizes(capsys, monkeypatch, trees, oracle_trees):
+    argv = ["selftest", "--trees", str(trees), "--oracle-trees", str(oracle_trees)]
+    code, out, _ = run(capsys, *argv, "--seed", "7", "--json")
+    assert code == 0
+    suite = json.loads(out)["random_suite"]
+    assert suite["cycle_identity"] == {"trees": trees, "failures": []}
+    assert suite["homology_oracle"]["trees"] == oracle_trees
+    assert suite["homology_oracle"]["failures"] == []
+
+    # break both checks on every tree: each suite must report each of its trees
+    real_fibrate, real_oracle = fibration.fibrate, invariants.wedge_oracle
+
+    def short_word(ot, n):
+        alf = real_fibrate(ot, n)
+        return replace(alf, cycles=alf.cycles[:-1])
+
+    def wrong_oracle(t, n):
+        rep = real_oracle(t, n)
+        return replace(rep, euler=rep.euler + 1)
+
+    monkeypatch.setattr(fibration, "fibrate", short_word)
+    monkeypatch.setattr(invariants, "wedge_oracle", wrong_oracle)
+    code, out, _ = run(capsys, *argv, "--seed", "7", "--json")
+    assert code == 1
+    suite = json.loads(out)["random_suite"]
+    assert suite["cycle_identity"]["failures"] == [7 + i for i in range(trees)]
+    assert suite["homology_oracle"]["failures"] == [
+        [7 + i, n] for i in range(oracle_trees) for n in (3, 4, 5)
+    ]
 
 
 @pytest.mark.parametrize("flag", ["--oracle-trees", "--trees"])

@@ -36,7 +36,6 @@ from plumbweave.fibration import (
     write_atomic,
 )
 from plumbweave.treecore import UnrootedTree
-from plumbweave import render_base
 from .conftest import EX_TEXT
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -355,8 +354,8 @@ def test_render_counts_and_determinism(ex_ordered, tmp_path):
     assert svg.count('class="matching"') == 6
     assert svg.count('class="skeleton"') == 10
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_base(alf, matching, str(p1))
-    render_base(alf, matching, str(p2))
+    write_atomic(str(p1), render_svg(alf, matching))
+    write_atomic(str(p2), render_svg(alf, matching))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text(encoding="utf-8") == svg
 
@@ -505,6 +504,17 @@ def test_json_rejects_strings_for_arrays(ex_ordered, edit):
     alf = fibrate(ex_ordered, 3)
     with pytest.raises(FormatError, match="expected an array"):
         from_json(_edited(alf, edit))
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_json_rejects_n_below_2(ex_ordered, n):
+    # as fibrate does: at n = 1 the degrees 0, n - 1 and n would collide
+    def edit(doc):
+        doc["n"] = n
+        doc["fiber"]["sphere_dim"] = n - 1
+
+    with pytest.raises(BadDimension):
+        from_json(_edited(fibrate(ex_ordered, 3), edit))
 
 
 def test_class_word_json_ignores_labels(ex_ordered):

@@ -517,6 +517,12 @@ def test_moves_from_json_rejects_garbage():
         moves_from_json("{}")
 
 
+def test_moves_from_json_rejects_a_lone_surrogate_vertex():
+    # no UTF-8 output can carry it, so moves_to_json could not write it back
+    with pytest.raises(FormatError):
+        moves_from_json('[{"kind": "stabilize", "index": 0, "vertex": "\\ud800"}]')
+
+
 def test_parse_move_lines():
     assert parse_move_line("cyclic") == MoveRecord("cyclic_permute")
     assert parse_move_line("hurwitzA 4") == MoveRecord("hurwitz_a", 4)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
-    canonical_coords,
     fibrate,
     order_tree,
     parse_tree,
@@ -325,22 +324,6 @@ def test_quotient_a2_single_class(a2_ordered):
 def test_quotient_path3_single_class(path3_ordered):
     qd = quotient(path3_ordered)
     assert qd.quotient_tree.vertices == ("w0",)
-
-
-# ---------------------------------------------------------------------------
-# coordinates
-
-
-def test_coords_ex(ex_ordered):
-    assert canonical_coords(ex_ordered, "v3") == (2, 2)
-    assert canonical_coords(ex_ordered, "v5") == (1, 4)
-    root = ex_ordered.base.root[0]
-    assert canonical_coords(ex_ordered, root)[0] == 0
-
-
-def test_coords_unknown_vertex(ex_ordered):
-    with pytest.raises(UnknownVertex):
-        canonical_coords(ex_ordered, "nope")
 
 
 # ---------------------------------------------------------------------------
