@@ -22,13 +22,14 @@ with explicit inverses (``hurwitz_b`` at i undoes ``hurwitz_a`` at i and
 the reverse; Seidel, *Fukaya Categories and Picard-Lefschetz Theory*,
 2008), so a second frontier grows backward from the target; and since
 isometries keep every class's square, a target with a class of another
-square is cut off at once.
+square is cut off at once.  Each search interns the classes it meets as
+small integer ids, so a state is a tuple of ids, and computes each twist
+(centre, class, power) once, in a table that lives only for that call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .errors import (
     DimensionMismatch,
@@ -225,9 +226,15 @@ def search_equivalence(
 
     The alphabet is cyclic permutation plus both Hurwitz moves at every
     index (no stabilization), in that fixed order; the result is the
-    shortest witness and lexicographically least among those.  States are
-    class words; returns a tuple of MoveRecord, or None when no witness has
-    at most ``max_depth`` moves.  A None is never evidence of inequivalence.
+    shortest witness and lexicographically least among those.  Returns a
+    tuple of MoveRecord, or None when no witness has at most ``max_depth``
+    moves.  A None is never evidence of inequivalence.
+
+    States are words of class ids: the call interns each class it meets,
+    and the ``twist`` it hands to :func:`_move_word` computes each
+    (centre, class, power) once with :func:`dehn_twist` and looks it up
+    after that.  The extra memory is one entry per distinct twist computed;
+    none of it outlives the call.  A twist that raises is never stored.
 
     When every class of both words is an isometric centre (see
     :func:`_isometric_centre`), every move is an integer isometry with an
@@ -252,10 +259,30 @@ def search_equivalence(
     if start == goal:
         return ()
     form = fiber_form(a.fiber, convention)
-    twist = partial(dehn_twist, form)
     bidirectional = all(_isometric_centre(form, c) for c in start)
     if bidirectional and not all(_isometric_centre(form, c) for c in goal):
         return None
+    ids: dict = {}  # class -> id
+    classes: list = []  # id -> class
+    twists: dict = {}  # (centre id, class id, power) -> id of the twisted class
+
+    def intern(cls) -> int:
+        i = ids.get(cls)
+        if i is None:
+            i = ids[cls] = len(classes)
+            classes.append(cls)
+        return i
+
+    def twist(l: int, x: int, power: int) -> int:
+        key = (l, x, power)
+        out = twists.get(key)
+        if out is None:
+            # a twist that raises is not stored, so it raises wherever met
+            out = twists[key] = intern(dehn_twist(form, classes[l], classes[x], power))
+        return out
+
+    start = tuple(map(intern, start))
+    goal = tuple(map(intern, goal))
     alphabet = _state_moves(len(start))
     parents: dict = {start: None}  # forward state -> (parent, move) of its least path
     dist = {goal: 0}  # backward state -> moves from it to the goal
@@ -356,14 +383,18 @@ def moves_from_json(text: str):
         kind = item.get("kind")
         if kind not in (CYCLIC, HURWITZ_A, HURWITZ_B, STABILIZE):
             raise FormatError(f"unknown move kind {kind!r}")
-        index = item.get("index")
-        vertex = item.get("vertex")
-        if kind != CYCLIC:
-            index = _int(index)
-        if kind == STABILIZE:
-            vertex = _text(vertex)
+        index = _unused(item, "index") if kind == CYCLIC else _int(item.get("index"))
+        vertex = _text(item.get("vertex")) if kind == STABILIZE else _unused(item, "vertex")
         seq.append(MoveRecord(kind, index, vertex))
     return tuple(seq)
+
+
+def _unused(item: dict, field: str) -> None:
+    """None for a field the move's kind does not use: it must be absent or
+    ``null``, else :class:`FormatError`."""
+    if item.get(field) is not None:
+        raise FormatError(f"a {item['kind']} move takes no {field}, got {item[field]!r}")
+    return None
 
 
 def parse_move_line(line: str) -> MoveRecord:

@@ -274,8 +274,20 @@ def test_malformed_fibration_exits_2_and_writes_nothing(capsys, fib_json, tmp_pa
 
 @pytest.mark.parametrize(
     "doc",
-    ["[1, 2]", '[{"kind": "hurwitz_a", "index": true}]', "[" + "9" * 5000 + "]"],
-    ids=["numbers", "boolean index", "past the digit limit"],
+    [
+        "[1, 2]",
+        '[{"kind": "hurwitz_a", "index": true}]',
+        "[" + "9" * 5000 + "]",
+        '[{"kind": "cyclic_permute", "index": [1, 2], "vertex": 5}]',
+        '[{"kind": "hurwitz_a", "index": 0, "vertex": "v1"}]',
+    ],
+    ids=[
+        "numbers",
+        "boolean index",
+        "past the digit limit",
+        "cyclic with index",
+        "hurwitz with vertex",
+    ],
 )
 def test_malformed_move_sequence_exits_2(capsys, fib_json, tmp_path, doc):
     seq = tmp_path / "seq.json"

@@ -6,11 +6,18 @@ internal-error exit 4; exit 1 is reserved for a verified-false answer.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plumbweave import PlumbweaveError, family_word, parse_tree
 from plumbweave.fibration import from_json, to_json
-from plumbweave.moves import CYCLIC, HURWITZ_A, HURWITZ_B, STABILIZE, moves_from_json
+from plumbweave.moves import (
+    CYCLIC,
+    HURWITZ_A,
+    HURWITZ_B,
+    STABILIZE,
+    moves_from_json,
+    moves_to_json,
+)
 
 # values that broke a loader once: non-finite numbers, lone surrogates
 EDGE_CASES = [float("inf"), float("-inf"), float("nan"), "\ud800", "vertex:\udfff"]
@@ -104,10 +111,26 @@ def names(doc):
     )
 
 
+# the fields each kind of move uses; any other field is absent or null
+MOVE_FIELDS = {
+    CYCLIC: set(),
+    HURWITZ_A: {"index"},
+    HURWITZ_B: {"index"},
+    STABILIZE: {"index", "vertex"},
+}
+
+
 @given(json_values | st.lists(move_items | json_values, max_size=4))
 @settings(max_examples=150, deadline=None)
+@example([{"kind": CYCLIC, "index": [1, 2], "vertex": 5}])
+@example([{"kind": HURWITZ_B, "index": 0, "vertex": {"a": None}}])
 def test_moves_from_json_raises_only_plumbweave_errors(doc):
-    only_plumbweave_errors(moves_from_json, json.dumps(doc))
+    seq = only_plumbweave_errors(moves_from_json, json.dumps(doc))
+    if seq is not None:  # what it accepts is hashable and written back as read
+        hash(seq)
+        out = moves_to_json(seq)
+        assert moves_from_json(out) == seq
+        assert all(set(item) - {"kind"} == MOVE_FIELDS[item["kind"]] for item in json.loads(out))
 
 
 # past the interpreter's digit limit for int(), and past its recursion limit

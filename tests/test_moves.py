@@ -1,5 +1,6 @@
+import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from functools import partial
 
@@ -13,6 +14,7 @@ from plumbweave import (
     fibrate,
     hurwitz_a,
     hurwitz_b,
+    moves,
     order_tree,
     random_tree,
     replay,
@@ -32,7 +34,9 @@ from plumbweave.errors import (
 from plumbweave.fibration import class_word_json, family_interior_index, fiber_form
 from plumbweave.lattice import Convention, DEFAULT_CONVENTION, dehn_twist, pattern_form
 from plumbweave.moves import (
+    CYCLIC,
     HURWITZ_A,
+    HURWITZ_B,
     MoveRecord,
     _move_word,
     _same_fiber,
@@ -395,7 +399,6 @@ def test_search_matches_reference_bfs(case, depth):
     )
 
 
-@pytest.mark.slow
 def test_search_reaches_past_one_sided_depth():
     a, b = family_word(10, 1, 5), family_word(10, 7, 5)
     wit = search_equivalence(a, b, 6)
@@ -403,11 +406,89 @@ def test_search_reaches_past_one_sided_depth():
     assert class_word_json(replay(a, wit)) == class_word_json(b)
 
 
-@pytest.mark.slow
 def test_search_exhausts_a_finite_orbit():
     # the antisymmetric orbit of this word is finite (about 2000 states)
     # and does not hold the target, so both frontiers run dry before depth 8
     assert search_equivalence(family_word(6, 1, 4), family_word(6, 3, 4), 8) is None
+
+
+@pytest.mark.parametrize(
+    "source, target, depth, witness",
+    [
+        (
+            (10, 1, 5),
+            (10, 7, 5),
+            6,
+            (MoveRecord(CYCLIC),) * 3 + (MoveRecord(HURWITZ_B, 9), MoveRecord(HURWITZ_B, 8)),
+        ),
+        ((6, 1, 4), (6, 3, 4), 8, None),
+    ],
+    ids=["found", "orbit exhausted"],
+)
+def test_search_computes_each_twist_once(monkeypatch, source, target, depth, witness):
+    computed = Counter()
+
+    def counting_twist(form, l, x, power=1):
+        computed[l, x, power] += 1
+        return dehn_twist(form, l, x, power)
+
+    monkeypatch.setattr(moves, "dehn_twist", counting_twist)
+    a, b = family_word(*source), family_word(*target)
+    assert search_equivalence(a, b, depth) == witness
+    assert computed and max(computed.values()) == 1
+    computed.clear()  # nothing outlives the call: a second search computes its own twists
+    assert search_equivalence(a, b, depth) == witness
+    assert computed and max(computed.values()) == 1
+
+
+def test_one_sided_search_raises_on_a_non_invertible_twist():
+    # under these signs every sphere class has square 2 and twist sign 1,
+    # so no class is an isometric centre and the inverse twist that
+    # hurwitz_b needs has no integer form
+    convention = Convention(2, 1, 1)
+    a, b = family_word(6, 1, 5), family_word(6, 5, 5)
+    form = fiber_form(a.fiber, convention)
+    assert {form.pair(c, c) for c in a.word_classes()} == {2}
+    assert search_equivalence(a, b, 0, convention) is None
+    for depth in (1, 4):
+        for search in (search_equivalence, _reference_bfs):
+            with pytest.raises(NonInvertibleTwist):
+                search(a, b, depth, convention)
+
+
+# tree words with multi-coordinate classes: random trees of 6 to 8 vertices
+TREE_SEEDS = [0, 2, 5, 6, 10, 17, 19, 20]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "convention",
+    SEARCH_CONVENTIONS,
+    ids=lambda c: f"c{c.self_intersection}{c.edge_sign:+d}{c.twist_sign:+d}",
+)
+@pytest.mark.parametrize("n", [3, 4])
+def test_search_matches_reference_bfs_on_tree_words(n, convention):
+    for seed in TREE_SEEDS:
+        t = random_tree(seed, 8)
+        assert 6 <= len(t.vertices) <= 8
+        source = fibrate(order_tree(t), n)
+        rng = random.Random(seed)
+        target = source
+        for _ in range(rng.randint(2, 3)):
+            kind, i = rng.choice("cab"), rng.randrange(len(source.cycles) - 1)
+            try:
+                if kind == "c":
+                    target = cyclic_permute(target)
+                else:
+                    target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
+            except NonInvertibleTwist:
+                pass
+        first = target.cycles[0]
+        negated = replace(first, cls=tuple(-v for v in first.cls))
+        for goal in (target, replace(target, cycles=(negated,) + target.cycles[1:])):
+            assert search_outcome(search_equivalence, source, goal, 3, convention) == (
+                search_outcome(_reference_bfs, source, goal, 3, convention)
+            )
 
 
 def test_search_isometry_cut_returns_none():
@@ -515,6 +596,38 @@ def test_moves_from_json_rejects_garbage():
         moves_from_json('[{"kind": "hurwitz_a"}]')
     with pytest.raises(FormatError):
         moves_from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        '{"kind": "cyclic_permute", "index": [1, 2], "vertex": 5}',
+        '{"kind": "cyclic_permute", "index": 0}',
+        '{"kind": "hurwitz_a", "index": 1, "vertex": "w0"}',
+        '{"kind": "hurwitz_b", "index": 1, "vertex": false}',
+    ],
+    ids=[
+        "cyclic with index and vertex",
+        "cyclic with index",
+        "hurwitz_a with vertex",
+        "hurwitz_b with false",
+    ],
+)
+def test_moves_from_json_rejects_a_field_the_kind_does_not_use(item):
+    with pytest.raises(FormatError):
+        moves_from_json(f"[{item}]")
+
+
+def test_moves_from_json_reads_a_null_unused_field_as_absent():
+    seq = moves_from_json(
+        '[{"kind": "cyclic_permute", "index": null, "vertex": null},'
+        ' {"kind": "hurwitz_a", "index": 2, "vertex": null}]'
+    )
+    assert seq == (MoveRecord(CYCLIC), MoveRecord(HURWITZ_A, 2))
+    assert json.loads(moves_to_json(seq)) == [
+        {"kind": "cyclic_permute"},
+        {"kind": "hurwitz_a", "index": 2},
+    ]
 
 
 def test_moves_from_json_rejects_a_lone_surrogate_vertex():
