@@ -182,7 +182,7 @@ def _cmd_render(args) -> int:
 def _invariants_report(tree_id, t, n, convention) -> dict:
     ot = treecore.order_tree(t)
     alf = fibration.fibrate(ot, n)
-    computed = invariants.total_homology(alf, n)
+    computed = invariants.total_homology(alf)
     expected = invariants.wedge_oracle(t, n)
     return {
         "tree_id": tree_id,
@@ -197,6 +197,8 @@ def _invariants_report(tree_id, t, n, convention) -> dict:
 
 def _cmd_invariants(args) -> int:
     convention = _convention_from_args(args)
+    if args.tree is not None and args.count is not None:
+        raise PlumbweaveError("give a tree file or --count, not both")
     if args.count is None:
         if args.tree is None:
             raise PlumbweaveError("either a tree file or --count is required")
@@ -386,7 +388,7 @@ def _cmd_selftest(args) -> int:
             rank = len(alf.fiber.pattern.vertices)
             if n == 3 and i < args.trees and len(alf.cycles) != len(t.vertices) + rank:
                 identity_failures.append(seed + i)
-            if oracle and invariants.total_homology(alf, n) != invariants.wedge_oracle(t, n):
+            if oracle and invariants.total_homology(alf) != invariants.wedge_oracle(t, n):
                 oracle_failures.append([seed + i, n])
 
     ok = not identity_failures and not oracle_failures

@@ -85,19 +85,17 @@ class HomologyReport:
         }
 
 
-def euler_characteristic(alf: AbstractLF, n: int | None = None) -> int:
+def euler_characteristic(alf: AbstractLF) -> int:
     """Fiber Euler characteristic plus one n-cell per vanishing cycle."""
-    if n is None:
-        n = alf.n
+    n = alf.n
     fiber_rank = len(alf.fiber.pattern.vertices)
     m = len(alf.cycles)
     return (1 + (-1) ** (n - 1) * fiber_rank) + (-1) ** n * m
 
 
-def total_homology(alf: AbstractLF, n: int | None = None) -> HomologyReport:
+def total_homology(alf: AbstractLF) -> HomologyReport:
     """Homology of the total space from the thimble boundary map."""
-    if n is None:
-        n = alf.n
+    n = alf.n
     rank = len(alf.fiber.pattern.vertices)
     classes = alf.word_classes()
     if any(len(c) != rank for c in classes):
@@ -115,7 +113,7 @@ def total_homology(alf: AbstractLF, n: int | None = None) -> HomologyReport:
         (n, h_n, ()),
     )
     return HomologyReport(
-        euler=euler_characteristic(alf, n),
+        euler=euler_characteristic(alf),
         h=h,
         caveat=(n == 2),
         classes=classes,
@@ -165,7 +163,7 @@ def base_case_audit() -> dict:
         lit = fibrate(ot, n)
         two = _two_cycle_base_variant(n)
         for name, alf in (("literal_steps", lit), ("two_cycle_variant", two)):
-            rep = total_homology(alf, n)
+            rep = total_homology(alf)
             verdicts[name][n] = {
                 "word_length": len(alf.cycles),
                 "chi": rep.euler,

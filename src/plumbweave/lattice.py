@@ -14,8 +14,9 @@ bundles along a tree pattern, so its middle homology is free on one class
   around a sphere with class ``l``, including exact integer inverses, which
   touches only the coordinates where ``l`` is nonzero;
 * exact Smith normal form over the integers, the workhorse behind all
-  homology computations: sparse elimination of ±1 pivots first, then the
-  dense Smith routine on whatever block is left.
+  homology computations: one sparse elimination loop whose pivots are
+  entries of least magnitude, so the ±1 entries go first and any other
+  pivot is reduced by remainders until it divides its row and column.
 
 Signs are not canonical; they live in a :class:`Convention` record that each
 report embeds.  With the defaults (``s=-2, eps=+1``) the twist around a class
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import compress
+from math import gcd
 
 from .errors import (
     BadDimension,
@@ -192,14 +194,17 @@ def smith_normal_form(mat) -> SmithResult:
     kernel rank of the matrix as a map on column vectors, and the cokernel
     as (free rank, torsion orders).  Arithmetic is exact for any magnitude.
 
-    Works in two steps.  Unit elimination holds the matrix as sparse
-    columns and repeatedly takes a ±1 entry of least Markowitz cost
-    (column support - 1) * (row support - 1) as pivot: column operations
-    clear the rest of its row, after which row operations would clear its
-    column without touching anything else, so the pivot row and column are
-    dropped and contribute a divisor 1.  What is left, usually nothing for
-    a thimble boundary matrix, goes to the dense Smith routine, whose
-    divisors follow the leading 1s.
+    One elimination loop on the matrix held as sparse columns.  Each step
+    takes as pivot an entry u of least magnitude, and among those one of
+    least Markowitz cost (column support - 1) * (row support - 1), so the
+    ±1 entries go first.  Column operations reduce the rest of its row
+    modulo u; once the row is clear, row operations reduce its column
+    modulo u without touching anything else.  When the column is clear
+    too, the pivot row and column drop out with |u| as a diagonal entry;
+    otherwise a remainder smaller than |u| is left, and the next pivot is
+    no larger than it.  A gcd/lcm pass over the diagonal entries other
+    than 1 (for a thimble boundary matrix usually none) turns them into
+    the divisor chain, which follows the leading 1s.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -215,18 +220,22 @@ def smith_normal_form(mat) -> SmithResult:
                 cols.setdefault(j, {})[i] = v
                 support.add(j)
 
-    units = 0
-    while (piv := _unit_pivot(cols, row_cols)) is not None:
+    diagonal: list[int] = []  # |pivot| of each pivot dropped with its row and column
+    while (piv := _pivot(cols, row_cols)) is not None:
         p, c = piv
-        pcol = cols.pop(c)
+        pcol = cols[c]
         u = pcol.pop(p)
-        for i in pcol:
-            row_cols[i].discard(c)
-        for j in row_cols.pop(p) - {c}:
+        prow = row_cols[p]
+        prow.discard(c)
+        for j in tuple(prow):
             col = cols[j]
-            f = col.pop(p) * u  # u is its own inverse
+            q, rem = divmod(col.pop(p), u)
+            if rem:
+                col[p] = rem
+            else:
+                prow.discard(j)
             for i, v in pcol.items():
-                w = col.get(i, 0) - f * v
+                w = col.get(i, 0) - q * v
                 if w:
                     col[i] = w
                     row_cols[i].add(j)
@@ -235,128 +244,53 @@ def smith_normal_form(mat) -> SmithResult:
                     row_cols[i].discard(j)
             if not col:
                 del cols[j]
-        units += 1
+        if not prow:
+            if u == 1 or u == -1 or all(v % u == 0 for v in pcol.values()):
+                # row operations would clear the column and change nothing else
+                del cols[c], row_cols[p]
+                for i in pcol:
+                    row_cols[i].discard(c)
+                diagonal.append(abs(u))
+                continue
+            for i, v in tuple(pcol.items()):  # row operations leave it modulo u
+                if w := v % u:
+                    pcol[i] = w
+                else:
+                    del pcol[i]
+                    row_cols[i].discard(c)
+        # a remainder smaller than |u| is left in its row or column, so the next pivot is smaller
+        pcol[p] = u
+        prow.add(c)
 
-    rows = sorted(i for i, support in row_cols.items() if support)
-    kept = sorted(cols)
-    rest = _dense_smith([[cols[j].get(i, 0) for j in kept] for i in rows])
-    divisors = (1,) * units + rest.divisors
+    chain = [d for d in diagonal if d != 1]
+    for k, d in enumerate(chain):  # d becomes the gcd, each later entry the lcm
+        for t in range(k + 1, len(chain)):
+            g = gcd(d, chain[t])
+            d, chain[t] = g, d // g * chain[t]
+        chain[k] = d
+    divisors = (1,) * (len(diagonal) - len(chain)) + tuple(chain)
     rank = len(divisors)
     return SmithResult(
         divisors=divisors,
         rank=rank,
         kernel_rank=ncols - rank,
-        cokernel=(nrows - rank, rest.cokernel[1]),
+        cokernel=(nrows - rank, tuple(d for d in chain if d != 1)),
     )
 
 
-def _unit_pivot(cols, row_cols):
-    """(row, column) of a ±1 entry of least Markowitz cost, or None."""
+def _pivot(cols, row_cols):
+    """(row, column) of an entry of least magnitude and, among those, of
+    least Markowitz cost; None when no entry is left."""
     best = None
+    least = cheapest = 0
     for j, col in cols.items():
         width = len(col) - 1
         for i, v in col.items():
-            if v == 1 or v == -1:
+            size = v if v > 0 else -v
+            if best is None or size <= least:
                 cost = width * (len(row_cols[i]) - 1)
-                if best is None or cost < best[0]:
-                    if cost == 0:
+                if best is None or size < least or cost < cheapest:
+                    if cost == 0 and size == 1:
                         return i, j
-                    best = (cost, i, j)
-    return None if best is None else best[1:]
-
-
-def _dense_smith(mat) -> SmithResult:
-    """Dense Smith normal form: the residual step of :func:`smith_normal_form`.
-
-    Pivots on an entry of least magnitude and folds rows in until the pivot
-    divides the whole trailing block; cubic in the matrix size.
-    """
-    a = [list(map(int, row)) for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    for row in a:
-        if len(row) != ncols:
-            raise DimensionMismatch("ragged matrix")
-
-    divisors: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        piv = _pick_pivot(a, t, nrows, ncols)
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for r in range(nrows):
-                a[r][t], a[r][j0] = a[r][j0], a[r][t]
-        while True:
-            _clear_pivot(a, t, nrows, ncols)
-            d = a[t][t]
-            bad = _non_divisible_row(a, t, d, nrows, ncols)
-            if bad is None:
-                break
-            for j in range(t, ncols):  # fold the bad row in; re-clearing gcd-reduces
-                a[t][j] += a[bad][j]
-        divisors.append(abs(a[t][t]))
-        t += 1
-
-    rank = len(divisors)
-    torsion = tuple(d for d in divisors if d != 1)
-    return SmithResult(
-        divisors=tuple(divisors),
-        rank=rank,
-        kernel_rank=ncols - rank,
-        cokernel=(nrows - rank, torsion),
-    )
-
-
-def _pick_pivot(a, t, nrows, ncols):
-    """Nonzero entry of smallest magnitude in the trailing submatrix."""
-    piv = None
-    best = None
-    for i in range(t, nrows):
-        row = a[i]
-        for j in range(t, ncols):
-            v = row[j]
-            if v and (best is None or abs(v) < best):
-                best = abs(v)
-                piv = (i, j)
-                if best == 1:
-                    return piv
-    return piv
-
-
-def _clear_pivot(a, t, nrows, ncols):
-    """Zero out column t below and row t right of the pivot at (t, t)."""
-    while True:
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                if q:
-                    for j in range(t, ncols):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                break
-        else:
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for i in range(t, nrows):
-                            a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(nrows):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                    break
-            else:
-                return
-
-
-def _non_divisible_row(a, t, d, nrows, ncols):
-    for i in range(t + 1, nrows):
-        row = a[i]
-        for j in range(t + 1, ncols):
-            if row[j] % d:
-                return i
-    return None
+                    best, least, cheapest = (i, j), size, cost
+    return best

@@ -100,7 +100,7 @@ def test_criterion_3_homology_oracle():
         ot = order_tree(t)
         for n in (3, 4, 5):
             alf = fibrate(ot, n)
-            rep = total_homology(alf, n)
+            rep = total_homology(alf)
             if rep != wedge_oracle(t, n):
                 failures += 1
                 continue

@@ -185,6 +185,7 @@ def test_bad_seed_env_fails_only_seeded_commands(capsys, monkeypatch, ex_file):
         ["invariants", "--n", "3", "--count", "0"],
         ["moves", "search", "{fib}", "{fib}", "--depth", "0"],
         ["invariants", "--n", "3", "--count", "2", "--max-vertices", "1"],
+        ["invariants", "{tree}", "--n", "3", "--count", "2"],
     ],
 )
 def test_bad_run_parameters_exit_2(capsys, ex_file, fib_json, argv):
@@ -331,6 +332,26 @@ def test_moves_repl(capsys, fib_json, monkeypatch):
     assert lines[1].startswith("chi=-5")
     assert "τ[" in lines[2]
     assert any(l.startswith("error: FormatError") for l in lines)
+
+
+def test_moves_repl_reports_torsion(capsys, tmp_path, monkeypatch):
+    import io
+
+    # classes 2a + b and 3b: the boundary map has divisors 1 and 6
+    doc = {
+        "fiber": {"pattern": {"vertices": ["a", "b"], "edges": [["a", "b"]]}, "sphere_dim": 2},
+        "cycles": [
+            {"label": "vertex:x", "coords": [2, 1], "display": "x"},
+            {"label": "vertex:y", "coords": [0, 3], "display": "y"},
+        ],
+        "n": 3,
+    }
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+    code, out, _ = run(capsys, "moves", "repl", str(path))
+    assert code == 0
+    assert out.splitlines() == ["word[2]: x, y", "chi=1 H0=Z^1 H2=0+torsion[6] H3=0"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
+import time
 from itertools import combinations, compress
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from plumbweave import (
     smith_normal_form,
 )
 from plumbweave.errors import BadDimension, DimensionMismatch, NonInvertibleTwist
-from plumbweave.lattice import _dense_smith, pattern_form
+from plumbweave.lattice import SmithResult, pattern_form
 from plumbweave.treecore import UnrootedTree
 
 A2_PATTERN = UnrootedTree(("alpha", "beta"), (("alpha", "beta"),))
@@ -409,7 +410,7 @@ def test_snf_ragged_rows():
 
 
 def test_snf_unit_pivots_then_residual():
-    # one unit pivot leaves the block [[2, 0], [0, 4]] for the dense step
+    # one unit pivot leaves the block [[2, 0], [0, 4]], whose pivots are not units
     res = smith_normal_form([[1, 5, 7], [0, 2, 0], [0, 0, 4]])
     assert res.divisors == (1, 2, 4)
     assert res.cokernel == (0, (2, 4))
@@ -419,12 +420,111 @@ def test_snf_unit_pivots_then_residual():
 # Smith normal form: differential checks against the dense routine and the
 # determinantal divisors
 
+
+def reference_smith(mat) -> SmithResult:
+    """Dense Smith normal form: the oracle of the differential tests below.
+
+    Pivots on an entry of least magnitude and folds rows in until the pivot
+    divides the whole trailing block; cubic in the matrix size.
+    """
+    a = [list(map(int, row)) for row in mat]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    for row in a:
+        if len(row) != ncols:
+            raise DimensionMismatch("ragged matrix")
+
+    divisors: list[int] = []
+    t = 0
+    while t < min(nrows, ncols):
+        piv = _pick_pivot(a, t, nrows, ncols)
+        if piv is None:
+            break
+        i0, j0 = piv
+        a[t], a[i0] = a[i0], a[t]
+        if j0 != t:
+            for r in range(nrows):
+                a[r][t], a[r][j0] = a[r][j0], a[r][t]
+        while True:
+            _clear_pivot(a, t, nrows, ncols)
+            d = a[t][t]
+            bad = _non_divisible_row(a, t, d, nrows, ncols)
+            if bad is None:
+                break
+            for j in range(t, ncols):  # fold the bad row in; re-clearing gcd-reduces
+                a[t][j] += a[bad][j]
+        divisors.append(abs(a[t][t]))
+        t += 1
+
+    rank = len(divisors)
+    torsion = tuple(d for d in divisors if d != 1)
+    return SmithResult(
+        divisors=tuple(divisors),
+        rank=rank,
+        kernel_rank=ncols - rank,
+        cokernel=(nrows - rank, torsion),
+    )
+
+
+def _pick_pivot(a, t, nrows, ncols):
+    """Nonzero entry of smallest magnitude in the trailing submatrix."""
+    piv = None
+    best = None
+    for i in range(t, nrows):
+        row = a[i]
+        for j in range(t, ncols):
+            v = row[j]
+            if v and (best is None or abs(v) < best):
+                best = abs(v)
+                piv = (i, j)
+                if best == 1:
+                    return piv
+    return piv
+
+
+def _clear_pivot(a, t, nrows, ncols):
+    """Zero out column t below and row t right of the pivot at (t, t)."""
+    while True:
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                q = a[i][t] // a[t][t]
+                if q:
+                    for j in range(t, ncols):
+                        a[i][j] -= q * a[t][j]
+                if a[i][t]:
+                    a[t], a[i] = a[i], a[t]
+                break
+        else:
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        for i in range(t, nrows):
+                            a[i][j] -= q * a[i][t]
+                    if a[t][j]:
+                        for i in range(nrows):
+                            a[i][t], a[i][j] = a[i][j], a[i][t]
+                    break
+            else:
+                return
+
+
+def _non_divisible_row(a, t, d, nrows, ncols):
+    for i in range(t + 1, nrows):
+        row = a[i]
+        for j in range(t + 1, ncols):
+            if row[j] % d:
+                return i
+    return None
+
+
 BIG = 10**30
 ENTRY_POOLS = {
     "small": st.integers(-6, 6),
     "units": st.sampled_from([0, 0, 1, -1]),
     "no_units": st.sampled_from([0, 0, 2, -2, 3, -4, 6, -9, BIG, -BIG - 2]),
     "huge": st.sampled_from([0, 1, -1, 2, BIG, -BIG, BIG + 1, 3 * BIG, BIG**2]),
+    "dense": st.sampled_from([s * v for v in range(2, 10) for s in (1, -1)]),
 }
 
 
@@ -440,6 +540,8 @@ def int_matrices(draw, max_side):
     else:
         pool = ENTRY_POOLS[shape]
         mat = [[draw(pool) for _ in range(nc)] for _ in range(nr)]
+    if shape == "dense":  # no unit entry: remainders and the gcd/lcm pass do the work
+        return mat
     for i in range(nr):
         if draw(st.integers(0, 4)) == 0:
             mat[i] = [0] * nc
@@ -481,7 +583,7 @@ def determinantal_invariant_factors(mat):
 @settings(max_examples=400, deadline=None)
 def test_snf_matches_dense_and_determinantal_divisors(mat):
     res = smith_normal_form(mat)
-    assert res == _dense_smith(mat)
+    assert res == reference_smith(mat)
     factors = determinantal_invariant_factors(mat)
     nr = len(mat)
     nc = len(mat[0]) if nr else 0
@@ -494,4 +596,39 @@ def test_snf_matches_dense_and_determinantal_divisors(mat):
 @given(int_matrices(8))
 @settings(max_examples=200, deadline=None)
 def test_snf_matches_dense_on_larger_matrices(mat):
-    assert smith_normal_form(mat) == _dense_smith(mat)
+    assert smith_normal_form(mat) == reference_smith(mat)
+
+
+def bareiss_det(m):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def test_snf_non_unit_pivots_at_scale():
+    # far past the determinantal oracle; dense elimination from least-magnitude
+    # pivots grows its entries here and takes seconds
+    rng = random.Random(3)
+    mat = [[rng.randint(-6, 6) for _ in range(40)] for _ in range(40)]
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = smith_normal_form(mat)
+        times.append(time.perf_counter() - t0)
+    d = res.divisors
+    assert res.rank == 40
+    assert all(d[k + 1] % d[k] == 0 for k in range(len(d) - 1))
+    assert prod(d) == abs(bareiss_det(mat))
+    assert min(times) < 1.0, times
