@@ -53,7 +53,6 @@ from .treecore import (
     UnrootedTree,
     order_tree,
     parse_tree,
-    prefix_subtree,
     quotient,
     random_tree,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "matching_cycles",
     "order_tree",
     "parse_tree",
-    "prefix_subtree",
     "quotient",
     "random_tree",
     "replay",

@@ -115,9 +115,9 @@ def _order_doc(ot: treecore.OrderedTree) -> dict:
                 "label": f"e{i}",
                 "id": e,
                 "tail": ot.tail[e],
-                "head": ot.head[e],
+                "head": ot.vertex_order[i + 1],
                 "tail_label": ot.vertex_label(ot.tail[e]),
-                "head_label": ot.vertex_label(ot.head[e]),
+                "head_label": f"v{i + 1}",
             }
             for i, e in enumerate(ot.edge_order)
         ],

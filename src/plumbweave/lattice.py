@@ -61,6 +61,9 @@ class Convention:
     twist_sign: int = 1
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise FormatError(f"convention {name} must be an integer, got {value!r}")
         if self.edge_sign not in (1, -1) or self.twist_sign not in (1, -1):
             raise FormatError("edge_sign and twist_sign must be +1 or -1")
 
@@ -188,7 +191,8 @@ class SmithResult:
 
 
 def smith_normal_form(mat) -> SmithResult:
-    """Exact Smith normal form of an integer matrix (rows of equal length).
+    """Exact Smith normal form of an integer matrix: rows of equal length
+    whose nonzero entries are ``int`` (not ``bool``), else FormatError.
 
     Returns the nonzero elementary divisors d_1 | d_2 | ..., the rank, the
     kernel rank of the matrix as a map on column vectors, and the cokernel
@@ -215,10 +219,11 @@ def smith_normal_form(mat) -> SmithResult:
             raise DimensionMismatch("ragged matrix")
         support = row_cols[i] = set()
         for j in compress(range(ncols), row):
-            v = int(row[j])
-            if v:
-                cols.setdefault(j, {})[i] = v
-                support.add(j)
+            v = row[j]
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise FormatError(f"entry ({i}, {j}) is not an integer: {v!r}")
+            cols.setdefault(j, {})[i] = v
+            support.add(j)
 
     diagonal: list[int] = []  # |pivot| of each pivot dropped with its row and column
     while (piv := _pivot(cols, row_cols)) is not None:

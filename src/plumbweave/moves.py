@@ -6,6 +6,10 @@ plumbs one more sphere onto the fiber and inserts the new class into the
 word.  All four preserve the total space; here they are tracked at the
 homology level, where cycle classes evolve by the exact twist action.
 
+:func:`apply_move` is the one checked entry for every move; the public
+moves call it.  Cyclic and Hurwitz moves follow one rule, :func:`_move_word`,
+which the search also runs on its words of class ids.
+
 Cycle identity after moves lives at two tiers: the lattice class (decidable,
 used for every equality check) and the display string, which accumulates a
 formal twist word purely for provenance.
@@ -80,48 +84,29 @@ class MoveRecord:
 
 def cyclic_permute(alf: AbstractLF) -> AbstractLF:
     """Rotate the word left by one; the fiber is unchanged."""
-    if not alf.cycles:
-        raise IndexOutOfRange("empty cycle word")
-    return replace(alf, cycles=alf.cycles[1:] + alf.cycles[:1])
+    return apply_move(alf, MoveRecord(CYCLIC))
 
 
 def hurwitz_a(
     alf: AbstractLF, i: int, convention: Convention = DEFAULT_CONVENTION
 ) -> AbstractLF:
     """Replace the pair (x, y) at (i, i+1) with (y, twist_y(x))."""
-    return _hurwitz(alf, MoveRecord(HURWITZ_A, i), convention)
+    return apply_move(alf, MoveRecord(HURWITZ_A, i), convention)
 
 
 def hurwitz_b(
     alf: AbstractLF, i: int, convention: Convention = DEFAULT_CONVENTION
 ) -> AbstractLF:
     """Replace the pair (x, y) at (i, i+1) with (twist_x^{-1}(y), x)."""
-    return _hurwitz(alf, MoveRecord(HURWITZ_B, i), convention)
-
-
-def _hurwitz(alf: AbstractLF, move: MoveRecord, convention: Convention) -> AbstractLF:
-    """Check the pair index, then run :func:`_move_word` on the vanishing
-    cycles: a twisted cycle keeps its label and its display records the twist."""
-    m = len(alf.cycles)
-    if not 0 <= move.index < m - 1:
-        raise IndexOutOfRange(f"pair index {move.index} not in 0..{m - 2}")
-    form = fiber_form(alf.fiber, convention)
-
-    def twist(l: VanishingCycle, x: VanishingCycle, power: int) -> VanishingCycle:
-        tau = "τ" if power == 1 else "τ^{-1}"
-        return VanishingCycle(
-            x.label, dehn_twist(form, l.cls, x.cls, power), f"{tau}[{l.display}]({x.display})"
-        )
-
-    return replace(alf, cycles=_move_word(alf.cycles, move, twist))
+    return apply_move(alf, MoveRecord(HURWITZ_B, i), convention)
 
 
 def _move_word(word: tuple, move: MoveRecord, twist) -> tuple:
     """The word after one cyclic or Hurwitz move: the one twist-and-swap rule.
 
     ``twist(l, x, power)`` twists the entry ``x`` ``power`` times around
-    ``l``.  Search runs this on bare class words, the public moves on words
-    of vanishing cycles; the index is checked by the caller.
+    ``l``.  Search runs this on bare class words, :func:`apply_move` on
+    words of vanishing cycles; the move is checked by the caller.
     """
     if move.kind == CYCLIC:
         return word[1:] + word[:1]
@@ -168,15 +153,29 @@ def stabilize(alf: AbstractLF, attach_vertex: str, position: int) -> AbstractLF:
 def apply_move(
     alf: AbstractLF, move: MoveRecord, convention: Convention = DEFAULT_CONVENTION
 ) -> AbstractLF:
-    if move.kind == CYCLIC:
-        return cyclic_permute(alf)
-    if move.kind == HURWITZ_A:
-        return hurwitz_a(alf, move.index, convention)
-    if move.kind == HURWITZ_B:
-        return hurwitz_b(alf, move.index, convention)
+    """The one checked entry for every move.  Once checked, a cyclic or
+    Hurwitz move runs :func:`_move_word` on the vanishing cycles: a twisted
+    cycle keeps its label and its display records the twist."""
     if move.kind == STABILIZE:
         return stabilize(alf, move.vertex, move.index)
-    raise FormatError(f"unknown move kind {move.kind!r}")
+    word = alf.cycles
+    if move.kind == CYCLIC:
+        if not word:
+            raise IndexOutOfRange("empty cycle word")
+        return replace(alf, cycles=_move_word(word, move, None))
+    if move.kind not in (HURWITZ_A, HURWITZ_B):
+        raise FormatError(f"unknown move kind {move.kind!r}")
+    if not 0 <= move.index < len(word) - 1:
+        raise IndexOutOfRange(f"pair index {move.index} not in 0..{len(word) - 2}")
+    form = fiber_form(alf.fiber, convention)
+
+    def twist(l: VanishingCycle, x: VanishingCycle, power: int) -> VanishingCycle:
+        tau = "τ" if power == 1 else "τ^{-1}"
+        return VanishingCycle(
+            x.label, dehn_twist(form, l.cls, x.cls, power), f"{tau}[{l.display}]({x.display})"
+        )
+
+    return replace(alf, cycles=_move_word(word, move, twist))
 
 
 def replay(

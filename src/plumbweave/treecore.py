@@ -60,7 +60,6 @@ __all__ = [
     "QuotientData",
     "parse_tree",
     "order_tree",
-    "prefix_subtree",
     "quotient",
     "random_tree",
 ]
@@ -172,9 +171,6 @@ class RootedEmbeddedTree:
             raise BadRoot(f"root edge {re!r} is not incident to root vertex {rv!r}")
         object.__setattr__(self, "edge_by_id", by_id)
 
-    def degree(self, v: str) -> int:
-        return len(self.rotation[v])
-
 
 def parse_tree(text: str) -> RootedEmbeddedTree:
     """Parse the line-oriented tree file format.
@@ -238,30 +234,27 @@ def parse_tree(text: str) -> RootedEmbeddedTree:
 
 @dataclass(frozen=True)
 class OrderedTree:
-    """A rooted plane tree together with all derived order data.
+    """A rooted plane tree together with the order data its DFS decides.
 
     ``vertex_order[i]`` is the caller id of the i-th vertex (canonical label
-    ``v{i}``); ``edge_order[i]`` the id of the i-th edge (label ``e{i}``),
-    whose head is ``vertex_order[i+1]``.
+    ``v{i}``); ``edge_order[i]`` the id of the i-th edge (label ``e{i}``).
+    Stored per vertex: ``dist``, ``height`` and ``local_edges``, the
+    linearized incident edges; per edge: ``tail``; and the two index maps.
+    The rest is read off these: the head of ``edge_order[i]`` is
+    ``vertex_order[i + 1]``, and a vertex other than a non-root leaf has
+    first outgoing edge ``local_edges[v][0]``.
     """
 
     base: RootedEmbeddedTree
     tail: dict[str, str]
-    head: dict[str, str]
     vertex_order: tuple[str, ...]
     edge_order: tuple[str, ...]
     dist: dict[str, int]
     height: dict[str, int]
     boundary_order: tuple[str, ...]
     local_edges: dict[str, tuple[str, ...]]
-    first_outgoing: dict[str, str]
     vertex_index: dict[str, int] = field(repr=False)
     edge_index: dict[str, int] = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        """Number of edges (= number of vertices - 1)."""
-        return len(self.edge_order)
 
     def vertex_label(self, v: str) -> str:
         return f"v{self.vertex_index[v]}"
@@ -270,27 +263,28 @@ class OrderedTree:
 def order_tree(t: RootedEmbeddedTree) -> OrderedTree:
     """Compute directions, local orders, boundary order, heights, and the
     total orders on vertices and edges of a rooted plane tree, in one
-    depth-first pass from the root and one backward sweep for the heights."""
+    depth-first pass from the root."""
     root_v, root_e = t.root
     by_id = t.edge_by_id
     rotation = t.rotation
     tail: dict[str, str] = {}
-    head: dict[str, str] = {}
     dist: dict[str, int] = {}
+    height: dict[str, int] = {}
     local: dict[str, tuple[str, ...]] = {}
-    first_outgoing: dict[str, str] = {}
     vertex_order: list[str] = []
     edge_order: list[str] = []
     boundary: list[str] = []
 
     # the root (depth 0) is entered through its root edge, which its local
     # order puts first; every other vertex through its incoming edge, which
-    # its local order puts last
+    # its local order puts last.  The first non-root leaf at or after v in
+    # preorder is the one after the leaves already met, so that is v's height.
     stack = [(root_v, root_e, 0)]
     while stack:
         v, e_in, d = stack.pop()
         vertex_order.append(v)
         dist[v] = d
+        height[v] = len(boundary) + 1
         rot = rotation[v]
         k = rot.index(e_in)
         if d:
@@ -302,55 +296,23 @@ def order_tree(t: RootedEmbeddedTree) -> OrderedTree:
         if not outs:
             boundary.append(v)
             continue
-        first_outgoing[v] = outs[0]
         for e in reversed(outs):
-            w = by_id[e].other(v)
             tail[e] = v
-            head[e] = w
-            stack.append((w, e, d + 1))
-
-    # heights: each non-root leaf closes the run of vertices before it
-    height: dict[str, int] = {}
-    b = len(boundary) + 1
-    for v in reversed(vertex_order):
-        if v not in first_outgoing:
-            b -= 1
-        height[v] = b
+            stack.append((by_id[e].other(v), e, d + 1))
     if len(rotation[root_v]) == 1:
         boundary.append(root_v)
 
     return OrderedTree(
         base=t,
         tail=tail,
-        head=head,
         vertex_order=tuple(vertex_order),
         edge_order=tuple(edge_order),
         dist=dist,
         height=height,
         boundary_order=tuple(boundary),
         local_edges=local,
-        first_outgoing=first_outgoing,
         vertex_index={v: i for i, v in enumerate(vertex_order)},
         edge_index={e: i for i, e in enumerate(edge_order)},
-    )
-
-
-def prefix_subtree(ot: OrderedTree, k: int) -> RootedEmbeddedTree:
-    """The subtree on the first k+1 vertices and first k edges (1 <= k <= m)."""
-    if not 1 <= k <= ot.m:
-        raise IndexOutOfRange(f"prefix index {k} not in 1..{ot.m}")
-    keep_v = set(ot.vertex_order[: k + 1])
-    keep_e = set(ot.edge_order[:k])
-    base = ot.base
-    return RootedEmbeddedTree(
-        vertices=tuple(v for v in base.vertices if v in keep_v),
-        edges=tuple(e for e in base.edges if e.id in keep_e),
-        rotation={
-            v: tuple(e for e in base.rotation[v] if e in keep_e)
-            for v in base.vertices
-            if v in keep_v
-        },
-        root=base.root,
     )
 
 

@@ -17,7 +17,6 @@ from plumbweave import (
     matching_cycles,
     order_tree,
     parse_tree,
-    prefix_subtree,
     quotient,
     random_tree,
     stabilize,
@@ -37,6 +36,7 @@ from plumbweave.fibration import (
 )
 from plumbweave.treecore import UnrootedTree
 from .conftest import EX_TEXT
+from .test_treecore import first_outgoing, head_of, prefix_subtree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -115,7 +115,7 @@ def _dense_classes(ot, alf):
     for c in alf.cycles:
         kind, name = c.label.split(":")
         k = int(name[1:])
-        v = ot.vertex_order[k] if kind == "vertex" else ot.head[ot.edge_order[k]]
+        v = ot.vertex_order[k] if kind == "vertex" else head_of(ot, ot.edge_order[k])
         out.append(basis_vec(qd.q[v]))
     return tuple(out)
 
@@ -144,9 +144,10 @@ def test_label_audit(seed):
     assert vertex_labels == {l for l in labels if l.startswith("vertex:")}
     edge_labels = {l for l in labels if l.startswith("edge:")}
     expected_edges = {"edge:e0"}
+    firsts = first_outgoing(ot)
     for i, e in enumerate(ot.edge_order):
         tail = ot.tail[e]
-        if ot.first_outgoing[tail] != e:
+        if firsts[tail] != e:
             expected_edges.add(f"edge:e{i}")
     assert edge_labels == expected_edges
     assert len(labels) == len(vertex_labels) + len(edge_labels)
@@ -159,7 +160,7 @@ def test_prefix_word_induction(seed):
     the cycle of its incoming edge; everything else survives verbatim."""
     t = random_tree(seed, 10)
     ot = order_tree(t)
-    m = ot.m
+    m = len(ot.edge_order)
     if m < 2:
         return
     for k in range(1, m):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import combinations, compress
 from math import gcd, prod
@@ -12,7 +13,7 @@ from plumbweave import (
     quotient,
     smith_normal_form,
 )
-from plumbweave.errors import BadDimension, DimensionMismatch, NonInvertibleTwist
+from plumbweave.errors import BadDimension, DimensionMismatch, FormatError, NonInvertibleTwist
 from plumbweave.lattice import SmithResult, pattern_form
 from plumbweave.treecore import UnrootedTree
 
@@ -76,6 +77,24 @@ def test_form_rejects_small_n(ex_ordered):
 def test_form_convention_overrides():
     form = pattern_form(A2_PATTERN, 2, Convention(self_intersection=2, edge_sign=-1))
     assert matrix(form) == ((2, -1), (-1, 2))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"self_intersection": -2.0},
+        {"self_intersection": True},
+        {"edge_sign": 1.0},
+        {"edge_sign": True},
+        {"twist_sign": -1.0},
+        {"twist_sign": False},
+        {"self_intersection": "-2"},
+    ],
+)
+def test_convention_rejects_non_integer_fields(fields):
+    # a float would leak into twisted classes, which from_json then refuses
+    with pytest.raises(FormatError):
+        Convention(**fields)
 
 
 def test_pair_dimension_mismatch():
@@ -407,6 +426,21 @@ def test_snf_large_entries_exact():
 def test_snf_ragged_rows():
     with pytest.raises(DimensionMismatch):
         smith_normal_form([[1, 2], [3]])
+
+
+@pytest.mark.parametrize(
+    "mat, where",
+    [
+        ([[0.5]], "(0, 0)"),  # int() would read it as 0: rank 0
+        ([[1.7, 0], [0, 2.2]], "(0, 0)"),  # int() would give divisors (1, 2)
+        ([[0, 1], [0, 2.2]], "(1, 1)"),
+        ([["3"]], "(0, 0)"),  # int() would read it as 3
+        ([[1, True]], "(0, 1)"),
+    ],
+)
+def test_snf_rejects_non_integer_entries(mat, where):
+    with pytest.raises(FormatError, match=re.escape(f"entry {where} ")):
+        smith_normal_form(mat)
 
 
 def test_snf_unit_pivots_then_residual():

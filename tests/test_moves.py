@@ -39,6 +39,7 @@ from plumbweave.moves import (
     HURWITZ_B,
     MoveRecord,
     _move_word,
+    apply_move,
     _same_fiber,
     _state_moves,
     moves_from_json,
@@ -131,6 +132,40 @@ def test_hurwitz_index_range(ex_ordered):
         hurwitz_a(alf, 9)
     with pytest.raises(IndexOutOfRange):
         hurwitz_b(alf, -1)
+
+
+# each entry runs one MoveRecord, of the kinds it takes
+MOVE_ENTRIES = {
+    "cyclic_permute": ((CYCLIC,), lambda alf, mv, conv: cyclic_permute(alf)),
+    "hurwitz_a": ((HURWITZ_A,), lambda alf, mv, conv: hurwitz_a(alf, mv.index, conv)),
+    "hurwitz_b": ((HURWITZ_B,), lambda alf, mv, conv: hurwitz_b(alf, mv.index, conv)),
+    "apply_move": ((CYCLIC, HURWITZ_A, HURWITZ_B), apply_move),
+    "replay": ((CYCLIC, HURWITZ_A, HURWITZ_B), lambda alf, mv, conv: replay(alf, [mv], conv)),
+}
+
+
+@pytest.mark.parametrize("entry", list(MOVE_ENTRIES))
+def test_every_move_entry_is_apply_move(entry, ex_ordered):
+    kinds, run = MOVE_ENTRIES[entry]
+    alf = fibrate(ex_ordered, 3)
+    m = len(alf.cycles)
+    empty = replace(alf, cycles=())
+    conv = Convention(edge_sign=-1)
+    for kind in kinds:
+        if kind == CYCLIC:
+            with pytest.raises(IndexOutOfRange):
+                run(empty, MoveRecord(CYCLIC), conv)
+            assert run(alf, MoveRecord(CYCLIC), conv) == apply_move(alf, MoveRecord(CYCLIC))
+            continue
+        for i in (0, -1, m - 1):
+            with pytest.raises(IndexOutOfRange):
+                run(empty if i == 0 else alf, MoveRecord(kind, i), conv)
+        for i in range(m - 1):
+            mv = MoveRecord(kind, i)
+            assert run(alf, mv, conv) == apply_move(alf, mv, conv)
+    if entry in ("apply_move", "replay"):
+        with pytest.raises(FormatError):
+            run(alf, MoveRecord("rotate", 0), conv)
 
 
 @given(seeds, st.sampled_from([3, 4]))

@@ -7,7 +7,6 @@ from plumbweave import (
     fibrate,
     order_tree,
     parse_tree,
-    prefix_subtree,
     quotient,
     random_tree,
 )
@@ -267,9 +266,9 @@ def test_local_orders_ex(ex_ordered):
     # root edge first at the root, incoming edge last elsewhere
     assert ot.local_edges["v0"] == ("e0", "e4")
     assert ot.local_edges["v1"] == ("e1", "e2", "e3", "e0")
-    assert ot.first_outgoing["v0"] == "e0"
-    assert ot.first_outgoing["v1"] == "e1"
-    assert "v2" not in ot.first_outgoing
+    assert first_outgoing(ot)["v0"] == "e0"
+    assert first_outgoing(ot)["v1"] == "e1"
+    assert "v2" not in first_outgoing(ot)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +349,46 @@ def test_random_tree_validates(seed):
 
 
 # ---------------------------------------------------------------------------
+# facts read off an OrderedTree, and the prefix subtrees of the handle picture
+
+
+def head_of(ot: OrderedTree, e: str) -> str:
+    """The head of edge ``e``: the vertex after its position in the order."""
+    return ot.vertex_order[ot.edge_index[e] + 1]
+
+
+def first_outgoing(ot: OrderedTree) -> dict[str, str]:
+    """The first outgoing edge of every vertex that has one: the root, and
+    every other vertex whose local order holds more than its incoming edge."""
+    root_v = ot.base.root[0]
+    return {
+        v: local[0]
+        for v, local in ot.local_edges.items()
+        if v == root_v or len(local) > 1
+    }
+
+
+def prefix_subtree(ot: OrderedTree, k: int) -> RootedEmbeddedTree:
+    """The subtree on the first k+1 vertices and first k edges (1 <= k <= m)."""
+    m = len(ot.edge_order)
+    if not 1 <= k <= m:
+        raise IndexOutOfRange(f"prefix index {k} not in 1..{m}")
+    keep_v = set(ot.vertex_order[: k + 1])
+    keep_e = set(ot.edge_order[:k])
+    base = ot.base
+    return RootedEmbeddedTree(
+        vertices=tuple(v for v in base.vertices if v in keep_v),
+        edges=tuple(e for e in base.edges if e.id in keep_e),
+        rotation={
+            v: tuple(e for e in base.rotation[v] if e in keep_e)
+            for v in base.vertices
+            if v in keep_v
+        },
+        root=base.root,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the breadth-first, sort-based order and the union-find quotient, kept as
 # oracles for the one-pass depth-first versions
 
@@ -387,7 +426,7 @@ def reference_order_tree(t: RootedEmbeddedTree) -> OrderedTree:
             k = rot.index(incoming[v])
             local[v] = rot[k + 1 :] + rot[: k + 1]
 
-    first_outgoing = {
+    firsts = {
         v: local[v][0] for v in t.vertices if (v == root_v or len(local[v]) > 1)
     }
 
@@ -400,11 +439,11 @@ def reference_order_tree(t: RootedEmbeddedTree) -> OrderedTree:
             boundary.append(v)
         for eid in reversed(outs):
             stack.append(head[eid])
-    if t.degree(root_v) == 1:
+    if len(t.rotation[root_v]) == 1:
         boundary.append(root_v)
     bindex = {v: i + 1 for i, v in enumerate(boundary)}
 
-    succ = {v: head[e] for v, e in first_outgoing.items()}
+    succ = {v: head[e] for v, e in firsts.items()}
     height = {}
     for v in t.vertices:
         chain = []
@@ -424,14 +463,12 @@ def reference_order_tree(t: RootedEmbeddedTree) -> OrderedTree:
     return OrderedTree(
         base=t,
         tail=tail,
-        head=head,
         vertex_order=vertex_order,
         edge_order=edge_order,
         dist=dist,
         height=height,
         boundary_order=tuple(boundary),
         local_edges=local,
-        first_outgoing=first_outgoing,
         vertex_index={v: i for i, v in enumerate(vertex_order)},
         edge_index={e: i for i, e in enumerate(edge_order)},
     )
@@ -448,16 +485,16 @@ def reference_quotient(ot: OrderedTree) -> QuotientData:
             x = parent[x]
         return x
 
-    contracted = set(ot.first_outgoing.values())
+    contracted = set(first_outgoing(ot).values())
     for eid in contracted:
-        parent[find(ot.tail[eid])] = find(ot.head[eid])
+        parent[find(ot.tail[eid])] = find(head_of(ot, eid))
 
     names = {}
     for v in ot.vertex_order:
         names.setdefault(find(v), f"w{len(names)}")
     q = {v: names[find(v)] for v in ot.vertex_order}
     surviving = tuple(e for e in ot.edge_order if e not in contracted)
-    qedges = tuple((q[ot.tail[e]], q[ot.head[e]]) for e in surviving)
+    qedges = tuple((q[ot.tail[e]], q[head_of(ot, e)]) for e in surviving)
     return QuotientData(UnrootedTree(tuple(names.values()), qedges), q, surviving)
 
 
@@ -476,17 +513,18 @@ def reference_fibrate(ot: OrderedTree, n: int) -> AbstractLF:
         return VanishingCycle(f"vertex:{lab}", unit[qd.q[v]], f"L_{{q({lab})}}")
 
     def edge_cycle(e):
-        h = ot.head[e]
+        h = head_of(ot, e)
         return VanishingCycle(
             f"edge:e{ot.edge_index[e]}", unit[qd.q[h]], f"L_{{q({ot.vertex_label(h)})}}"
         )
 
     root_v = ot.base.root[0]
+    firsts = first_outgoing(ot)
     word = [edge_cycle(ot.base.root[1])]
     for v in ot.vertex_order:
-        if v in ot.first_outgoing:
+        if v in firsts:
             outgoing = ot.local_edges[v] if v == root_v else ot.local_edges[v][:-1]
-            extras = [e for e in outgoing if e != ot.first_outgoing[v]]
+            extras = [e for e in outgoing if e != firsts[v]]
             extras.sort(key=lambda e: ot.edge_index[e])
             word.extend(edge_cycle(e) for e in reversed(extras))
         word.append(vertex_cycle(v))
@@ -506,7 +544,7 @@ def variant(t: RootedEmbeddedTree, leaf_root: bool, dropped: frozenset) -> Roote
     """``t`` rerooted at its first degree-1 vertex when ``leaf_root``, then
     parsed back with the ``rot`` lines of ``dropped`` vertices left out."""
     if leaf_root:
-        v = next(v for v in t.vertices if t.degree(v) == 1)
+        v = next(v for v in t.vertices if len(t.rotation[v]) == 1)
         t = RootedEmbeddedTree(t.vertices, t.edges, t.rotation, (v, t.rotation[v][0]))
     return parse_tree(tree_text(t, lambda v: v not in dropped))
 
@@ -554,7 +592,7 @@ def test_front_end_matches_reference_at_scale(leaf_root, drop_every):
     assert len(t.vertices) == 1959
     dropped = frozenset(t.vertices[::drop_every] if drop_every else ())
     t = variant(t, leaf_root, dropped)
-    assert t.degree(t.root[0]) == 1 or not leaf_root
+    assert len(t.rotation[t.root[0]]) == 1 or not leaf_root
     assert_front_end_matches_reference(t)
 
 
@@ -575,7 +613,7 @@ def test_order_invariants(seed):
     assert keys == sorted(keys)
 
     # heads of e_0..e_{m-1} enumerate v_1..v_m exactly
-    assert [ot.head[e] for e in ot.edge_order] == list(vs[1:])
+    assert [head_of(ot, e) for e in ot.edge_order] == list(vs[1:])
 
     # each later vertex hangs off an earlier one via its incoming edge
     index = {v: i for i, v in enumerate(vs)}
@@ -589,16 +627,17 @@ def test_order_invariants(seed):
     # the first-edge walk from any vertex ends at the leaf whose boundary
     # index is the vertex's height
     bindex = {v: i + 1 for i, v in enumerate(ot.boundary_order)}
+    firsts = first_outgoing(ot)
     for v in vs:
         u = v
-        while u in ot.first_outgoing:
-            u = ot.head[ot.first_outgoing[u]]
+        while u in firsts:
+            u = head_of(ot, firsts[u])
         assert bindex[u] == ot.height[v]
 
     # consecutive-head edges are first outgoing edges of their tail, or root
     for i, e in enumerate(ot.edge_order):
         if ot.tail[e] == vs[i]:
-            assert e == ot.base.root[1] or ot.first_outgoing[ot.tail[e]] == e
+            assert e == ot.base.root[1] or firsts[ot.tail[e]] == e
 
 
 @given(seeds)
@@ -637,13 +676,14 @@ def test_quotient_invariants(seed):
     t = random_tree(seed, 14)
     ot = order_tree(t)
     qd = quotient(ot)
-    n_contracting = len(ot.first_outgoing)
+    firsts = first_outgoing(ot)
+    n_contracting = len(firsts)
     assert len(qd.quotient_tree.vertices) == len(t.vertices) - n_contracting
     survivors = set(qd.surviving_edges)
     for e in ot.edge_order:
         contracted = e not in survivors
-        assert contracted == (qd.q[ot.tail[e]] == qd.q[ot.head[e]])
-    assert set(ot.first_outgoing.values()) == set(ot.edge_order) - survivors
+        assert contracted == (qd.q[ot.tail[e]] == qd.q[head_of(ot, e)])
+    assert set(firsts.values()) == set(ot.edge_order) - survivors
 
 
 @given(seeds, st.integers(min_value=1, max_value=13))
@@ -651,8 +691,7 @@ def test_quotient_invariants(seed):
 def test_prefix_orders_consistently(seed, k):
     t = random_tree(seed, 14)
     ot = order_tree(t)
-    if k > ot.m:
-        k = ot.m
+    k = min(k, len(ot.edge_order))
     sub_ot = order_tree(prefix_subtree(ot, k))
     assert sub_ot.vertex_order == ot.vertex_order[: k + 1]
     assert sub_ot.edge_order == ot.edge_order[:k]
