@@ -19,6 +19,7 @@ import itertools
 import os
 import sys
 import traceback
+from dataclasses import asdict
 
 from . import fibration, invariants, moves, treecore
 from .errors import FormatError, PlumbweaveError
@@ -79,9 +80,10 @@ def _add_convention_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--twist-sign", type=int, choices=(1, -1), default=1)
 
 
-def _format_class(coords, symbols) -> str:
+def _format_class(coords) -> str:
+    """A class of the two-sphere family fiber in the basis (α, β)."""
     terms = []
-    for c, s in zip(coords, symbols):
+    for c, s in zip(coords, ("α", "β")):
         if c == 0:
             continue
         mag = "" if abs(c) == 1 else str(abs(c))
@@ -191,7 +193,7 @@ def _invariants_report(tree_id, t, n, convention) -> dict:
         "homology": computed.as_dict(),
         "oracle": expected.as_dict(),
         "oracle_match": computed == expected,
-        "convention": convention.as_dict(),
+        "convention": asdict(convention),
     }
 
 
@@ -323,7 +325,7 @@ def _cmd_family(args) -> int:
         )
     source = fibration.family_word(args.m, args.j, args.n)
     target = fibration.family_word(args.m, args.j + args.shift, args.n)
-    pos = fibration.family_interior_index(args.m, args.j)
+    pos = args.j + 1  # the interior β of family_word
     witness = tuple(
         moves.MoveRecord(moves.HURWITZ_A, pos + k) for k in range(args.shift)
     )
@@ -331,14 +333,13 @@ def _cmd_family(args) -> int:
     final = pushed.cycles[pos + args.shift]
     target_final = target.cycles[pos + args.shift]
     equal = moves.equal_homology(pushed, target)
-    symbols = ("α", "β")
     doc = {
         "m": args.m,
         "j": args.j,
         "shift": args.shift,
         "n": args.n,
         "parity": fibration.fiber_form(source.fiber, convention).parity,
-        "convention": convention.as_dict(),
+        "convention": asdict(convention),
         "interior_position": {"zero_based": pos, "one_based": pos + 1},
         "word_length": len(source.cycles),
         "witness": [
@@ -346,11 +347,11 @@ def _cmd_family(args) -> int:
         ],
         "final_interior_class": {
             "coords": list(final.cls),
-            "pretty": _format_class(final.cls, symbols),
+            "pretty": _format_class(final.cls),
         },
         "target_interior_class": {
             "coords": list(target_final.cls),
-            "pretty": _format_class(target_final.cls, symbols),
+            "pretty": _format_class(target_final.cls),
         },
         "equal": equal,
     }

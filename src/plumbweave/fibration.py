@@ -61,7 +61,6 @@ __all__ = [
     "write_atomic",
     "family_word",
     "family_tree",
-    "family_interior_index",
     "fiber_form",
     "to_json",
     "from_json",
@@ -131,8 +130,7 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
     tuple: the word costs O(m + r^2) instead of a Python loop of length r
     per cycle.
     """
-    if n < 2:
-        raise BadDimension(f"total-space parameter n={n} below 2")
+    _check_n(n)
     qd = quotient(ot)
     fiber = PlumbingDescriptor(qd.quotient_tree, n - 1)
     r = len(qd.quotient_tree.vertices)
@@ -218,11 +216,6 @@ def family_tree(m: int, j: int) -> RootedEmbeddedTree:
     return RootedEmbeddedTree(vertices, tuple(edges), rotation, (chain[0], "c0"))
 
 
-def family_interior_index(m: int, j: int) -> int:
-    """0-based word index of the interior second-class cycle in family_word."""
-    return j + 1
-
-
 def family_word(m: int, j: int, n: int) -> AbstractLF:
     """The two-sphere-fiber word alpha^(j+1) beta alpha^(m-j+1) beta.
 
@@ -233,8 +226,7 @@ def family_word(m: int, j: int, n: int) -> AbstractLF:
     """
     if not 1 <= j <= m:
         raise IndexOutOfRange(f"leaf position {j} not in 1..{m}")
-    if n < 2:
-        raise BadDimension(f"total-space parameter n={n} below 2")
+    _check_n(n)
     pattern = UnrootedTree(("alpha", "beta"), (("alpha", "beta"),))
     fiber = PlumbingDescriptor(pattern, n - 1)
     alpha, beta = (1, 0), (0, 1)
@@ -312,6 +304,13 @@ def _int(value) -> int:
     raise FormatError(f"expected an integer, got {value!r}")
 
 
+def _check_n(n) -> None:
+    """The rule for the total-space parameter: an integer (see :func:`_int`)
+    of at least 2, else :class:`FormatError` or :class:`BadDimension`."""
+    if _int(n) < 2:
+        raise BadDimension(f"total-space parameter n={n} below 2")
+
+
 def _list(value) -> list:
     """``value`` itself when it is a JSON array; a string or an object,
     which would iterate as characters or keys, raises :class:`FormatError`."""
@@ -343,11 +342,10 @@ def from_json(text: str) -> AbstractLF:
             if label.split(":", 1)[0] not in _LABEL_KINDS:
                 raise FormatError(f"unknown cycle label kind in {label!r}")
             cycles.append(VanishingCycle(label, coords, _text(c["display"])))
-        n = _int(doc["n"])
+        n = doc["n"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed fibration document: {exc}") from exc
-    if n < 2:
-        raise BadDimension(f"total-space parameter n={n} below 2")
+    _check_n(n)
     if fiber.sphere_dim != n - 1:
         raise FormatError(
             f"fiber sphere_dim {fiber.sphere_dim} inconsistent with n={n}"
@@ -392,10 +390,10 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _star(cx: float, cy: float, outer: float = 8.0, inner: float = 3.2) -> str:
+def _star(cx: float, cy: float) -> str:
     pts = []
     for k in range(10):
-        r = outer if k % 2 == 0 else inner
+        r = 8.0 if k % 2 == 0 else 3.2
         a = math.pi / 2 + k * math.pi / 5
         pts.append(f"{_fmt(cx + r * math.cos(a))},{_fmt(cy - r * math.sin(a))}")
     return " ".join(pts)

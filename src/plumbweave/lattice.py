@@ -49,9 +49,6 @@ __all__ = [
     "smith_normal_form",
 ]
 
-CycleClass = tuple  # integer coordinate vector in the basis of a form
-
-
 @dataclass(frozen=True)
 class Convention:
     """Sign choices: sphere self-intersection, edge sign, and twist sign."""
@@ -66,9 +63,6 @@ class Convention:
                 raise FormatError(f"convention {name} must be an integer, got {value!r}")
         if self.edge_sign not in (1, -1) or self.twist_sign not in (1, -1):
             raise FormatError("edge_sign and twist_sign must be +1 or -1")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 DEFAULT_CONVENTION = Convention()
@@ -98,7 +92,7 @@ class IntersectionForm:
     parity: str
     convention: Convention
 
-    def pair(self, x: CycleClass, y: CycleClass) -> int:
+    def pair(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         """Evaluate <x, y> = x^T B y over the nonzero coordinates of x."""
         r = len(self.basis)
         if len(x) != r or len(y) != r:
@@ -144,8 +138,8 @@ def pattern_form(
 
 
 def dehn_twist(
-    form: IntersectionForm, l: CycleClass, x: CycleClass, power: int = 1
-) -> CycleClass:
+    form: IntersectionForm, l: tuple[int, ...], x: tuple[int, ...], power: int = 1
+) -> tuple[int, ...]:
     """Apply the homological twist around ``l`` to ``x``, ``power`` times.
 
     One application sends x to x + eps*<x,l>*l with eps the convention's

@@ -6,9 +6,10 @@ plumbs one more sphere onto the fiber and inserts the new class into the
 word.  All four preserve the total space; here they are tracked at the
 homology level, where cycle classes evolve by the exact twist action.
 
-:func:`apply_move` is the one checked entry for every move; the public
-moves call it.  Cyclic and Hurwitz moves follow one rule, :func:`_move_word`,
-which the search also runs on its words of class ids.
+:class:`MoveRecord` is the one grammar of moves, checked when a record is
+built; :func:`apply_move` is the one entry that runs a move, and the four
+public moves call it.  Cyclic and Hurwitz moves follow one rule,
+:func:`_move_word`, which the search also runs on its words of class ids.
 
 Cycle identity after moves lives at two tiers: the lattice class (decidable,
 used for every equality check) and the display string, which accumulates a
@@ -77,9 +78,29 @@ STABILIZE = "stabilize"
 
 @dataclass(frozen=True)
 class MoveRecord:
+    """One move.  ``cyclic_permute`` takes no field, ``hurwitz_a`` and
+    ``hurwitz_b`` the pair ``index``, ``stabilize`` the insert position as
+    ``index`` and the fiber ``vertex``.  An index is an int and not a bool,
+    a vertex a string; any other kind, type or field raises
+    :class:`FormatError`, so every record that can be built round-trips
+    through the move JSON.  :func:`apply_move` checks ranges."""
+
     kind: str
     index: int | None = None
     vertex: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in (CYCLIC, HURWITZ_A, HURWITZ_B, STABILIZE):
+            raise FormatError(f"unknown move kind {self.kind!r}")
+        for field, used, check in (
+            ("index", self.kind != CYCLIC, _int),
+            ("vertex", self.kind == STABILIZE, _text),
+        ):
+            value = getattr(self, field)
+            if used:
+                check(value)
+            elif value is not None:
+                raise FormatError(f"a {self.kind} move takes no {field}, got {value!r}")
 
 
 def cyclic_permute(alf: AbstractLF) -> AbstractLF:
@@ -119,52 +140,46 @@ def _move_word(word: tuple, move: MoveRecord, twist) -> tuple:
 
 def stabilize(alf: AbstractLF, attach_vertex: str, position: int) -> AbstractLF:
     """Grow the fiber by one leaf sphere at ``attach_vertex`` and insert the
-    new basis class into the word at ``position``.
-
-    Existing classes re-embed with a zero coordinate in the new direction,
-    so all old pairings are unchanged.
-    """
-    pattern = alf.fiber.pattern
-    if attach_vertex not in pattern.vertices:
-        raise UnknownVertex(f"unknown fiber vertex {attach_vertex!r}")
-    m = len(alf.cycles)
-    if not 0 <= position <= m:
-        raise IndexOutOfRange(f"insert position {position} not in 0..{m}")
-    k = 1
-    while f"s{k}" in pattern.vertices:
-        k += 1
-    new_v = f"s{k}"
-    new_pattern = UnrootedTree(
-        pattern.vertices + (new_v,), pattern.edges + ((attach_vertex, new_v),)
-    )
-    old = tuple(
-        VanishingCycle(c.label, c.cls + (0,), c.display) for c in alf.cycles
-    )
-    fresh = VanishingCycle(
-        f"stab:{k}", (0,) * len(pattern.vertices) + (1,), f"L_{{{new_v}}}"
-    )
-    return AbstractLF(
-        PlumbingDescriptor(new_pattern, alf.fiber.sphere_dim),
-        old[:position] + (fresh,) + old[position:],
-        alf.n,
-    )
+    new basis class into the word at ``position``."""
+    return apply_move(alf, MoveRecord(STABILIZE, position, attach_vertex))
 
 
 def apply_move(
     alf: AbstractLF, move: MoveRecord, convention: Convention = DEFAULT_CONVENTION
 ) -> AbstractLF:
-    """The one checked entry for every move.  Once checked, a cyclic or
-    Hurwitz move runs :func:`_move_word` on the vanishing cycles: a twisted
-    cycle keeps its label and its display records the twist."""
-    if move.kind == STABILIZE:
-        return stabilize(alf, move.vertex, move.index)
+    """The one entry for every move, which checks it against the word.
+    Stabilized classes re-embed with a zero coordinate in the new direction,
+    so old pairings are unchanged.  A cyclic or Hurwitz move runs
+    :func:`_move_word` on the vanishing cycles: a twisted cycle keeps its
+    label and its display records the twist."""
     word = alf.cycles
+    if move.kind == STABILIZE:
+        pattern = alf.fiber.pattern
+        if move.vertex not in pattern.vertices:
+            raise UnknownVertex(f"unknown fiber vertex {move.vertex!r}")
+        i = move.index
+        if not 0 <= i <= len(word):
+            raise IndexOutOfRange(f"insert position {i} not in 0..{len(word)}")
+        k = 1
+        while f"s{k}" in pattern.vertices:
+            k += 1
+        new_v = f"s{k}"
+        new_pattern = UnrootedTree(
+            pattern.vertices + (new_v,), pattern.edges + ((move.vertex, new_v),)
+        )
+        old = tuple(VanishingCycle(c.label, c.cls + (0,), c.display) for c in word)
+        fresh = VanishingCycle(
+            f"stab:{k}", (0,) * len(pattern.vertices) + (1,), f"L_{{{new_v}}}"
+        )
+        return AbstractLF(
+            PlumbingDescriptor(new_pattern, alf.fiber.sphere_dim),
+            old[:i] + (fresh,) + old[i:],
+            alf.n,
+        )
     if move.kind == CYCLIC:
         if not word:
             raise IndexOutOfRange("empty cycle word")
         return replace(alf, cycles=_move_word(word, move, None))
-    if move.kind not in (HURWITZ_A, HURWITZ_B):
-        raise FormatError(f"unknown move kind {move.kind!r}")
     if not 0 <= move.index < len(word) - 1:
         raise IndexOutOfRange(f"pair index {move.index} not in 0..{len(word) - 2}")
     form = fiber_form(alf.fiber, convention)
@@ -379,21 +394,8 @@ def moves_from_json(text: str):
     for item in raw:
         if not isinstance(item, dict):
             raise FormatError(f"move {item!r} is not a JSON object")
-        kind = item.get("kind")
-        if kind not in (CYCLIC, HURWITZ_A, HURWITZ_B, STABILIZE):
-            raise FormatError(f"unknown move kind {kind!r}")
-        index = _unused(item, "index") if kind == CYCLIC else _int(item.get("index"))
-        vertex = _text(item.get("vertex")) if kind == STABILIZE else _unused(item, "vertex")
-        seq.append(MoveRecord(kind, index, vertex))
+        seq.append(MoveRecord(item.get("kind"), item.get("index"), item.get("vertex")))
     return tuple(seq)
-
-
-def _unused(item: dict, field: str) -> None:
-    """None for a field the move's kind does not use: it must be absent or
-    ``null``, else :class:`FormatError`."""
-    if item.get(field) is not None:
-        raise FormatError(f"a {item['kind']} move takes no {field}, got {item[field]!r}")
-    return None
 
 
 def parse_move_line(line: str) -> MoveRecord:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
     cyclic_permute,
+    equal_homology,
     family_tree,
     family_word,
     fibrate,
@@ -30,7 +31,6 @@ from plumbweave.errors import (
 )
 from plumbweave.fibration import (
     class_word_json,
-    family_interior_index,
     render_svg,
     write_atomic,
 )
@@ -157,15 +157,29 @@ def test_label_audit(seed):
 @settings(max_examples=80, deadline=None)
 def test_prefix_word_induction(seed):
     """Dropping the last vertex removes exactly its cycle and (when present)
-    the cycle of its incoming edge; everything else survives verbatim."""
+    the cycle of its incoming edge; everything else survives verbatim.
+
+    A step that grows the fiber is a stabilization plus one cycle: the
+    incoming edge's cycle is the stabilization at the tail's class, and the
+    last vertex's cycle, which ends the word, is one more copy of the new
+    class."""
     t = random_tree(seed, 10)
     ot = order_tree(t)
     m = len(ot.edge_order)
     if m < 2:
         return
     for k in range(1, m):
+        small_ot = order_tree(prefix_subtree(ot, k))
         big = fibrate(order_tree(prefix_subtree(ot, k + 1)), 3)
-        small = fibrate(order_tree(prefix_subtree(ot, k)), 3)
+        small = fibrate(small_ot, 3)
+        if len(big.fiber.pattern.vertices) > len(small.fiber.pattern.vertices):
+            labels = [c.label for c in big.cycles]
+            p1, p2 = labels.index(f"vertex:v{k + 1}"), labels.index(f"edge:e{k}")
+            assert p2 < p1 == len(labels) - 1
+            tail = quotient(small_ot).q[ot.tail[ot.edge_order[k]]]
+            grown = stabilize(small, tail, p2)
+            grown = replace(grown, cycles=grown.cycles + (grown.cycles[p2],))
+            assert equal_homology(grown, big)
         dropped = {f"vertex:v{k + 1}", f"edge:e{k}"}
         kept = [
             (c.label, c.display) for c in big.cycles if c.label not in dropped
@@ -388,7 +402,7 @@ def test_family_word_length_and_basis(m, data):
     assert len(alf.cycles) == m + 4
     assert all(sum(abs(x) for x in c.cls) == 1 for c in alf.cycles)
     beta_positions = [i for i, c in enumerate(alf.cycles) if c.cls == (0, 1)]
-    assert beta_positions == [family_interior_index(m, j), m + 3]
+    assert beta_positions == [j + 1, m + 3]
 
 
 @given(st.integers(2, 10), st.data())

@@ -22,7 +22,6 @@ from plumbweave.fibration import (
     AbstractLF,
     PlumbingDescriptor,
     VanishingCycle,
-    family_interior_index,
 )
 from plumbweave.invariants import base_case_audit
 from plumbweave.lattice import smith_normal_form
@@ -249,7 +248,7 @@ def test_word_matches_oracle_at_largest_scale(n):
 
 
 def test_parity_discrimination():
-    pos = family_interior_index(8, 2)
+    pos = 2 + 1  # the interior β of family_word(8, 2, n) sits at j + 1
     for n, expected in ((5, (0, 1)), (4, (-4, 1))):
         cur = family_word(8, 2, n)
         for k in range(4):

@@ -31,7 +31,7 @@ from plumbweave.errors import (
     PlumbweaveError,
     UnknownVertex,
 )
-from plumbweave.fibration import class_word_json, family_interior_index, fiber_form
+from plumbweave.fibration import class_word_json, fiber_form
 from plumbweave.lattice import Convention, DEFAULT_CONVENTION, dehn_twist, pattern_form
 from plumbweave.moves import (
     CYCLIC,
@@ -115,7 +115,7 @@ def test_hurwitz_inverse_pair(ex_ordered):
 
 def test_hurwitz_pushes_beta_through_four_alphas():
     alf = family_word(6, 1, 5)
-    pos = family_interior_index(6, 1)
+    pos = 1 + 1  # the interior β of family_word(6, 1, n) sits at j + 1
     cur = alf
     for k in range(4):
         cur = hurwitz_a(cur, pos + k)
@@ -259,7 +259,8 @@ def test_equal_homology_compares_n():
 
 
 def test_family_shift_equivalence_by_parity():
-    wit = tuple(MoveRecord(HURWITZ_A, family_interior_index(6, 1) + k) for k in range(4))
+    pos = 1 + 1  # the interior β of family_word(6, 1, n) sits at j + 1
+    wit = tuple(MoveRecord(HURWITZ_A, pos + k) for k in range(4))
     assert equal_homology(replay(family_word(6, 1, 5), wit), family_word(6, 5, 5))
     assert not equal_homology(replay(family_word(6, 1, 4), wit), family_word(6, 5, 4))
 
@@ -669,6 +670,46 @@ def test_moves_from_json_rejects_a_lone_surrogate_vertex():
     # no UTF-8 output can carry it, so moves_to_json could not write it back
     with pytest.raises(FormatError):
         moves_from_json('[{"kind": "stabilize", "index": 0, "vertex": "\\ud800"}]')
+
+
+def _bad_type_calls():
+    """(id, call) for every public move, and every producer of a total-space
+    parameter n, given a value of the wrong type."""
+    for i in (None, 1.0, True, "1"):
+        yield f"hurwitz_a-{i!r}", lambda alf, ot, i=i: hurwitz_a(alf, i)
+        yield f"hurwitz_b-{i!r}", lambda alf, ot, i=i: hurwitz_b(alf, i)
+        yield f"apply_move-{i!r}", lambda alf, ot, i=i: apply_move(alf, MoveRecord(HURWITZ_A, i))
+    for v, p in (("w0", 1.0), ("w0", True), (0, 1)):
+        yield f"stabilize-{v!r}-{p!r}", lambda alf, ot, v=v, p=p: stabilize(alf, v, p)
+    yield "fibrate-3.0", lambda alf, ot: fibrate(ot, 3.0)
+    yield "fibrate-True", lambda alf, ot: fibrate(ot, True)
+    yield "family_word-3.0", lambda alf, ot: family_word(6, 1, 3.0)
+
+
+BAD_TYPE_CALLS = dict(_bad_type_calls())
+
+
+@pytest.mark.parametrize("call", list(BAD_TYPE_CALLS))
+def test_a_wrong_type_raises_format_error(call, ex_ordered):
+    with pytest.raises(FormatError):
+        BAD_TYPE_CALLS[call](fibrate(ex_ordered, 3), ex_ordered)
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@given(
+    st.sampled_from([CYCLIC, HURWITZ_A, HURWITZ_B, moves.STABILIZE]) | json_scalars,
+    json_scalars,
+    json_scalars,
+)
+@settings(max_examples=300, deadline=None)
+def test_a_move_record_is_refused_or_round_trips(kind, index, vertex):
+    try:
+        record = MoveRecord(kind, index, vertex)
+    except FormatError:
+        return
+    assert moves_from_json(moves_to_json([record])) == (record,)
 
 
 def test_parse_move_lines():
