@@ -38,6 +38,9 @@ CASES = {
     "fibrate_ex_n4": ("fibrate {in}/ex.tree --n 4 --out {out}/fib.json --render {out}/fib.svg", None),
     "fibrate_tree40_n3": ("fibrate {in}/tree40.tree --n 3 --out {out}/fib.json --render {out}/fib.svg", None),
     "fibrate_tree40_n4": ("fibrate {in}/tree40.tree --n 4 --out {out}/fib.json --render {out}/fib.svg", None),
+    "order_leaf_text": ("order {in}/leaf.tree", None),
+    "order_leaf_json": ("order {in}/leaf.tree --json", None),
+    "fibrate_leaf_n3": ("fibrate {in}/leaf.tree --n 3 --out {out}/fib.json --render {out}/fib.svg", None),
     "render_ex": ("render {in}/ex.tree --n 3 --out {out}/base.svg", None),
     "invariants_ex": ("invariants {in}/ex.tree --n 3", None),
     "invariants_tree40": ("invariants {in}/tree40.tree --n 4 --out {out}/inv.json", None),
