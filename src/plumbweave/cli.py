@@ -100,32 +100,25 @@ def _format_class(coords) -> str:
 
 def _order_doc(ot: treecore.OrderedTree) -> dict:
     root_v, root_e = ot.base.root
+    ids = ot.vertex_order
     return {
         "root": {"vertex": root_v, "edge": root_e},
         "vertices": [
-            {
-                "label": f"v{i}",
-                "id": v,
-                "dist": ot.dist[v],
-                "height": ot.height[v],
-                "coords": [ot.dist[v], ot.height[v]],
-            }
-            for i, v in enumerate(ot.vertex_order)
+            {"label": f"v{i}", "id": v, "dist": d, "height": h, "coords": [d, h]}
+            for i, (v, d, h) in enumerate(zip(ids, ot.dist, ot.height))
         ],
         "edges": [
             {
                 "label": f"e{i}",
                 "id": e,
-                "tail": ot.tail[e],
-                "head": ot.vertex_order[i + 1],
-                "tail_label": ot.vertex_label(ot.tail[e]),
+                "tail": ids[t],
+                "head": ids[i + 1],
+                "tail_label": f"v{t}",
                 "head_label": f"v{i + 1}",
             }
-            for i, e in enumerate(ot.edge_order)
+            for i, (e, t) in enumerate(zip(ot.edge_order, ot.tail))
         ],
-        "boundary": [
-            {"label": ot.vertex_label(v), "id": v} for v in ot.boundary_order
-        ],
+        "boundary": [{"label": f"v{k}", "id": ids[k]} for k in ot.boundary_order],
     }
 
 

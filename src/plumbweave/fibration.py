@@ -7,10 +7,11 @@ tree.  The word algorithm has three steps:
    the quotient tree (first outgoing edges contracted);
 2. each vertex ``v_i`` contributes the vanishing cycle ``L_{q(v_i)}``, in
    vertex order;
-3. each edge that is either the root edge or not the first outgoing edge of
-   its tail contributes the cycle ``L_{q(head)}``: the cycles of the non-first
-   edges with tail ``v_i`` are inserted immediately before ``L_{q(v_i)}`` in
-   reverse edge order, and the root edge's cycle is prepended to the word.
+3. each edge ``e_i`` that is the root edge or not its tail's first outgoing
+   edge (``tail[i] != i``) contributes ``L_{q(v_{i+1})}``, for ``v_{i+1}``
+   is its head: the cycles of such edges with tail ``v_k`` are inserted
+   immediately before ``L_{q(v_k)}`` in reverse edge order, and the root
+   edge's cycle is prepended to the word.
 
 Equivalently, the word is the root-edge cycle followed by one block per
 vertex in order, where the block of ``v`` is (non-first outgoing edge cycles
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -134,21 +136,21 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
     qd = quotient(ot)
     fiber = PlumbingDescriptor(qd.quotient_tree, n - 1)
     r = len(qd.quotient_tree.vertices)
-    row = (0,) * r + (1,) + (0,) * r  # e_i is row[r - i : 2r - i]
-    unit = {w: row[r - i : 2 * r - i] for i, w in enumerate(qd.quotient_tree.vertices)}
-    q, edge_index = qd.q, ot.edge_index
-    cls = [unit[q[v]] for v in ot.vertex_order]
+    row = (0,) * r + (1,) + (0,) * r  # e_k is row[r - k : 2r - k]
+    unit = [row[r - k : 2 * r - k] for k in range(r)]
+    cls = [unit[h - 1] for h in ot.height]
     display = [f"L_{{q(v{j})}}" for j in range(len(cls))]
+    # each vertex's outgoing edges after the first, in edge order
+    extra: list[list[int]] = [[] for _ in cls]
+    for j, t in enumerate(ot.tail):
+        if t != j:
+            extra[t].append(j)
     # the root-edge cycle (head v1) first; then each vertex adds the cycles
-    # of its outgoing edges after the first, reversed, and its own cycle.
-    # Those edges are already in edge order, for the vertex order is the
-    # depth-first preorder.
+    # of those edges, reversed, and its own cycle
     word = [VanishingCycle("edge:e0", cls[1], display[1])]
-    for i, v in enumerate(ot.vertex_order):
-        local = ot.local_edges[v]
-        for e in local[:0:-1] if i == 0 else local[-2:0:-1]:
-            j = edge_index[e] + 1
-            word.append(VanishingCycle(f"edge:e{j - 1}", cls[j], display[j]))
+    for i, edges in enumerate(extra):
+        for j in reversed(edges):
+            word.append(VanishingCycle(f"edge:e{j}", cls[j + 1], display[j + 1]))
         word.append(VanishingCycle(f"vertex:v{i}", cls[i], display[i]))
     return AbstractLF(fiber, tuple(word), n)
 
@@ -156,22 +158,25 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
 def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
     """One matching cycle per vertex of the input tree.
 
-    Requires the unmoved output of :func:`fibrate` for the same tree: the
-    root vertex pairs with the root-edge cycle; a vertex adjacent to its
-    predecessor pairs with the predecessor's cycle; otherwise it pairs with
-    the cycle of its incoming edge.  Both endpoints always carry the same
+    Requires the unmoved output of :func:`fibrate` for the same tree, so a
+    word whose ``n`` :func:`fibrate` refuses is not algorithm output either.
+    The root vertex pairs with the root-edge cycle; vertex i pairs with
+    vertex i - 1 when edge i - 1 leads from it (``tail[i - 1] == i - 1``)
+    and with edge i - 1 otherwise.  Both endpoints always carry the same
     class and denote the same fiber sphere.
     """
-    if alf.n < 2 or alf != fibrate(ot, alf.n):
+    try:
+        pristine = alf == fibrate(ot, alf.n)
+    except (FormatError, BadDimension):
+        pristine = False
+    if not pristine:
         raise NotAlgorithmOutput(
             "matching cycles are defined on the pristine algorithm output"
         )
     index_of = {c.label: i for i, c in enumerate(alf.cycles)}
-    tail, order = ot.tail, ot.vertex_order
     out = [MatchingCycle("v0", (index_of["vertex:v0"], index_of["edge:e0"]))]
-    for i in range(1, len(order)):
-        adjacent = tail[ot.edge_order[i - 1]] == order[i - 1]
-        partner = f"vertex:v{i - 1}" if adjacent else f"edge:e{i - 1}"
+    for i, t in enumerate(ot.tail, start=1):
+        partner = f"vertex:v{i - 1}" if t == i - 1 else f"edge:e{i - 1}"
         out.append(MatchingCycle(f"v{i}", (index_of[f"vertex:v{i}"], index_of[partner])))
     return out
 
@@ -297,10 +302,18 @@ def _text(value) -> str:
 
 
 def _int(value) -> int:
-    """``value`` itself when it is a JSON integer; a float, a string or a
-    boolean (which Python counts as an int) raises :class:`FormatError`."""
+    """``value`` itself when it is a JSON integer; a float, a string, a
+    boolean (which Python counts as an int) or an int with more decimal
+    digits than the interpreter will write raises :class:`FormatError`."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        # 2000 bits is at most 603 digits, under the smallest limit (640)
+        # that ``sys.set_int_max_str_digits`` accepts
+        if value.bit_length() <= 2000:
+            return value
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or abs(value) < 10**limit:
+            return value
+        raise FormatError(f"integer of more than {limit} decimal digits")
     raise FormatError(f"expected an integer, got {value!r}")
 
 

@@ -13,14 +13,15 @@ root edge first (at the root) or the unique incoming edge last (elsewhere).
 The canonical vertex order is the depth-first preorder from the root that
 explores outgoing edges in linearized order (Tarjan, "Depth-first search
 and linear graph algorithms", 1972); edges inherit the order of their
-heads, so the head of the i-th edge is the (i+1)-th vertex.  The same pass
-yields the rest of the order data:
+heads, so the head of edge i is vertex i + 1.  The same pass yields the
+rest of the order data, each fact a tuple by position in these orders:
 
+* ``tail[i]``, the position of the tail of edge i;
 * the boundary (degree-1) vertices in preorder, which is the outer-face
   walk of the plane tree; a degree-1 root goes last;
-* ``dist(v)``, the edge distance from the root;
-* ``height(v)``, the boundary index (1-based) of the first non-root leaf at
-  or after ``v`` in preorder, which is the leaf reached from ``v`` by
+* ``dist[i]``, the edge distance of vertex i from the root;
+* ``height[i]``, the boundary index (1-based) of the first non-root leaf at
+  or after vertex i in preorder, which is the leaf reached from it by
   repeatedly taking the first outgoing edge.
 
 Vertices of equal height lie on one first-edge chain, so the preorder is
@@ -28,10 +29,10 @@ also the lexicographic ``(height, dist)`` order.
 
 Contracting the first outgoing edge of every vertex that has one yields the
 quotient tree whose vertices index the sphere classes of the plumbing fiber.
-A vertex's incoming edge is contracted exactly when it is its tail's first
-outgoing edge, and then the tail is the vertex just before it in preorder.
-So each quotient class is a run of the preorder that ends at a non-root
-leaf, and the class of ``v`` is the one of its height.
+A vertex's first outgoing edge leads to the vertex just after it in
+preorder, so edge i is contracted exactly when ``tail[i] == i``.  Each
+quotient class is then a run of the preorder that ends at a non-root leaf,
+and the class of vertex i is the one of ``height[i]``.
 """
 
 from __future__ import annotations
@@ -236,83 +237,74 @@ def parse_tree(text: str) -> RootedEmbeddedTree:
 class OrderedTree:
     """A rooted plane tree together with the order data its DFS decides.
 
-    ``vertex_order[i]`` is the caller id of the i-th vertex (canonical label
-    ``v{i}``); ``edge_order[i]`` the id of the i-th edge (label ``e{i}``).
-    Stored per vertex: ``dist``, ``height`` and ``local_edges``, the
-    linearized incident edges; per edge: ``tail``; and the two index maps.
-    The rest is read off these: the head of ``edge_order[i]`` is
-    ``vertex_order[i + 1]``, and a vertex other than a non-root leaf has
-    first outgoing edge ``local_edges[v][0]``.
+    ``vertex_order[i]`` is the caller id of vertex i (label ``v{i}``) and
+    ``edge_order[i]`` that of edge i (label ``e{i}``), whose head is vertex
+    i + 1.  The other facts are tuples by position: ``tail[i]`` is the
+    position of the tail of edge i, ``dist[i]`` and ``height[i]`` belong to
+    vertex i, and ``boundary_order`` holds positions.  Edge i is its tail's
+    first outgoing edge, contracted in the quotient, exactly when
+    ``tail[i] == i``.
     """
 
     base: RootedEmbeddedTree
-    tail: dict[str, str]
     vertex_order: tuple[str, ...]
     edge_order: tuple[str, ...]
-    dist: dict[str, int]
-    height: dict[str, int]
-    boundary_order: tuple[str, ...]
-    local_edges: dict[str, tuple[str, ...]]
-    vertex_index: dict[str, int] = field(repr=False)
-    edge_index: dict[str, int] = field(repr=False)
-
-    def vertex_label(self, v: str) -> str:
-        return f"v{self.vertex_index[v]}"
+    tail: tuple[int, ...]
+    dist: tuple[int, ...]
+    height: tuple[int, ...]
+    boundary_order: tuple[int, ...]
 
 
 def order_tree(t: RootedEmbeddedTree) -> OrderedTree:
-    """Compute directions, local orders, boundary order, heights, and the
-    total orders on vertices and edges of a rooted plane tree, in one
-    depth-first pass from the root."""
+    """Compute directions, boundary order, heights, and the total orders on
+    vertices and edges of a rooted plane tree, in one depth-first pass from
+    the root."""
     root_v, root_e = t.root
     by_id = t.edge_by_id
     rotation = t.rotation
-    tail: dict[str, str] = {}
-    dist: dict[str, int] = {}
-    height: dict[str, int] = {}
-    local: dict[str, tuple[str, ...]] = {}
     vertex_order: list[str] = []
     edge_order: list[str] = []
-    boundary: list[str] = []
+    tail: list[int] = []
+    dist: list[int] = []
+    height: list[int] = []
+    boundary: list[int] = []
 
-    # the root (depth 0) is entered through its root edge, which its local
+    # the root (position 0) is entered through its root edge, which its local
     # order puts first; every other vertex through its incoming edge, which
     # its local order puts last.  The first non-root leaf at or after v in
     # preorder is the one after the leaves already met, so that is v's height.
     stack = [(root_v, root_e, 0)]
     while stack:
-        v, e_in, d = stack.pop()
+        v, e_in, t_in = stack.pop()
+        i = len(vertex_order)
         vertex_order.append(v)
-        dist[v] = d
-        height[v] = len(boundary) + 1
+        height.append(len(boundary) + 1)
         rot = rotation[v]
         k = rot.index(e_in)
-        if d:
+        if i:
             edge_order.append(e_in)
-            local[v] = rot[k + 1 :] + rot[: k + 1]
-            outs = local[v][:-1]
+            tail.append(t_in)
+            dist.append(dist[t_in] + 1)
+            outs = rot[k + 1 :] + rot[:k]
         else:
-            outs = local[v] = rot[k:] + rot[:k]
+            dist.append(0)
+            outs = rot[k:] + rot[:k]
         if not outs:
-            boundary.append(v)
+            boundary.append(i)
             continue
         for e in reversed(outs):
-            tail[e] = v
-            stack.append((by_id[e].other(v), e, d + 1))
+            stack.append((by_id[e].other(v), e, i))
     if len(rotation[root_v]) == 1:
-        boundary.append(root_v)
+        boundary.append(0)
 
     return OrderedTree(
         base=t,
-        tail=tail,
         vertex_order=tuple(vertex_order),
         edge_order=tuple(edge_order),
-        dist=dist,
-        height=height,
+        tail=tuple(tail),
+        dist=tuple(dist),
+        height=tuple(height),
         boundary_order=tuple(boundary),
-        local_edges=local,
-        vertex_index={v: i for i, v in enumerate(vertex_order)},
-        edge_index={e: i for i, e in enumerate(edge_order)},
     )
 
 
@@ -382,18 +374,16 @@ def quotient(ot: OrderedTree) -> QuotientData:
     """Contract every vertex's first outgoing edge and name the classes.
 
     Each class is a run of the vertex order that ends at a non-root leaf,
-    which has no first outgoing edge, so the class of ``v`` is the one of
-    its height.  The next run starts at a vertex whose incoming edge is not
-    its tail's first outgoing edge; those incoming edges are the surviving
-    ones."""
-    height, edge_order = ot.height, ot.edge_order
+    which has no first outgoing edge, so the class of vertex i is the one of
+    its height.  The next run starts at the vertex after such a leaf, whose
+    incoming edge, the one at the leaf's position, survives."""
+    height, tail = ot.height, ot.tail
     # the last vertex is the last non-root leaf, whose height is their number
-    names = [f"w{k}" for k in range(height[ot.vertex_order[-1]])]
-    q = {v: names[height[v] - 1] for v in ot.vertex_order}
-    surviving = tuple(
-        edge_order[ot.vertex_index[leaf]] for leaf in ot.boundary_order[: len(names) - 1]
-    )
-    qedges = tuple((q[ot.tail[e]], w) for e, w in zip(surviving, names[1:]))
+    names = [f"w{k}" for k in range(height[-1])]
+    q = {v: names[h - 1] for v, h in zip(ot.vertex_order, height)}
+    cut = ot.boundary_order[: len(names) - 1]
+    surviving = tuple(ot.edge_order[p] for p in cut)
+    qedges = tuple((names[height[tail[p]] - 1], w) for p, w in zip(cut, names[1:]))
     return QuotientData(UnrootedTree(tuple(names), qedges), q, surviving)
 
 

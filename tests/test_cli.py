@@ -58,9 +58,9 @@ def test_order_json_coords_are_dist_and_height(capsys, ex_file, tmp_path, seed):
     ot = order_tree(parse_tree(open(path, encoding="utf-8").read()))
     vertices = json.loads(out)["vertices"]
     assert [v["id"] for v in vertices] == list(ot.vertex_order)
-    for v in vertices:
+    for i, v in enumerate(vertices):
         assert v["coords"] == [v["dist"], v["height"]]
-        assert v["coords"] == [ot.dist[v["id"]], ot.height[v["id"]]]
+        assert v["coords"] == [ot.dist[i], ot.height[i]]
     if seed is None:
         coords = {v["id"]: v["coords"] for v in vertices}
         assert coords["v3"] == [2, 2] and coords["v5"] == [1, 4] and coords["v0"][0] == 0

@@ -36,7 +36,7 @@ from plumbweave.fibration import (
 )
 from plumbweave.treecore import UnrootedTree
 from .conftest import EX_TEXT
-from .test_treecore import first_outgoing, head_of, prefix_subtree
+from .test_treecore import prefix_subtree, reference_order_tree
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -115,7 +115,8 @@ def _dense_classes(ot, alf):
     for c in alf.cycles:
         kind, name = c.label.split(":")
         k = int(name[1:])
-        v = ot.vertex_order[k] if kind == "vertex" else head_of(ot, ot.edge_order[k])
+        # the head of edge k is vertex k + 1
+        v = ot.vertex_order[k if kind == "vertex" else k + 1]
         out.append(basis_vec(qd.q[v]))
     return tuple(out)
 
@@ -144,9 +145,9 @@ def test_label_audit(seed):
     assert vertex_labels == {l for l in labels if l.startswith("vertex:")}
     edge_labels = {l for l in labels if l.startswith("edge:")}
     expected_edges = {"edge:e0"}
-    firsts = first_outgoing(ot)
+    firsts = reference_order_tree(t).firsts
     for i, e in enumerate(ot.edge_order):
-        tail = ot.tail[e]
+        tail = ot.vertex_order[ot.tail[i]]
         if firsts[tail] != e:
             expected_edges.add(f"edge:e{i}")
     assert edge_labels == expected_edges
@@ -176,7 +177,7 @@ def test_prefix_word_induction(seed):
             labels = [c.label for c in big.cycles]
             p1, p2 = labels.index(f"vertex:v{k + 1}"), labels.index(f"edge:e{k}")
             assert p2 < p1 == len(labels) - 1
-            tail = quotient(small_ot).q[ot.tail[ot.edge_order[k]]]
+            tail = quotient(small_ot).q[ot.vertex_order[ot.tail[k]]]
             grown = stabilize(small, tail, p2)
             grown = replace(grown, cycles=grown.cycles + (grown.cycles[p2],))
             assert equal_homology(grown, big)
@@ -224,6 +225,13 @@ def test_matching_rejects_moved_word(ex_ordered):
     from plumbweave import cyclic_permute
 
     alf = cyclic_permute(fibrate(ex_ordered, 3))
+    with pytest.raises(NotAlgorithmOutput):
+        matching_cycles(alf, ex_ordered)
+
+
+@pytest.mark.parametrize("n", ["3", 3.0, None, 1, True], ids=repr)
+def test_matching_refuses_a_word_whose_n_fibrate_refuses(ex_ordered, n):
+    alf = replace(fibrate(ex_ordered, 3), n=n)
     with pytest.raises(NotAlgorithmOutput):
         matching_cycles(alf, ex_ordered)
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter, deque
 from dataclasses import replace
 from functools import partial
@@ -693,6 +694,26 @@ BAD_TYPE_CALLS = dict(_bad_type_calls())
 def test_a_wrong_type_raises_format_error(call, ex_ordered):
     with pytest.raises(FormatError):
         BAD_TYPE_CALLS[call](fibrate(ex_ordered, 3), ex_ordered)
+
+
+def test_an_integer_too_long_to_write_raises_format_error(ex_ordered):
+    # 5001 digits, past the interpreter's default limit of 4300
+    with pytest.raises(FormatError):
+        MoveRecord(HURWITZ_A, 10**5000)
+    with pytest.raises(FormatError):
+        fibrate(ex_ordered, 10**5000)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on the digits of an integer",
+)
+def test_the_digit_limit_is_exact():
+    limit = sys.get_int_max_str_digits()
+    longest = MoveRecord(HURWITZ_A, 10**limit - 1)
+    assert moves_from_json(moves_to_json([longest])) == (longest,)
+    with pytest.raises(FormatError):
+        MoveRecord(HURWITZ_A, -(10**limit))
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,41 +235,78 @@ def test_tree_validation_matches_reference(fields):
 # definitions (tails cross-checked against the construction)
 
 
+def ids(ot: OrderedTree, positions) -> list[str]:
+    """The caller ids of the vertices at ``positions``."""
+    return [ot.vertex_order[k] for k in positions]
+
+
 def test_order_ex(ex_ordered):
     ot = ex_ordered
     assert ot.vertex_order == ("v0", "v1", "v2", "v3", "v4", "v5")
     assert ot.edge_order == ("e0", "e1", "e2", "e3", "e4")
-    assert [ot.dist[v] for v in ot.vertex_order] == [0, 1, 2, 2, 2, 1]
-    assert [ot.height[v] for v in ot.vertex_order] == [1, 1, 1, 2, 3, 4]
-    assert [ot.tail[e] for e in ot.edge_order] == ["v0", "v1", "v1", "v1", "v0"]
-    assert ot.boundary_order == ("v2", "v3", "v4", "v5")
+    assert list(ot.dist) == [0, 1, 2, 2, 2, 1]
+    assert list(ot.height) == [1, 1, 1, 2, 3, 4]
+    assert ids(ot, ot.tail) == ["v0", "v1", "v1", "v1", "v0"]
+    assert ids(ot, ot.boundary_order) == ["v2", "v3", "v4", "v5"]
 
 
 def test_order_a2(a2_ordered):
     ot = a2_ordered
     assert ot.vertex_order == ("v0", "v1")
     assert ot.edge_order == ("e0",)
-    assert [ot.dist[v] for v in ot.vertex_order] == [0, 1]
-    assert [ot.height[v] for v in ot.vertex_order] == [1, 1]
+    assert list(ot.dist) == [0, 1]
+    assert list(ot.height) == [1, 1]
     # degree-1 root goes last in the boundary order
-    assert ot.boundary_order == ("v1", "v0")
+    assert ids(ot, ot.boundary_order) == ["v1", "v0"]
 
 
 def test_order_path3(path3_ordered):
     ot = path3_ordered
     assert ot.vertex_order == ("v0", "v1", "v2")
-    assert [ot.height[v] for v in ot.vertex_order] == [1, 1, 1]
-    assert [ot.dist[v] for v in ot.vertex_order] == [0, 1, 2]
+    assert list(ot.height) == [1, 1, 1]
+    assert list(ot.dist) == [0, 1, 2]
 
 
 def test_local_orders_ex(ex_ordered):
     ot = ex_ordered
+    ref = reference_order_tree(ot.base)
     # root edge first at the root, incoming edge last elsewhere
-    assert ot.local_edges["v0"] == ("e0", "e4")
-    assert ot.local_edges["v1"] == ("e1", "e2", "e3", "e0")
-    assert first_outgoing(ot)["v0"] == "e0"
-    assert first_outgoing(ot)["v1"] == "e1"
-    assert "v2" not in first_outgoing(ot)
+    assert ref.local["v0"] == ("e0", "e4")
+    assert ref.local["v1"] == ("e1", "e2", "e3", "e0")
+    assert ref.firsts["v0"] == "e0"
+    assert ref.firsts["v1"] == "e1"
+    assert "v2" not in ref.firsts
+    # a first outgoing edge leads to the next vertex: e0 and e1 leave their
+    # heads' predecessors, e2 (head v3) does not leave v2
+    assert ot.edge_order[0] == "e0" and ot.tail[0] == 0
+    assert ot.edge_order[1] == "e1" and ot.tail[1] == 1
+    assert ot.tail[2] != 2
+
+
+@st.composite
+def rooted_inner_and_leaf(draw, max_vertices=40):
+    """A random tree rooted once at an inner vertex (when it has one) and
+    once at a leaf, each at a drawn edge of the root."""
+    t = random_tree(draw(seeds), max_vertices)
+    out = []
+    for inner in (True, False):
+        roots = [v for v in t.vertices if (len(t.rotation[v]) > 1) == inner]
+        if roots:
+            v = draw(st.sampled_from(roots))
+            e = draw(st.sampled_from(t.rotation[v]))
+            out.append(RootedEmbeddedTree(t.vertices, t.edges, t.rotation, (v, e)))
+    return out
+
+
+@given(rooted_inner_and_leaf())
+@settings(max_examples=150, deadline=None)
+def test_tail_marks_the_first_edge_of_each_linearized_rotation(trees):
+    for t in trees:
+        ot = order_tree(t)
+        local = reference_order_tree(t).local
+        for i, e in enumerate(ot.edge_order):
+            first = local[ot.vertex_order[ot.tail[i]]][0] == e
+            assert (ot.tail[i] == i) == first
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +387,7 @@ def test_random_tree_validates(seed):
 
 
 # ---------------------------------------------------------------------------
-# facts read off an OrderedTree, and the prefix subtrees of the handle picture
-
-
-def head_of(ot: OrderedTree, e: str) -> str:
-    """The head of edge ``e``: the vertex after its position in the order."""
-    return ot.vertex_order[ot.edge_index[e] + 1]
-
-
-def first_outgoing(ot: OrderedTree) -> dict[str, str]:
-    """The first outgoing edge of every vertex that has one: the root, and
-    every other vertex whose local order holds more than its incoming edge."""
-    root_v = ot.base.root[0]
-    return {
-        v: local[0]
-        for v, local in ot.local_edges.items()
-        if v == root_v or len(local) > 1
-    }
+# the prefix subtrees of the handle picture
 
 
 def prefix_subtree(ot: OrderedTree, k: int) -> RootedEmbeddedTree:
@@ -393,7 +415,25 @@ def prefix_subtree(ot: OrderedTree, k: int) -> RootedEmbeddedTree:
 # oracles for the one-pass depth-first versions
 
 
-def reference_order_tree(t: RootedEmbeddedTree) -> OrderedTree:
+@dataclass(frozen=True)
+class ReferenceOrder:
+    """The order data keyed by caller id, as the reference computes it:
+    tails and heads by edge id; distances, heights, linearized rotations and
+    first outgoing edges by vertex id; and the boundary as vertex ids."""
+
+    base: RootedEmbeddedTree
+    vertex_order: tuple[str, ...]
+    edge_order: tuple[str, ...]
+    tail: dict[str, str]
+    head: dict[str, str]
+    dist: dict[str, int]
+    height: dict[str, int]
+    boundary_order: tuple[str, ...]
+    local: dict[str, tuple[str, ...]]
+    firsts: dict[str, str]
+
+
+def reference_order_tree(t: RootedEmbeddedTree) -> ReferenceOrder:
     """Orient by BFS, linearize each rotation, walk each first-edge chain to
     its leaf for the height, and sort the vertices by ``(height, dist)``."""
     root_v, root_e = t.root
@@ -460,24 +500,39 @@ def reference_order_tree(t: RootedEmbeddedTree) -> OrderedTree:
     keys = [(height[v], dist[v]) for v in vertex_order]
     assert len(set(keys)) == len(keys), "(height, dist) collision"
     edge_order = tuple(incoming[v] for v in vertex_order[1:])
-    return OrderedTree(
+    return ReferenceOrder(
         base=t,
-        tail=tail,
         vertex_order=vertex_order,
         edge_order=edge_order,
+        tail=tail,
+        head=head,
         dist=dist,
         height=height,
         boundary_order=tuple(boundary),
-        local_edges=local,
-        vertex_index={v: i for i, v in enumerate(vertex_order)},
-        edge_index={e: i for i, e in enumerate(edge_order)},
+        local=local,
+        firsts=firsts,
     )
 
 
-def reference_quotient(ot: OrderedTree) -> QuotientData:
+def by_position(ref: ReferenceOrder) -> OrderedTree:
+    """The reference's facts as an :class:`OrderedTree`: each by-id map
+    read along the vertex or edge order, each vertex id as its position."""
+    pos = {v: i for i, v in enumerate(ref.vertex_order)}
+    return OrderedTree(
+        base=ref.base,
+        vertex_order=ref.vertex_order,
+        edge_order=ref.edge_order,
+        tail=tuple(pos[ref.tail[e]] for e in ref.edge_order),
+        dist=tuple(ref.dist[v] for v in ref.vertex_order),
+        height=tuple(ref.height[v] for v in ref.vertex_order),
+        boundary_order=tuple(pos[v] for v in ref.boundary_order),
+    )
+
+
+def reference_quotient(ref: ReferenceOrder) -> QuotientData:
     """Union the ends of every first outgoing edge, then name the classes by
     first occurrence along the vertex order."""
-    parent = {v: v for v in ot.vertex_order}
+    parent = {v: v for v in ref.vertex_order}
 
     def find(x):
         while parent[x] != x:
@@ -485,47 +540,49 @@ def reference_quotient(ot: OrderedTree) -> QuotientData:
             x = parent[x]
         return x
 
-    contracted = set(first_outgoing(ot).values())
+    contracted = set(ref.firsts.values())
     for eid in contracted:
-        parent[find(ot.tail[eid])] = find(head_of(ot, eid))
+        parent[find(ref.tail[eid])] = find(ref.head[eid])
 
     names = {}
-    for v in ot.vertex_order:
+    for v in ref.vertex_order:
         names.setdefault(find(v), f"w{len(names)}")
-    q = {v: names[find(v)] for v in ot.vertex_order}
-    surviving = tuple(e for e in ot.edge_order if e not in contracted)
-    qedges = tuple((q[ot.tail[e]], q[head_of(ot, e)]) for e in surviving)
+    q = {v: names[find(v)] for v in ref.vertex_order}
+    surviving = tuple(e for e in ref.edge_order if e not in contracted)
+    qedges = tuple((q[ref.tail[e]], q[ref.head[e]]) for e in surviving)
     return QuotientData(UnrootedTree(tuple(names.values()), qedges), q, surviving)
 
 
-def reference_fibrate(ot: OrderedTree, n: int) -> AbstractLF:
+def reference_fibrate(ref: ReferenceOrder, n: int) -> AbstractLF:
     """The word from ``reference_quotient``, with each vertex's non-first
     outgoing edges sorted into edge order and labels looked up by id."""
-    qd = reference_quotient(ot)
+    qd = reference_quotient(ref)
     rank = len(qd.quotient_tree.vertices)
     unit = {
         w: tuple(1 if j == i else 0 for j in range(rank))
         for i, w in enumerate(qd.quotient_tree.vertices)
     }
+    vertex_label = {v: f"v{i}" for i, v in enumerate(ref.vertex_order)}
+    edge_index = {e: i for i, e in enumerate(ref.edge_order)}
 
     def vertex_cycle(v):
-        lab = ot.vertex_label(v)
+        lab = vertex_label[v]
         return VanishingCycle(f"vertex:{lab}", unit[qd.q[v]], f"L_{{q({lab})}}")
 
     def edge_cycle(e):
-        h = head_of(ot, e)
+        h = ref.head[e]
         return VanishingCycle(
-            f"edge:e{ot.edge_index[e]}", unit[qd.q[h]], f"L_{{q({ot.vertex_label(h)})}}"
+            f"edge:e{edge_index[e]}", unit[qd.q[h]], f"L_{{q({vertex_label[h]})}}"
         )
 
-    root_v = ot.base.root[0]
-    firsts = first_outgoing(ot)
-    word = [edge_cycle(ot.base.root[1])]
-    for v in ot.vertex_order:
+    root_v = ref.base.root[0]
+    firsts = ref.firsts
+    word = [edge_cycle(ref.base.root[1])]
+    for v in ref.vertex_order:
         if v in firsts:
-            outgoing = ot.local_edges[v] if v == root_v else ot.local_edges[v][:-1]
+            outgoing = ref.local[v] if v == root_v else ref.local[v][:-1]
             extras = [e for e in outgoing if e != firsts[v]]
-            extras.sort(key=lambda e: ot.edge_index[e])
+            extras.sort(key=edge_index.__getitem__)
             word.extend(edge_cycle(e) for e in reversed(extras))
         word.append(vertex_cycle(v))
     return AbstractLF(PlumbingDescriptor(qd.quotient_tree, n - 1), tuple(word), n)
@@ -572,10 +629,11 @@ def front_end_inputs(draw, max_vertices=40):
 
 def assert_front_end_matches_reference(t: RootedEmbeddedTree) -> None:
     ot = order_tree(t)
-    assert ot == reference_order_tree(t)
-    assert quotient(ot) == reference_quotient(ot)
+    ref = reference_order_tree(t)
+    assert ot == by_position(ref)
+    assert quotient(ot) == reference_quotient(ref)
     for n in (3, 4):
-        assert fibrate(ot, n) == reference_fibrate(ot, n)
+        assert fibrate(ot, n) == reference_fibrate(ref, n)
 
 
 @given(front_end_inputs())
@@ -608,36 +666,39 @@ def test_order_invariants(seed):
     vs = ot.vertex_order
 
     # strict total order: no (height, dist) collision
-    keys = [(ot.height[v], ot.dist[v]) for v in vs]
+    keys = list(zip(ot.height, ot.dist))
     assert len(set(keys)) == len(keys)
     assert keys == sorted(keys)
 
-    # heads of e_0..e_{m-1} enumerate v_1..v_m exactly
-    assert [head_of(ot, e) for e in ot.edge_order] == list(vs[1:])
+    # e_i joins its tail to v_{i+1}, so the heads enumerate v_1..v_m exactly
+    for i, e in enumerate(ot.edge_order):
+        ends = t.edge_by_id[e]
+        assert {ends.a, ends.b} == {vs[ot.tail[i]], vs[i + 1]}
 
     # each later vertex hangs off an earlier one via its incoming edge
-    index = {v: i for i, v in enumerate(vs)}
-    for i, e in enumerate(ot.edge_order):
-        assert index[ot.tail[e]] <= i
+    for i in range(len(ot.edge_order)):
+        assert ot.tail[i] <= i
 
     # incoming edge is last in the linearized local order
+    ref = reference_order_tree(t)
     for i, v in enumerate(vs[1:], start=1):
-        assert ot.local_edges[v][-1] == ot.edge_order[i - 1]
+        assert ref.local[v][-1] == ot.edge_order[i - 1]
 
     # the first-edge walk from any vertex ends at the leaf whose boundary
     # index is the vertex's height
-    bindex = {v: i + 1 for i, v in enumerate(ot.boundary_order)}
-    firsts = first_outgoing(ot)
-    for v in vs:
+    head = {e: vs[i + 1] for i, e in enumerate(ot.edge_order)}
+    bindex = {vs[k]: j + 1 for j, k in enumerate(ot.boundary_order)}
+    firsts = ref.firsts
+    for i, v in enumerate(vs):
         u = v
         while u in firsts:
-            u = head_of(ot, firsts[u])
-        assert bindex[u] == ot.height[v]
+            u = head[firsts[u]]
+        assert bindex[u] == ot.height[i]
 
     # consecutive-head edges are first outgoing edges of their tail, or root
     for i, e in enumerate(ot.edge_order):
-        if ot.tail[e] == vs[i]:
-            assert e == ot.base.root[1] or firsts[ot.tail[e]] == e
+        if ot.tail[i] == i:
+            assert e == ot.base.root[1] or firsts[vs[i]] == e
 
 
 @given(seeds)
@@ -667,7 +728,7 @@ def test_boundary_order_equals_outer_face_walk(seed):
     if root_v in leaves:
         k = leaves.index(root_v)
         leaves = leaves[k + 1 :] + leaves[:k] + [root_v]
-    assert tuple(leaves) == ot.boundary_order
+    assert leaves == ids(ot, ot.boundary_order)
 
 
 @given(seeds)
@@ -676,13 +737,14 @@ def test_quotient_invariants(seed):
     t = random_tree(seed, 14)
     ot = order_tree(t)
     qd = quotient(ot)
-    firsts = first_outgoing(ot)
+    vs = ot.vertex_order
+    firsts = reference_order_tree(t).firsts
     n_contracting = len(firsts)
     assert len(qd.quotient_tree.vertices) == len(t.vertices) - n_contracting
     survivors = set(qd.surviving_edges)
-    for e in ot.edge_order:
+    for i, e in enumerate(ot.edge_order):
         contracted = e not in survivors
-        assert contracted == (qd.q[ot.tail[e]] == qd.q[head_of(ot, e)])
+        assert contracted == (qd.q[vs[ot.tail[i]]] == qd.q[vs[i + 1]])
     assert set(firsts.values()) == set(ot.edge_order) - survivors
 
 
