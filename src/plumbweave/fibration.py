@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -41,6 +40,8 @@ from .lattice import (
     Convention,
     DEFAULT_CONVENTION,
     IntersectionForm,
+    _check_sphere_dim,
+    _int,
     pattern_form,
 )
 from .treecore import (
@@ -77,6 +78,9 @@ class PlumbingDescriptor:
     pattern: UnrootedTree
     sphere_dim: int
 
+    def __post_init__(self):
+        _check_sphere_dim(self.sphere_dim)
+
 
 @dataclass(frozen=True)
 class VanishingCycle:
@@ -84,8 +88,8 @@ class VanishingCycle:
 
     ``label`` records where the cycle came from (``vertex:v3``, ``edge:e0``,
     ``stab:1``) and never changes; ``display`` is the symbolic name, which
-    accumulates a formal twist word under Hurwitz moves.  Only ``cls``
-    participates in equality decisions.
+    accumulates a formal twist word under Hurwitz moves.  ``==`` compares all
+    three; only :func:`equal_homology` and the search compare classes alone.
     """
 
     label: str
@@ -95,11 +99,15 @@ class VanishingCycle:
 
 @dataclass(frozen=True)
 class AbstractLF:
-    """Fiber descriptor plus the cyclically ordered vanishing-cycle word."""
+    """Fiber descriptor plus the cyclically ordered vanishing-cycle word;
+    ``n`` is ``fiber.sphere_dim + 1``, which the fiber checks when built."""
 
     fiber: PlumbingDescriptor
     cycles: tuple[VanishingCycle, ...]
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.fiber.sphere_dim + 1
 
     def word_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(c.cls for c in self.cycles)
@@ -152,24 +160,19 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
         for j in reversed(edges):
             word.append(VanishingCycle(f"edge:e{j}", cls[j + 1], display[j + 1]))
         word.append(VanishingCycle(f"vertex:v{i}", cls[i], display[i]))
-    return AbstractLF(fiber, tuple(word), n)
+    return AbstractLF(fiber, tuple(word))
 
 
 def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
     """One matching cycle per vertex of the input tree.
 
-    Requires the unmoved output of :func:`fibrate` for the same tree, so a
-    word whose ``n`` :func:`fibrate` refuses is not algorithm output either.
+    Requires the unmoved output of :func:`fibrate` for the same tree.
     The root vertex pairs with the root-edge cycle; vertex i pairs with
     vertex i - 1 when edge i - 1 leads from it (``tail[i - 1] == i - 1``)
     and with edge i - 1 otherwise.  Both endpoints always carry the same
     class and denote the same fiber sphere.
     """
-    try:
-        pristine = alf == fibrate(ot, alf.n)
-    except (FormatError, BadDimension):
-        pristine = False
-    if not pristine:
+    if alf != fibrate(ot, alf.n):
         raise NotAlgorithmOutput(
             "matching cycles are defined on the pristine algorithm output"
         )
@@ -201,6 +204,7 @@ def family_tree(m: int, j: int) -> RootedEmbeddedTree:
     For j = m the leaf edge would be first outgoing and the construction
     degenerates, so that index is rejected.
     """
+    m, j = _int(m), _int(j)
     if not 1 <= j <= m - 1:
         raise IndexOutOfRange(f"leaf position {j} not in 1..{m - 1}")
     chain = [f"u{i}" for i in range(m + 1)]
@@ -229,6 +233,7 @@ def family_word(m: int, j: int, n: int) -> AbstractLF:
     cycle-for-cycle.  Total length m + 4.  The interior beta sits at 0-based
     index j + 1; reports print the realized position alongside.
     """
+    m, j = _int(m), _int(j)
     if not 1 <= j <= m:
         raise IndexOutOfRange(f"leaf position {j} not in 1..{m}")
     _check_n(n)
@@ -242,7 +247,7 @@ def family_word(m: int, j: int, n: int) -> AbstractLF:
     for i in range(j, m + 1):
         cycles.append(VanishingCycle(f"vertex:v{i}", alpha, "α"))
     cycles.append(VanishingCycle(f"vertex:v{m + 1}", beta, "β"))
-    return AbstractLF(fiber, tuple(cycles), n)
+    return AbstractLF(fiber, tuple(cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +306,6 @@ def _text(value) -> str:
     return value
 
 
-def _int(value) -> int:
-    """``value`` itself when it is a JSON integer; a float, a string, a
-    boolean (which Python counts as an int) or an int with more decimal
-    digits than the interpreter will write raises :class:`FormatError`."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        # 2000 bits is at most 603 digits, under the smallest limit (640)
-        # that ``sys.set_int_max_str_digits`` accepts
-        if value.bit_length() <= 2000:
-            return value
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit or abs(value) < 10**limit:
-            return value
-        raise FormatError(f"integer of more than {limit} decimal digits")
-    raise FormatError(f"expected an integer, got {value!r}")
-
-
 def _check_n(n) -> None:
     """The rule for the total-space parameter: an integer (see :func:`_int`)
     of at least 2, else :class:`FormatError` or :class:`BadDimension`."""
@@ -333,8 +322,8 @@ def _list(value) -> list:
 
 
 def from_json(text: str) -> AbstractLF:
-    """Inverse of :func:`to_json`; validates structure, tree shape and n,
-    which must be at least 2 as in :func:`fibrate`."""
+    """Inverse of :func:`to_json`; validates structure, tree shape, the fiber
+    and n, which must be at least 2 as in :func:`fibrate` and fit the fiber."""
     doc = load_json(text)
     try:
         pat = doc["fiber"]["pattern"]
@@ -342,7 +331,7 @@ def from_json(text: str) -> AbstractLF:
             tuple(_text(v) for v in _list(pat["vertices"])),
             tuple((_text(a), _text(b)) for a, b in map(_list, _list(pat["edges"]))),
         )
-        fiber = PlumbingDescriptor(pattern, _int(doc["fiber"]["sphere_dim"]))
+        fiber = PlumbingDescriptor(pattern, doc["fiber"]["sphere_dim"])
         rank = len(pattern.vertices)
         cycles = []
         for c in doc["cycles"]:
@@ -363,7 +352,7 @@ def from_json(text: str) -> AbstractLF:
         raise FormatError(
             f"fiber sphere_dim {fiber.sphere_dim} inconsistent with n={n}"
         )
-    return AbstractLF(fiber, tuple(cycles), n)
+    return AbstractLF(fiber, tuple(cycles))
 
 
 def class_word_json(alf: AbstractLF) -> str:
@@ -371,12 +360,11 @@ def class_word_json(alf: AbstractLF) -> str:
 
     Labels and displays are provenance, not identity; this is the byte form
     used to compare two words.  Search does not go through it: it hashes
-    tuples of classes.
+    tuples of interned class ids.
     """
     doc = {
         "sphere_dim": alf.fiber.sphere_dim,
         "rank": len(alf.fiber.pattern.vertices),
-        "n": alf.n,
         "classes": [list(c.cls) for c in alf.cycles],
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"

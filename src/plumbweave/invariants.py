@@ -140,7 +140,7 @@ def _two_cycle_base_variant(n: int) -> AbstractLF:
         VanishingCycle("vertex:v0", (1,), "L_{q(v0)}"),
         VanishingCycle("vertex:v1", (1,), "L_{q(v1)}"),
     )
-    return AbstractLF(PlumbingDescriptor(pattern, n - 1), cycles, n)
+    return AbstractLF(PlumbingDescriptor(pattern, n - 1), cycles)
 
 
 _BASE_CASE_N = (2, 3, 4, 5)

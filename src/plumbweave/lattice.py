@@ -27,7 +27,8 @@ A cycle class is a plain tuple of ints in the basis order of its form.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 
@@ -49,6 +50,29 @@ __all__ = [
     "smith_normal_form",
 ]
 
+
+def _int(value) -> int:
+    """``value`` itself when it is a JSON integer; a float, a string, a
+    boolean (which Python counts as an int) or an int with more decimal
+    digits than the interpreter will write raises :class:`FormatError`."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        # 2000 bits is at most 603 digits, under the smallest limit (640)
+        # that ``sys.set_int_max_str_digits`` accepts
+        if value.bit_length() <= 2000:
+            return value
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or abs(value) < 10**limit:
+            return value
+        raise FormatError(f"integer of more than {limit} decimal digits")
+    raise FormatError(f"expected an integer, got {value!r}")
+
+
+def _check_sphere_dim(sphere_dim) -> None:
+    """A fiber's sphere dimension: :func:`_int`, then at least 1."""
+    if _int(sphere_dim) < 1:
+        raise BadDimension(f"sphere dimension {sphere_dim} below 1")
+
+
 @dataclass(frozen=True)
 class Convention:
     """Sign choices: sphere self-intersection, edge sign, and twist sign."""
@@ -58,10 +82,8 @@ class Convention:
     twist_sign: int = 1
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise FormatError(f"convention {name} must be an integer, got {value!r}")
-        if self.edge_sign not in (1, -1) or self.twist_sign not in (1, -1):
+        _int(self.self_intersection)
+        if _int(self.edge_sign) not in (1, -1) or _int(self.twist_sign) not in (1, -1):
             raise FormatError("edge_sign and twist_sign must be +1 or -1")
 
 
@@ -121,8 +143,7 @@ def pattern_form(
     the adjacency the pattern stored when it was validated, so building
     one does not depend on the size of the pattern.
     """
-    if sphere_dim < 1:
-        raise BadDimension(f"sphere dimension {sphere_dim} below 1")
+    _check_sphere_dim(sphere_dim)
     symmetric = sphere_dim % 2 == 0
     upper = convention.edge_sign
     return IntersectionForm(
@@ -154,7 +175,7 @@ def dehn_twist(
             f"twist on vectors of length {len(l)}, {len(x)} against rank {r}"
         )
     eps = form.convention.twist_sign
-    if power >= 0:
+    if _int(power) >= 0:
         coeff, reps = eps, power
     else:
         s = form.pair(l, l)

@@ -46,13 +46,12 @@ from .fibration import (
     AbstractLF,
     PlumbingDescriptor,
     VanishingCycle,
-    _int,
     _text,
     dump_json,
     fiber_form,
     load_json,
 )
-from .lattice import ANTISYMMETRIC, Convention, DEFAULT_CONVENTION, dehn_twist
+from .lattice import ANTISYMMETRIC, Convention, DEFAULT_CONVENTION, _int, dehn_twist
 from .treecore import UnrootedTree
 
 __all__ = [
@@ -174,7 +173,6 @@ def apply_move(
         return AbstractLF(
             PlumbingDescriptor(new_pattern, alf.fiber.sphere_dim),
             old[:i] + (fresh,) + old[i:],
-            alf.n,
         )
     if move.kind == CYCLIC:
         if not word:
@@ -202,12 +200,11 @@ def replay(
 
 
 def _same_fiber(a: AbstractLF, b: AbstractLF) -> bool:
-    """Structurally identical fibers: sphere dimension, n, and the pattern
-    compared by position (the relabeling is fixed by construction)."""
+    """Structurally identical fibers: sphere dimension (hence n) and the
+    pattern compared by position (the relabeling is fixed by construction)."""
     fa, fb = a.fiber, b.fiber
     return (
         fa.sphere_dim == fb.sphere_dim
-        and a.n == b.n
         and len(fa.pattern.vertices) == len(fb.pattern.vertices)
         and fa.pattern.edge_index_pairs() == fb.pattern.edge_index_pairs()
     )
@@ -263,6 +260,7 @@ def search_equivalence(
     inverse raises :class:`NonInvertibleTwist` where a one-sided search
     meets it.
     """
+    _int(max_depth)
     if not _same_fiber(a, b):
         raise DimensionMismatch("search requires identical fibers")
     if len(a.cycles) != len(b.cycles):

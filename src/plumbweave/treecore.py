@@ -329,10 +329,6 @@ class UnrootedTree:
         pos = {v: i for i, v in enumerate(self.vertices)}
         if len(pos) != len(self.vertices):
             raise DuplicateId("duplicate pattern vertex")
-        if len(self.edges) != len(self.vertices) - 1:
-            raise CycleDetected(
-                f"{len(self.edges)} edges on {len(self.vertices)} vertices is not a tree"
-            )
         pairs = []
         for a, b in self.edges:
             i, j = pos.get(a), pos.get(b)
@@ -390,7 +386,9 @@ def quotient(ot: OrderedTree) -> QuotientData:
 def random_tree(seed: int, max_vertices: int) -> RootedEmbeddedTree:
     """Deterministic-in-seed random rooted plane tree with 2..max_vertices
     vertices, a shuffled rotation system, and a random legal root."""
-    if max_vertices < 2:
+    from .lattice import _int  # lattice imports this module
+
+    if _int(max_vertices) < 2:
         raise IndexOutOfRange("max_vertices must be at least 2")
     rng = random.Random(seed)
     nv = rng.randint(2, max_vertices)

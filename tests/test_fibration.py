@@ -1,11 +1,13 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
+    AbstractLF,
+    PlumbingDescriptor,
     cyclic_permute,
     equal_homology,
     family_tree,
@@ -34,6 +36,7 @@ from plumbweave.fibration import (
     render_svg,
     write_atomic,
 )
+from plumbweave.lattice import pattern_form
 from plumbweave.treecore import UnrootedTree
 from .conftest import EX_TEXT
 from .test_treecore import prefix_subtree, reference_order_tree
@@ -229,18 +232,53 @@ def test_matching_rejects_moved_word(ex_ordered):
         matching_cycles(alf, ex_ordered)
 
 
-@pytest.mark.parametrize("n", ["3", 3.0, None, 1, True], ids=repr)
-def test_matching_refuses_a_word_whose_n_fibrate_refuses(ex_ordered, n):
-    alf = replace(fibrate(ex_ordered, 3), n=n)
-    with pytest.raises(NotAlgorithmOutput):
-        matching_cycles(alf, ex_ordered)
+BAD_SPHERE_DIMS = [
+    pytest.param("2", FormatError, id="'2'"),
+    pytest.param(2.0, FormatError, id="2.0"),
+    pytest.param(None, FormatError, id="None"),
+    pytest.param(True, FormatError, id="True"),
+    pytest.param(10**5000, FormatError, id="10**5000"),
+    pytest.param(0, BadDimension, id="0"),
+    pytest.param(-1, BadDimension, id="-1"),
+]
+
+
+@pytest.mark.parametrize("dim, error", BAD_SPHERE_DIMS)
+def test_fiber_and_form_refuse_a_sphere_dim_below_1_or_not_an_integer(ex_ordered, dim, error):
+    # n is the fiber's sphere_dim + 1, so a word's n is refused with its fiber
+    pattern = quotient(ex_ordered).quotient_tree
+    with pytest.raises(error):
+        PlumbingDescriptor(pattern, dim)
+    with pytest.raises(error):
+        pattern_form(pattern, dim)
+
+
+def test_a_word_stores_its_fiber_and_cycles_only(ex_ordered):
+    alf = fibrate(ex_ordered, 4)
+    assert [f.name for f in fields(AbstractLF)] == ["fiber", "cycles"]
+    assert alf.n == alf.fiber.sphere_dim + 1 == 4
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+@given(json_scalars)
+@settings(max_examples=300, deadline=None)
+def test_a_word_of_any_sphere_dim_is_refused_or_round_trips(dim):
+    alf = family_word(2, 1, 3)
+    try:
+        alf = replace(alf, fiber=replace(alf.fiber, sphere_dim=dim))
+    except (FormatError, BadDimension):
+        return
+    assert from_json(to_json(alf)) == alf
 
 
 def _moved_words(ot, n):
     """(move, word) for every kind of moved word: a Hurwitz move at each
-    index, once and twice, a cyclic move, a stabilization, another n, the
-    word of another tree with as many vertices, and words whose labels and
-    displays are pristine but whose classes or fiber are not."""
+    index, once and twice, a cyclic move, a stabilization, the word of
+    another tree with as many vertices, and words whose labels and displays
+    are pristine but whose classes or fiber are not.  Another n is no such
+    kind: n is read off the fiber, so that word is pristine at its own n."""
     alf = fibrate(ot, n)
     for i in range(len(alf.cycles) - 1):
         for move in (hurwitz_a, hurwitz_b):
@@ -248,8 +286,6 @@ def _moved_words(ot, n):
             yield f"{move.__name__}({i}) twice", move(move(alf, i), i)
     yield "cyclic_permute", cyclic_permute(alf)
     yield "stabilize", stabilize(alf, "w0", len(alf.cycles))
-    yield "n + 1", replace(alf, n=n + 1)
-    yield "n = 1", replace(alf, n=1, fiber=replace(alf.fiber, sphere_dim=0))
     rerooted = order_tree(parse_tree(EX_TEXT.replace("root v0 e0", "root v0 e4")))
     yield "another tree", fibrate(rerooted, n)
     # the last cycle is not the first of its class in the word
@@ -273,7 +309,7 @@ def test_matching_rejects_every_moved_word(ex_ordered, n):
             matching_cycles(alf, ex_ordered)
             pytest.fail(f"{move} accepted")
         kinds += 1
-    assert kinds == 4 * 9 + 8
+    assert kinds == 4 * 9 + 6
 
 
 @st.composite
@@ -285,7 +321,7 @@ def words_and_trees(draw):
     t_read = random_tree(draw(seeds), 6) if draw(st.booleans()) else t_word
     alf = fibrate(order_tree(t_word), draw(st.sampled_from([2, 3, 4])))
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["a", "b", "c", "s", "n", "dim", "json"]))
+        kind = draw(st.sampled_from(["a", "b", "c", "s", "n", "json"]))
         i = draw(st.integers(0, len(alf.cycles) - 2))
         if kind == "a":
             alf = hurwitz_a(alf, i)
@@ -295,14 +331,11 @@ def words_and_trees(draw):
             alf = cyclic_permute(alf)
         elif kind == "s":
             alf = stabilize(alf, "w0", i)
-        elif kind == "n":
-            alf = replace(alf, n=draw(st.integers(1, 5)))
         elif kind == "json":
-            if alf.fiber.sphere_dim == alf.n - 1:  # from_json refuses the others
-                alf = from_json(to_json(alf))  # equal classes, not shared tuples
-        else:  # another n with the matching fiber: still pristine
+            alf = from_json(to_json(alf))  # equal classes, not shared tuples
+        else:  # another n: still pristine unless the word was moved
             n = draw(st.integers(2, 5))
-            alf = replace(alf, n=n, fiber=replace(alf.fiber, sphere_dim=n - 1))
+            alf = replace(alf, fiber=replace(alf.fiber, sphere_dim=n - 1))
     return alf, order_tree(t_read)
 
 
@@ -310,7 +343,7 @@ def words_and_trees(draw):
 @settings(max_examples=300, deadline=None)
 def test_matching_accepts_exactly_the_pristine_word(case):
     alf, ot = case
-    pristine = alf.n >= 2 and alf == fibrate(ot, alf.n)
+    pristine = alf == fibrate(ot, alf.n)
     try:
         pairs = matching_cycles(alf, ot)
     except NotAlgorithmOutput:
@@ -364,7 +397,6 @@ def test_layout_single_cycle():
     lone = AbstractLF(
         PlumbingDescriptor(UnrootedTree(("w0",), ()), 2),
         (VanishingCycle("vertex:v0", (1,), "L_{w0}"),),
-        3,
     )
     assert layout(lone) == (0.0,)
 
@@ -436,6 +468,21 @@ def test_family_tree_rejects_last_position():
 def test_family_word_range():
     with pytest.raises(IndexOutOfRange):
         family_word(3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "build, m, j",
+    [
+        (family_word, True, 1),
+        (family_word, 6.0, 1),
+        (family_word, 6, "1"),
+        (family_tree, 4, 2.0),
+        (family_tree, "4", 2),
+    ],
+)
+def test_family_refuses_a_size_or_position_that_is_not_an_integer(build, m, j):
+    with pytest.raises(FormatError):
+        build(m, j, 3) if build is family_word else build(m, j)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +595,6 @@ def test_class_word_json_ignores_labels(ex_ordered):
             c.__class__(f"vertex:v{i}", c.cls, "renamed")
             for i, c in enumerate(alf.cycles)
         ),
-        alf.n,
     )
     assert class_word_json(alf) == class_word_json(relabeled)
     assert to_json(alf) != to_json(relabeled)

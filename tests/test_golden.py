@@ -71,6 +71,9 @@ CASES = {
     "selftest_json": ("selftest --trees 40 --oracle-trees 8 --json", None),
     "bad_tree_line": ("order {in}/bad.tree", None),
     "bad_move_kind": ("moves replay {in}/ex_n3.json {in}/bad_kind.json", None),
+    "bad_fibration_n": ("moves replay {in}/bad_n.json {in}/seq.json", None),
+    "bad_fibration_sphere_dim": ("moves replay {in}/bad_sphere_dim.json {in}/seq.json", None),
+    "bad_fibration_pattern": ("moves replay {in}/bad_pattern.json {in}/seq.json", None),
 }
 
 

@@ -140,7 +140,7 @@ def test_homology_matches_boundary_snf_on_arbitrary_words(r, m, n, data):
     chain = UnrootedTree(
         tuple(f"w{i}" for i in range(r)), tuple((f"w{i}", f"w{i + 1}") for i in range(r - 1))
     )
-    alf = AbstractLF(PlumbingDescriptor(chain, n - 1), (), n)
+    alf = AbstractLF(PlumbingDescriptor(chain, n - 1), ())
     word = data.draw(
         st.lists(st.lists(st.integers(-6, 6), min_size=r, max_size=r), min_size=m, max_size=m)
     )

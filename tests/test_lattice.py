@@ -89,6 +89,7 @@ def test_form_convention_overrides():
         {"twist_sign": -1.0},
         {"twist_sign": False},
         {"self_intersection": "-2"},
+        {"self_intersection": 10**5000},
     ],
 )
 def test_convention_rejects_non_integer_fields(fields):
@@ -179,6 +180,12 @@ def test_twist_transvects_antisymmetric():
 def test_twist_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dehn_twist(a2_form(3), ALPHA, (1, 0, 0))
+
+
+@pytest.mark.parametrize("power", [1.5, "1", True])
+def test_twist_refuses_a_power_that_is_not_an_integer(power):
+    with pytest.raises(FormatError):
+        dehn_twist(a2_form(3), ALPHA, BETA, power)
 
 
 def test_twist_non_invertible():

@@ -254,9 +254,10 @@ def test_equal_homology_compares_n():
     from dataclasses import replace
 
     alf = family_word(2, 1, 5)
-    assert not equal_homology(alf, replace(alf, n=7))
+    other = replace(alf, fiber=replace(alf.fiber, sphere_dim=6))
+    assert not equal_homology(alf, other)
     with pytest.raises(DimensionMismatch):
-        search_equivalence(alf, replace(alf, n=7), 1)
+        search_equivalence(alf, other, 1)
 
 
 def test_family_shift_equivalence_by_parity():
@@ -295,6 +296,13 @@ def test_search_family_witness():
 def test_search_not_found_is_none():
     a, b = family_word(6, 1, 5), family_word(6, 5, 5)
     assert search_equivalence(a, b, 1) is None
+
+
+@pytest.mark.parametrize("max_depth", [2.5, "3", True])
+def test_search_refuses_a_depth_that_is_not_an_integer(max_depth):
+    # a depth of 2.5 would let the search return a witness of 3 moves
+    with pytest.raises(FormatError):
+        search_equivalence(family_word(6, 1, 5), family_word(6, 5, 5), max_depth)
 
 
 def test_search_requires_compatible_inputs():

@@ -73,6 +73,16 @@ def test_parse_self_loop():
 def test_parse_disconnected():
     with pytest.raises(Disconnected, match="tree: 2 connected components"):
         parse_tree("root a ab\nedge ab a b\nedge cd c d\n")
+
+
+def test_pattern_with_too_few_edges_is_disconnected():
+    with pytest.raises(Disconnected, match="pattern: 2 connected components"):
+        UnrootedTree(("a", "b", "c"), (("a", "b"),))
+
+
+def test_pattern_with_too_many_edges_names_the_edge_closing_a_cycle():
+    with pytest.raises(CycleDetected, match="pattern: edge 'b'--'a' closes a cycle"):
+        UnrootedTree(("a", "b"), (("a", "b"), ("b", "a")))
     with pytest.raises(Disconnected, match="tree: 3 connected components"):
         parse_tree("root a ab\nedge ab a b\nedge cd c d\nedge ef e f\nedge eg e g\n")
 
@@ -373,6 +383,11 @@ def test_random_tree_two_vertices():
     assert len(t.edges) == 1
 
 
+def test_random_tree_refuses_a_size_that_is_not_an_integer():
+    with pytest.raises(FormatError):
+        random_tree(1, 14.5)
+
+
 def test_random_tree_deterministic():
     assert random_tree(99, 14) == random_tree(99, 14)
 
@@ -585,7 +600,7 @@ def reference_fibrate(ref: ReferenceOrder, n: int) -> AbstractLF:
             extras.sort(key=edge_index.__getitem__)
             word.extend(edge_cycle(e) for e in reversed(extras))
         word.append(vertex_cycle(v))
-    return AbstractLF(PlumbingDescriptor(qd.quotient_tree, n - 1), tuple(word), n)
+    return AbstractLF(PlumbingDescriptor(qd.quotient_tree, n - 1), tuple(word))
 
 
 def tree_text(t: RootedEmbeddedTree, keep_rot) -> str:
