@@ -323,7 +323,9 @@ def _list(value) -> list:
 
 def from_json(text: str) -> AbstractLF:
     """Inverse of :func:`to_json`; validates structure, tree shape, the fiber
-    and n, which must be at least 2 as in :func:`fibrate` and fit the fiber."""
+    and n, which must be at least 2 as in :func:`fibrate` and fit the fiber.
+    Cycles with equal coordinates share one class tuple, as in
+    :func:`fibrate`, so the homology certificate reads each class once."""
     doc = load_json(text)
     try:
         pat = doc["fiber"]["pattern"]
@@ -334,12 +336,14 @@ def from_json(text: str) -> AbstractLF:
         fiber = PlumbingDescriptor(pattern, doc["fiber"]["sphere_dim"])
         rank = len(pattern.vertices)
         cycles = []
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal checked classes, one object
         for c in doc["cycles"]:
             coords = tuple(_int(x) for x in c["coords"])
             if len(coords) != rank:
                 raise FormatError(
                     f"cycle coords of length {len(coords)} against fiber rank {rank}"
                 )
+            coords = shared.setdefault(coords, coords)
             label = _text(c["label"])
             if label.split(":", 1)[0] not in _LABEL_KINDS:
                 raise FormatError(f"unknown cycle label kind in {label!r}")

@@ -17,6 +17,9 @@ bundles along a tree pattern, so its middle homology is free on one class
   homology computations: one sparse elimination loop whose pivots are
   entries of least magnitude, so the ±1 entries go first and any other
   pivot is reduced by remainders until it divides its row and column.
+  It reads each distinct row object once, so a word whose cycles share
+  their class tuples (as ``fibrate`` builds them) costs one scan per
+  distinct class, not one per cycle.
 
 Signs are not canonical; they live in a :class:`Convention` record that each
 report embeds.  With the defaults (``s=-2, eps=+1``) the twist around a class
@@ -68,9 +71,12 @@ def _int(value) -> int:
 
 
 def _check_sphere_dim(sphere_dim) -> None:
-    """A fiber's sphere dimension: :func:`_int`, then at least 1."""
+    """A fiber's sphere dimension: :func:`_int`, then at least 1; its ``n``,
+    ``sphere_dim + 1``, which the fibration JSON writes, passes :func:`_int`
+    too."""
     if _int(sphere_dim) < 1:
         raise BadDimension(f"sphere dimension {sphere_dim} below 1")
+    _int(sphere_dim + 1)
 
 
 @dataclass(frozen=True)
@@ -213,6 +219,13 @@ def smith_normal_form(mat) -> SmithResult:
     kernel rank of the matrix as a map on column vectors, and the cokernel
     as (free rank, torsion orders).  Arithmetic is exact for any magnitude.
 
+    A row that is the same object as an earlier row is read once: one row
+    operation would make the repeat a zero row, so it is loaded as one and
+    still counts in the number of rows.  Its length is still checked, and
+    its entries were type-checked when the first copy was read.  Rows equal
+    only in value are each read, since an equal row may hold a ``bool`` or
+    ``float`` that the type check must refuse.
+
     One elimination loop on the matrix held as sparse columns.  Each step
     takes as pivot an entry u of least magnitude, and among those one of
     least Markowitz cost (column support - 1) * (row support - 1), so the
@@ -229,9 +242,13 @@ def smith_normal_form(mat) -> SmithResult:
     ncols = len(mat[0]) if nrows else 0
     cols: dict[int, dict[int, int]] = {}  # column -> {row: nonzero entry}
     row_cols: dict[int, set[int]] = {}  # row -> columns with a nonzero in it
+    read: dict[int, object] = {}  # id -> row read; holding the row keeps its id unique
     for i, row in enumerate(mat):
         if len(row) != ncols:
             raise DimensionMismatch("ragged matrix")
+        if id(row) in read:
+            continue  # a row already read: one row operation would zero this repeat
+        read[id(row)] = row
         support = row_cols[i] = set()
         for j in compress(range(ncols), row):
             v = row[j]

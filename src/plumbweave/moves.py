@@ -148,7 +148,8 @@ def apply_move(
 ) -> AbstractLF:
     """The one entry for every move, which checks it against the word.
     Stabilized classes re-embed with a zero coordinate in the new direction,
-    so old pairings are unchanged.  A cyclic or Hurwitz move runs
+    so old pairings are unchanged; cycles that shared a class object share
+    its grown tuple.  A cyclic or Hurwitz move runs
     :func:`_move_word` on the vanishing cycles: a twisted cycle keeps its
     label and its display records the twist."""
     word = alf.cycles
@@ -166,7 +167,8 @@ def apply_move(
         new_pattern = UnrootedTree(
             pattern.vertices + (new_v,), pattern.edges + ((move.vertex, new_v),)
         )
-        old = tuple(VanishingCycle(c.label, c.cls + (0,), c.display) for c in word)
+        grown = {id(c.cls): c.cls + (0,) for c in word}  # each shared class grown once
+        old = tuple(VanishingCycle(c.label, grown[id(c.cls)], c.display) for c in word)
         fresh = VanishingCycle(
             f"stab:{k}", (0,) * len(pattern.vertices) + (1,), f"L_{{{new_v}}}"
         )

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -253,6 +254,23 @@ def test_fiber_and_form_refuse_a_sphere_dim_below_1_or_not_an_integer(ex_ordered
         pattern_form(pattern, dim)
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on the digits of an integer",
+)
+def test_a_sphere_dim_whose_n_is_too_long_to_write_is_refused():
+    limit = sys.get_int_max_str_digits()
+    alf = family_word(2, 1, 3)
+    pattern = alf.fiber.pattern
+    # 10**limit - 1 has as many digits as the interpreter writes; its n has one more
+    with pytest.raises(FormatError):
+        PlumbingDescriptor(pattern, 10**limit - 1)
+    with pytest.raises(FormatError):
+        pattern_form(pattern, 10**limit - 1)
+    longest = replace(alf, fiber=PlumbingDescriptor(pattern, 10**limit - 2))
+    assert from_json(to_json(longest)) == longest
+
+
 def test_a_word_stores_its_fiber_and_cycles_only(ex_ordered):
     alf = fibrate(ex_ordered, 4)
     assert [f.name for f in fields(AbstractLF)] == ["fiber", "cycles"]
@@ -494,6 +512,18 @@ def test_json_round_trip(ex_ordered):
     text = to_json(alf)
     assert from_json(text) == alf
     assert to_json(from_json(text)) == text
+
+
+def test_json_shares_equal_classes(ex_ordered):
+    alf = fibrate(ex_ordered, 3)
+    doc = json.loads(to_json(alf))
+    doc["cycles"][0]["coords"] = [True, 0, 0, 0]
+    with pytest.raises(FormatError):  # a class equal in value is still checked
+        from_json(json.dumps(doc))
+    for word in (alf, hurwitz_a(hurwitz_a(alf, 0), 3)):
+        back = from_json(to_json(word))
+        assert back == word
+        assert len({id(c.cls) for c in back.cycles}) == len({c.cls for c in word.cycles})
 
 
 def test_json_round_trip_after_moves(ex_ordered):

@@ -242,6 +242,23 @@ def test_word_matches_oracle_at_largest_scale(n):
     assert total_homology(alf) == wedge_oracle(t, n)
 
 
+@pytest.mark.slow
+def test_word_matches_oracle_at_8000_vertices():
+    # a fibrate word holds one class object per fiber vertex, and the Smith
+    # normal form reads each once; moved classes are read one by one
+    t = random_tree(2, 8000)
+    assert len(t.vertices) == 7833
+    pristine = fibrate(order_tree(t), 3)
+    assert len({id(c) for c in pristine.word_classes()}) == len(pristine.fiber.pattern.vertices)
+    assert total_homology(pristine) == wedge_oracle(t, 3)
+    rng = random.Random(3)
+    alf = pristine
+    for _ in range(50):
+        alf = hurwitz_a(alf, rng.randrange(len(alf.cycles) - 1))
+    assert alf.word_classes() != pristine.word_classes()
+    assert total_homology(alf) == wedge_oracle(t, 3)
+
+
 # ---------------------------------------------------------------------------
 # parity discrimination: the same push is trivial or not depending on the
 # pairing parity, matching the family verification

@@ -673,3 +673,46 @@ def test_snf_non_unit_pivots_at_scale():
     assert all(d[k + 1] % d[k] == 0 for k in range(len(d) - 1))
     assert prod(d) == abs(bareiss_det(mat))
     assert min(times) < 1.0, times
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form: a row object that repeats is read once
+
+
+@given(int_matrices(6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_snf_of_repeated_row_objects_matches_copies(mat, data):
+    rows = [tuple(row) for row in mat] or [()]
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))
+    shared = [rows[k] for k in picks]
+    copies = [tuple(list(row)) for row in shared]
+    assert all(a is not b for a, b in zip(shared, copies) if a)  # () is a singleton
+    res = smith_normal_form(shared)
+    assert res == smith_normal_form(copies) == reference_smith(copies)
+
+
+class CountingRow(tuple):
+    """A row that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def test_snf_reads_a_repeated_row_object_once():
+    row = CountingRow((0, 3, 0, 1))
+    row.reads = 0
+    res = smith_normal_form([row] * 50)
+    assert row.reads == 1
+    assert res == reference_smith([tuple(row)] * 50)
+    assert res.cokernel == (49, ())
+
+
+@pytest.mark.parametrize("bad", [(1, True), (2.0, 0), (0, 1.0)])
+def test_snf_refuses_a_repeated_row_object_with_a_non_integer_entry(bad):
+    # equal in value to an int row, so deduplicating by value would hide it
+    assert bad == tuple(map(int, bad))
+    with pytest.raises(FormatError, match=re.escape("entry (1, ")):
+        smith_normal_form([(1, 1), bad, bad, bad])
+    with pytest.raises(FormatError):
+        smith_normal_form([tuple(map(int, bad))] + [bad] * 3)

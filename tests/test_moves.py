@@ -210,6 +210,16 @@ def test_stabilize_preserves_old_pairings(ex_ordered):
     assert gform.pair(unit(r + 1, r), unit(r + 1, form.basis.index("w2"))) != 0
 
 
+def test_stabilize_keeps_shared_classes_shared(ex_ordered):
+    alf = fibrate(ex_ordered, 3)
+    grown = stabilize(alf, "w2", 4)
+    ids = {id(c.cls) for c in alf.cycles}
+    assert len({id(c.cls) for c in grown.cycles}) == len(ids) + 1
+    assert [c.cls for c in grown.cycles[:4] + grown.cycles[5:]] == [
+        c.cls + (0,) for c in alf.cycles
+    ]
+
+
 def test_stabilize_argument_checks(a2_ordered):
     alf = fibrate(a2_ordered, 3)
     with pytest.raises(UnknownVertex):
