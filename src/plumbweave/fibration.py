@@ -338,7 +338,7 @@ def from_json(text: str) -> AbstractLF:
         cycles = []
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal checked classes, one object
         for c in doc["cycles"]:
-            coords = tuple(_int(x) for x in c["coords"])
+            coords = tuple(map(_int, c["coords"]))
             if len(coords) != rank:
                 raise FormatError(
                     f"cycle coords of length {len(coords)} against fiber rank {rank}"

@@ -167,7 +167,8 @@ def apply_move(
         new_pattern = UnrootedTree(
             pattern.vertices + (new_v,), pattern.edges + ((move.vertex, new_v),)
         )
-        grown = {id(c.cls): c.cls + (0,) for c in word}  # each shared class grown once
+        distinct = {id(c.cls): c.cls for c in word}
+        grown = {k: x + (0,) for k, x in distinct.items()}  # each class object grown once
         old = tuple(VanishingCycle(c.label, grown[id(c.cls)], c.display) for c in word)
         fresh = VanishingCycle(
             f"stab:{k}", (0,) * len(pattern.vertices) + (1,), f"L_{{{new_v}}}"

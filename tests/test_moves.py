@@ -220,6 +220,28 @@ def test_stabilize_keeps_shared_classes_shared(ex_ordered):
     ]
 
 
+class CountingClass(tuple):
+    """A class tuple that counts how often it is grown."""
+
+    def __add__(self, other):
+        self.grows += 1
+        return tuple(self) + other
+
+
+def test_stabilize_grows_each_class_object_once(ex_ordered):
+    alf = fibrate(ex_ordered, 3)
+    counted = {}
+    for c in alf.cycles:
+        counted.setdefault(c.cls, CountingClass(c.cls)).grows = 0
+    shared = replace(
+        alf, cycles=tuple(replace(c, cls=counted[c.cls]) for c in alf.cycles)
+    )
+    assert len(counted) < len(alf.cycles)
+    grown = stabilize(shared, "w2", 0)
+    assert [x.grows for x in counted.values()] == [1] * len(counted)
+    assert grown == stabilize(alf, "w2", 0)
+
+
 def test_stabilize_argument_checks(a2_ordered):
     alf = fibrate(a2_ordered, 3)
     with pytest.raises(UnknownVertex):
