@@ -49,6 +49,7 @@ from .treecore import (
     OrderedTree,
     RootedEmbeddedTree,
     UnrootedTree,
+    _incidence,
     quotient,
 )
 
@@ -199,10 +200,11 @@ def layout(alf: AbstractLF) -> tuple[float, ...]:
 def family_tree(m: int, j: int) -> RootedEmbeddedTree:
     """Chain u_0 -> ... -> u_m with one extra leaf at u_j (1 <= j <= m-1).
 
-    The leaf edge sits after the chain edge in u_j's rotation, so it is not
-    a first outgoing edge and the quotient pattern is the two-vertex chain.
-    For j = m the leaf edge would be first outgoing and the construction
-    degenerates, so that index is rejected.
+    Every rotation is the edge declaration order, so the leaf edge sits
+    after the chain edge in u_j's rotation; it is not a first outgoing edge
+    and the quotient pattern is the two-vertex chain.  For j = m the leaf
+    edge would be first outgoing and the construction degenerates, so that
+    index is rejected.
     """
     m, j = _int(m), _int(j)
     if not 1 <= j <= m - 1:
@@ -211,17 +213,7 @@ def family_tree(m: int, j: int) -> RootedEmbeddedTree:
     vertices = tuple(chain) + ("x",)
     edges = [Edge(f"c{i}", chain[i], chain[i + 1]) for i in range(m)]
     edges.append(Edge("d", chain[j], "x"))
-    rotation: dict[str, tuple[str, ...]] = {}
-    for i, v in enumerate(chain):
-        rot: list[str] = []
-        if i < m:
-            rot.append(f"c{i}")
-        if i == j:
-            rot.append("d")
-        if i > 0:
-            rot.append(f"c{i - 1}")
-        rotation[v] = tuple(rot)
-    rotation["x"] = ("d",)
+    rotation = {v: tuple(ids) for v, ids in _incidence(vertices, edges).items()}
     return RootedEmbeddedTree(vertices, tuple(edges), rotation, (chain[0], "c0"))
 
 

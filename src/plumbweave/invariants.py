@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch
-from .fibration import AbstractLF, PlumbingDescriptor, VanishingCycle, fibrate
+from .fibration import AbstractLF, PlumbingDescriptor, VanishingCycle, _check_n, fibrate
 from .lattice import smith_normal_form
 from .treecore import RootedEmbeddedTree, UnrootedTree, order_tree, parse_tree
 
@@ -122,7 +122,9 @@ def total_homology(alf: AbstractLF) -> HomologyReport:
 
 
 def wedge_oracle(t: RootedEmbeddedTree, n: int) -> HomologyReport:
-    """Expected report for the plumbing along ``t``: a wedge of |V| spheres."""
+    """Expected report for the plumbing along ``t``: a wedge of |V| spheres.
+    ``n`` follows the rule of :func:`fibrate`."""
+    _check_n(n)
     nv = len(t.vertices)
     return HomologyReport(
         euler=1 + (-1) ** n * nv,

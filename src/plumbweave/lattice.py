@@ -34,6 +34,7 @@ import sys
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import (
     BadDimension,
@@ -41,7 +42,9 @@ from .errors import (
     FormatError,
     NonInvertibleTwist,
 )
-from .treecore import UnrootedTree
+
+if TYPE_CHECKING:
+    from .treecore import UnrootedTree
 
 __all__ = [
     "Convention",

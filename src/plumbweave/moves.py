@@ -261,9 +261,10 @@ def search_equivalence(
     that these moves do not reach b, not that the fibrations differ.
     Otherwise only the forward side grows, and a twist that has no integer
     inverse raises :class:`NonInvertibleTwist` where a one-sided search
-    meets it.
+    meets it.  A negative ``max_depth`` raises :class:`IndexOutOfRange`.
     """
-    _int(max_depth)
+    if _int(max_depth) < 0:
+        raise IndexOutOfRange(f"search depth {max_depth} below 0")
     if not _same_fiber(a, b):
         raise DimensionMismatch("search requires identical fibers")
     if len(a.cycles) != len(b.cycles):

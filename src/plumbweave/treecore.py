@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     BadRoot,
@@ -52,6 +53,7 @@ from .errors import (
     IndexOutOfRange,
     UnknownVertex,
 )
+from .lattice import _int
 
 __all__ = [
     "Edge",
@@ -66,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Undirected edge record; orientation is derived later from the root."""
 
     id: str
@@ -80,6 +81,17 @@ class Edge:
         if v == self.b:
             return self.a
         raise UnknownVertex(f"vertex {v!r} is not an endpoint of edge {self.id!r}")
+
+
+def _incidence(vertices, edges) -> dict[str, list[str]]:
+    """The ids of the edges at each vertex, in declaration order: the default
+    rotation, and what every rotation must permute.  Every endpoint must be
+    one of ``vertices``."""
+    incident: dict[str, list[str]] = {v: [] for v in vertices}
+    for eid, a, b in edges:
+        incident[a].append(eid)
+        incident[b].append(eid)
+    return incident
 
 
 def _check_tree_shape(vertices, index_pairs, *, what: str) -> None:
@@ -105,19 +117,6 @@ def _check_tree_shape(vertices, index_pairs, *, what: str) -> None:
         raise Disconnected(f"{what}: {components} connected components")
 
 
-def _lists_incident_edges(v, rot, degree: int, by_id) -> bool:
-    """Whether ``rot`` lists each of the ``degree`` edges at ``v`` exactly
-    once.  Edge ids are unique, so that holds iff it has ``degree`` distinct
-    entries and each is the id of an edge incident to ``v``."""
-    if len(rot) != degree or len(set(rot)) != degree:
-        return False
-    for eid in rot:
-        e = by_id.get(eid)
-        if e is None or (e.a != v and e.b != v):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class RootedEmbeddedTree:
     """A plane tree (rotation system) with a chosen (vertex, edge) root.
@@ -141,24 +140,29 @@ class RootedEmbeddedTree:
         if len(pos) != len(self.vertices):
             raise DuplicateId("duplicate vertex identifier")
         by_id: dict[str, Edge] = {}
-        degree = [0] * len(pos)
-        pairs = []
+        # the positions of the ends of each edge, as two lists of ints, which
+        # the cyclic garbage collector does not track, not a list of pairs
+        a_pos, b_pos = [], []
         for e in self.edges:
-            if e.id in by_id:
-                raise DuplicateId(f"duplicate edge identifier {e.id!r}")
-            by_id[e.id] = e
-            i, j = pos.get(e.a), pos.get(e.b)
-            if i is None or j is None:
-                raise UnknownVertex(f"edge {e.id!r} references an unknown vertex")
-            degree[i] += 1
-            degree[j] += 1
-            pairs.append((i, j))
-        _check_tree_shape(self.vertices, pairs, what="tree")
+            eid, a, b = e
+            if eid in by_id:
+                raise DuplicateId(f"duplicate edge identifier {eid!r}")
+            by_id[eid] = e
+            try:
+                a_pos.append(pos[a])
+                b_pos.append(pos[b])
+            except KeyError:
+                raise UnknownVertex(f"edge {eid!r} references an unknown vertex") from None
+        _check_tree_shape(self.vertices, zip(a_pos, b_pos), what="tree")
 
         if set(self.rotation) != pos.keys():
             raise BadRotation("rotation must cover exactly the vertex set")
-        for v, d in zip(self.vertices, degree):
-            if not _lists_incident_edges(v, self.rotation[v], d, by_id):
+        # edge ids are unique and a tree has no self-loop, so the ids at v
+        # are distinct, and a rotation of as many entries that holds them
+        # all is a permutation of them
+        for v, ids in _incidence(self.vertices, self.edges).items():
+            rot = self.rotation[v]
+            if len(rot) != len(ids) or not set(rot).issuperset(ids):
                 raise BadRotation(
                     f"rotation at {v!r} is not a permutation of its incident edges"
                 )
@@ -220,15 +224,8 @@ def parse_tree(text: str) -> RootedEmbeddedTree:
         if v not in vertices:
             raise BadRotation(f"rot line for unknown vertex {v!r}")
 
-    # incidence lists only where a rot line is missing; duplicate edge ids
-    # are left to RootedEmbeddedTree's validation
-    incident: dict[str, list[str]] = {v: [] for v in vertices if v not in rot_lines}
-    if incident:
-        for e in edges:
-            if e.a in incident:
-                incident[e.a].append(e.id)
-            if e.b in incident:
-                incident[e.b].append(e.id)
+    # duplicate edge ids are left to RootedEmbeddedTree's validation
+    incident = _incidence(vertices, edges) if len(rot_lines) < len(vertices) else {}
     rotation = {v: rot_lines.get(v) or tuple(incident[v]) for v in vertices}
     return RootedEmbeddedTree(tuple(vertices), tuple(edges), rotation, root)
 
@@ -386,8 +383,6 @@ def quotient(ot: OrderedTree) -> QuotientData:
 def random_tree(seed: int, max_vertices: int) -> RootedEmbeddedTree:
     """Deterministic-in-seed random rooted plane tree with 2..max_vertices
     vertices, a shuffled rotation system, and a random legal root."""
-    from .lattice import _int  # lattice imports this module
-
     if _int(max_vertices) < 2:
         raise IndexOutOfRange("max_vertices must be at least 2")
     rng = random.Random(seed)
@@ -414,13 +409,8 @@ def random_tree(seed: int, max_vertices: int) -> RootedEmbeddedTree:
         pairs.append((heapq.heappop(leaves), heapq.heappop(leaves)))
 
     edges = tuple(Edge(f"g{i}", labels[a], labels[b]) for i, (a, b) in enumerate(pairs))
-    incident: dict[str, list[str]] = {v: [] for v in labels}
-    for e in edges:
-        incident[e.a].append(e.id)
-        incident[e.b].append(e.id)
     rotation = {}
-    for v in labels:
-        rot = list(incident[v])
+    for v, rot in _incidence(labels, edges).items():
         rng.shuffle(rot)
         rotation[v] = tuple(rot)
     root_v = labels[rng.randrange(nv)]

@@ -476,6 +476,18 @@ def test_family_tree_matches_family_word(m, data):
     assert len(quotient(ot).quotient_tree.vertices) == 2
 
 
+def test_family_tree_order_is_pinned():
+    # the declaration-order rotations have the chain-with-leaf cyclic order
+    # at every vertex, and these values pin the order data it decides
+    ot = order_tree(family_tree(6, 2))
+    assert ot.vertex_order == ("u0", "u1", "u2", "u3", "u4", "u5", "u6", "x")
+    assert ot.edge_order == ("c0", "c1", "c2", "c3", "c4", "c5", "d")
+    assert ot.tail == (0, 1, 2, 3, 4, 5, 2)
+    assert ot.dist == (0, 1, 2, 3, 4, 5, 6, 3)
+    assert ot.height == (1, 1, 1, 1, 1, 1, 1, 2)
+    assert ot.boundary_order == (6, 7, 0)
+
+
 def test_family_tree_rejects_last_position():
     with pytest.raises(IndexOutOfRange):
         family_tree(3, 3)

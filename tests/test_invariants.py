@@ -17,7 +17,7 @@ from plumbweave import (
     total_homology,
     wedge_oracle,
 )
-from plumbweave.errors import DimensionMismatch
+from plumbweave.errors import BadDimension, DimensionMismatch
 from plumbweave.fibration import (
     AbstractLF,
     PlumbingDescriptor,
@@ -43,6 +43,13 @@ def test_euler_ex_n3(ex_ordered):
 def test_euler_two_vertex_chain(a2_ordered):
     alf = fibrate(a2_ordered, 2)
     assert euler_characteristic(alf) == 3  # 1 + (+1) * 2 vertices
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_wedge_oracle_rejects_n_below_2(a2_tree, n):
+    # as fibrate does: at n = 1 the degrees 0, n - 1 and n would collide
+    with pytest.raises(BadDimension):
+        wedge_oracle(a2_tree, n)
 
 
 @given(seeds, st.sampled_from([2, 3, 4, 5]))

@@ -337,6 +337,13 @@ def test_search_refuses_a_depth_that_is_not_an_integer(max_depth):
         search_equivalence(family_word(6, 1, 5), family_word(6, 5, 5), max_depth)
 
 
+def test_search_refuses_a_negative_depth():
+    a = family_word(6, 1, 5)
+    with pytest.raises(IndexOutOfRange):
+        search_equivalence(a, a, -1)
+    assert search_equivalence(a, a, 0) == ()
+
+
 def test_search_requires_compatible_inputs():
     with pytest.raises(DimensionMismatch):
         search_equivalence(family_word(6, 1, 5), family_word(6, 1, 4), 2)
@@ -725,6 +732,7 @@ def _bad_type_calls():
     yield "fibrate-3.0", lambda alf, ot: fibrate(ot, 3.0)
     yield "fibrate-True", lambda alf, ot: fibrate(ot, True)
     yield "family_word-3.0", lambda alf, ot: family_word(6, 1, 3.0)
+    yield "wedge_oracle-2.5", lambda alf, ot: wedge_oracle(ot.base, 2.5)
 
 
 BAD_TYPE_CALLS = dict(_bad_type_calls())

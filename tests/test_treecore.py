@@ -49,6 +49,22 @@ def test_parse_ex(ex_tree):
     assert ex_tree.rotation["v2"] == ("e1",)
 
 
+def test_edge_is_an_immutable_hashable_record():
+    e = Edge("e0", "v0", "v1")
+    assert e == Edge("e0", "v0", "v1") and hash(e) == hash(Edge("e0", "v0", "v1"))
+    assert e != Edge("e0", "v1", "v0")
+    with pytest.raises(AttributeError):
+        e.a = "v2"
+    assert (e.id, e.a, e.b) == ("e0", "v0", "v1")
+
+
+def test_edge_other_end():
+    e = Edge("e0", "v0", "v1")
+    assert e.other("v0") == "v1" and e.other("v1") == "v0"
+    with pytest.raises(UnknownVertex):
+        e.other("v2")
+
+
 def test_parse_two_vertex(a2_tree):
     assert a2_tree.root == ("v0", "e0")
     assert len(a2_tree.edges) == 1
