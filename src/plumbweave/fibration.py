@@ -21,6 +21,14 @@ tails target disjoint gaps, so the block form is exact.
 Every vertex then spans a matching cycle between two equal-class singular
 values; singular values sit at angles ``2*pi*k/m`` on the unit circle and
 the base diagram is rendered as a deterministic SVG.
+
+Tuples of a word's length are built from a list, ``tuple([...])``, never
+from a generator.  ``tuple(<generator>)`` starts at 10 slots and resizes, so
+a tuple of 11 to 19 items draws on CPython's free list of 10-slot tuples
+but, once freed, goes to the free list for its own size, which then only
+grows.  Only a full collection empties those lists, and the writers below
+allocate too few objects to trigger one, so the lists would grow to
+megabytes.
 """
 
 from __future__ import annotations
@@ -110,11 +118,12 @@ class AbstractLF:
     def n(self) -> int:
         return self.fiber.sphere_dim + 1
 
+    # built from a list, at exact size: see the module docstring
     def word_classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c.cls for c in self.cycles)
+        return tuple([c.cls for c in self.cycles])
 
     def word_displays(self) -> tuple[str, ...]:
-        return tuple(c.display for c in self.cycles)
+        return tuple([c.display for c in self.cycles])
 
 
 @dataclass(frozen=True)
@@ -190,7 +199,7 @@ def layout(alf: AbstractLF) -> tuple[float, ...]:
     m = len(alf.cycles)
     if m < 1:
         raise IndexOutOfRange("empty cycle word")
-    return tuple(2.0 * math.pi * k / m for k in range(m))
+    return tuple([2.0 * math.pi * k / m for k in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +257,75 @@ def family_word(m: int, j: int, n: int) -> AbstractLF:
 _LABEL_KINDS = ("vertex", "edge", "stab")
 
 
-def _alf_to_doc(alf: AbstractLF) -> dict:
-    return {
-        "fiber": {
-            "pattern": {
-                "vertices": list(alf.fiber.pattern.vertices),
-                "edges": [list(e) for e in alf.fiber.pattern.edges],
-            },
-            "sphere_dim": alf.fiber.sphere_dim,
-        },
-        "cycles": [
-            {"label": c.label, "coords": list(c.cls), "display": c.display}
-            for c in alf.cycles
-        ],
-        "n": alf.n,
-    }
+_encode_str = json.encoder.encode_basestring  # the escaper of ensure_ascii=False
+_INT_ONLY = frozenset({int})
+
+
+def _strs(values) -> list[str]:
+    """Each of ``values`` as a JSON string, escaped as :func:`dump_json`
+    escapes it; a value that is not a string raises :class:`FormatError`."""
+    try:
+        return list(map(_encode_str, values))
+    except TypeError:
+        bad = next(v for v in values if not isinstance(v, str))
+        raise FormatError(f"expected a string, got {bad!r}") from None
+
+
+def _array(items: list[str], indent: str) -> str:
+    """The JSON array of the written ``items`` in :func:`dump_json`'s
+    layout, its items at ``indent``."""
+    if not items:
+        return "[]"
+    return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[:-2]}]"
+
+
+def _coords(cls) -> str:
+    """A class's ``coords`` array; an entry that :func:`_int` refuses
+    raises its :class:`FormatError`."""
+    try:
+        if set(map(type, cls)) <= _INT_ONLY:
+            return _array(list(map(int.__repr__, cls)), " " * 8)
+    except ValueError:  # an int too long to write
+        pass
+    return _array([int.__repr__(_int(x)) for x in cls], " " * 8)
 
 
 def to_json(alf: AbstractLF) -> str:
-    """Stable JSON form of a fibration; byte-identical for equal inputs."""
-    return dump_json(_alf_to_doc(alf))
+    """Stable JSON form of a fibration; byte-identical for equal inputs.
+
+    It is the document :func:`dump_json` writes for the fiber, the cycles
+    (label, coords, display) and n, written directly: each distinct class
+    object's coords once, and every string through the escaper
+    :func:`dump_json` uses.  A name, label or display that is not a string
+    and a coordinate that is not an integer raise :class:`FormatError`,
+    since :func:`from_json` would refuse the document."""
+    pattern = alf.fiber.pattern
+    cycles = alf.cycles
+    labels = _strs([c.label for c in cycles])
+    displays = _strs([c.display for c in cycles])
+    blocks: dict[int, str] = {}  # coords by class id; cycles share classes
+    parts = [
+        '{\n  "fiber": {\n    "pattern": {\n      "vertices": ',
+        _array(_strs(pattern.vertices), " " * 8),
+        ',\n      "edges": ',
+        _array([_array(_strs(e), " " * 10) for e in pattern.edges], " " * 8),
+        f'\n    }},\n    "sphere_dim": {int.__repr__(alf.fiber.sphere_dim)}\n  }},'
+        '\n  "cycles": [',
+    ]
+    # pieces, not a string per cycle: each coords block is copied once, by
+    # the final join
+    for c, label, display in zip(cycles, labels, displays):
+        block = blocks.get(id(c.cls))
+        if block is None:
+            block = blocks[id(c.cls)] = _coords(c.cls)
+        parts += ('\n    {\n      "label": ', label, ',\n      "coords": ', block,
+                  ',\n      "display": ', display, "\n    },")
+    if cycles:
+        parts[-1] = "\n    }\n  ]"
+    else:
+        parts.append("]")
+    parts.append(f',\n  "n": {int.__repr__(alf.n)}\n}}\n')
+    return "".join(parts)
 
 
 def dump_json(doc) -> str:
@@ -330,7 +388,13 @@ def from_json(text: str) -> AbstractLF:
         cycles = []
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal checked classes, one object
         for c in doc["cycles"]:
-            coords = tuple(map(_int, c["coords"]))
+            coords = c["coords"]
+            # one C-level type test; _int is the error path, and json.loads
+            # has already refused an integer past the digit limit
+            if set(map(type, coords)) <= _INT_ONLY:
+                coords = tuple(coords)
+            else:
+                coords = tuple(map(_int, coords))
             if len(coords) != rank:
                 raise FormatError(
                     f"cycle coords of length {len(coords)} against fiber rank {rank}"
@@ -372,67 +436,66 @@ def class_word_json(alf: AbstractLF) -> str:
 _SIZE = 420.0
 _CENTER = _SIZE / 2.0
 _RADIUS = 160.0
-
-
-def _pt(theta: float) -> tuple[float, float]:
-    # SVG y grows downward; flip so angles run counterclockwise
-    return (_CENTER + _RADIUS * math.cos(theta), _CENTER - _RADIUS * math.sin(theta))
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+_LABEL_RADIUS = _RADIUS + 24.0
+# a star's ten corners from its centre (x, y), outer and inner in turn from
+# the top, each at (x + dx, y - dy) since SVG y grows downward
+_STAR = tuple(
+    (r * math.cos(a), r * math.sin(a))
+    for k in range(10)
+    for r, a in [(8.0 if k % 2 == 0 else 3.2, math.pi / 2 + k * math.pi / 5)]
+)
+_SVG_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.2f}" '
+    f'height="{_SIZE:.2f}" viewBox="0 0 {_SIZE:.2f} {_SIZE:.2f}">\n'
+    f'<circle cx="{_CENTER:.2f}" cy="{_CENTER:.2f}" r="{_RADIUS:.2f}" '
+    'fill="none" stroke="#000000" stroke-width="1"/>'
+)
 
 
 def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _star(cx: float, cy: float) -> str:
-    pts = []
-    for k in range(10):
-        r = 8.0 if k % 2 == 0 else 3.2
-        a = math.pi / 2 + k * math.pi / 5
-        pts.append(f"{_fmt(cx + r * math.cos(a))},{_fmt(cy - r * math.sin(a))}")
-    return " ".join(pts)
-
-
 def render_svg(alf: AbstractLF, matching: list[MatchingCycle]) -> str:
     """Base diagram as SVG text: unit circle, base point, radial skeleton
-    segments, matching chords, star-marked singular values with labels."""
-    angles = layout(alf)
-    pts = [_pt(a) for a in angles]
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_SIZE)}" '
-        f'height="{_fmt(_SIZE)}" viewBox="0 0 {_fmt(_SIZE)} {_fmt(_SIZE)}">',
-        f'<circle cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" r="{_fmt(_RADIUS)}" '
-        'fill="none" stroke="#000000" stroke-width="1"/>',
-    ]
-    for x, y in pts:
-        lines.append(
-            f'<line class="skeleton" x1="{_fmt(_CENTER)}" y1="{_fmt(_CENTER)}" '
-            f'x2="{_fmt(x)}" y2="{_fmt(y)}" stroke="#bbbbbb" stroke-width="1"/>'
+    segments, matching chords, star-marked singular values with labels.
+
+    Angles run counterclockwise, so a point's y is the centre's minus the
+    sine.  Each angle's cosine and sine serve the point and its label, and
+    each point is formatted once."""
+    pts = []  # formatted (x, y) of each singular value
+    marks = []  # its star and its label
+    for theta, c in zip(layout(alf), alf.cycles):
+        cos, sin = math.cos(theta), math.sin(theta)
+        x, y = _CENTER + _RADIUS * cos, _CENTER - _RADIUS * sin
+        pts.append((f"{x:.2f}", f"{y:.2f}"))
+        star = " ".join([f"{x + dx:.2f},{y - dy:.2f}" for dx, dy in _STAR])
+        marks.append(
+            f'<polygon class="singular" points="{star}" fill="#c03020"/>\n'
+            f'<text x="{_CENTER + _LABEL_RADIUS * cos:.2f}" '
+            f'y="{_CENTER - _LABEL_RADIUS * sin:.2f}" font-size="11" '
+            'text-anchor="middle" dominant-baseline="middle">'
+            f"{_esc(c.display)}</text>"
         )
+    lines = [_SVG_HEAD]
+    lines += [
+        f'<line class="skeleton" x1="{_CENTER:.2f}" y1="{_CENTER:.2f}" '
+        f'x2="{x}" y2="{y}" stroke="#bbbbbb" stroke-width="1"/>'
+        for x, y in pts
+    ]
     for mc in matching:
         (i, j) = mc.endpoints
         (x1, y1), (x2, y2) = pts[i], pts[j]
         lines.append(
-            f'<line class="matching" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="#2060c0" stroke-width="1.5"/>'
+            f'<line class="matching" x1="{x1}" y1="{y1}" '
+            f'x2="{x2}" y2="{y2}" stroke="#2060c0" stroke-width="1.5"/>'
         )
     lines.append(
-        f'<circle class="basepoint" cx="{_fmt(_CENTER)}" cy="{_fmt(_CENTER)}" '
+        f'<circle class="basepoint" cx="{_CENTER:.2f}" cy="{_CENTER:.2f}" '
         'r="3.00" fill="#000000"/>'
     )
-    for k, ((x, y), theta) in enumerate(zip(pts, angles)):
-        lines.append(f'<polygon class="singular" points="{_star(x, y)}" fill="#c03020"/>')
-        lx = _CENTER + (_RADIUS + 24.0) * math.cos(theta)
-        ly = _CENTER - (_RADIUS + 24.0) * math.sin(theta)
-        lines.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="11" '
-            f'text-anchor="middle" dominant-baseline="middle">'
-            f"{_esc(alf.cycles[k].display)}</text>"
-        )
+    lines += marks
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -159,10 +159,15 @@ class RootedEmbeddedTree:
             raise BadRotation("rotation must cover exactly the vertex set")
         # edge ids are unique and a tree has no self-loop, so the ids at v
         # are distinct, and a rotation of as many entries that holds them
-        # all is a permutation of them
+        # all is a permutation of them; one with no length or an unhashable
+        # entry (a TypeError) is not
         for v, ids in _incidence(self.vertices, self.edges).items():
             rot = self.rotation[v]
-            if len(rot) != len(ids) or not set(rot).issuperset(ids):
+            try:
+                ok = len(rot) == len(ids) and set(rot).issuperset(ids)
+            except TypeError:
+                ok = False
+            if not ok:
                 raise BadRotation(
                     f"rotation at {v!r} is not a permutation of its incident edges"
                 )
@@ -375,8 +380,9 @@ def quotient(ot: OrderedTree) -> QuotientData:
     names = [f"w{k}" for k in range(height[-1])]
     q = {v: names[h - 1] for v, h in zip(ot.vertex_order, height)}
     cut = ot.boundary_order[: len(names) - 1]
-    surviving = tuple(ot.edge_order[p] for p in cut)
-    qedges = tuple((names[height[tail[p]] - 1], w) for p, w in zip(cut, names[1:]))
+    # at exact size, from lists: see the fibration module docstring
+    surviving = tuple([ot.edge_order[p] for p in cut])
+    qedges = tuple([(names[height[tail[p]] - 1], w) for p, w in zip(cut, names[1:])])
     return QuotientData(UnrootedTree(tuple(names), qedges), q, surviving)
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
     AbstractLF,
+    MatchingCycle,
     PlumbingDescriptor,
+    VanishingCycle,
     cyclic_permute,
     equal_homology,
     family_tree,
@@ -34,6 +36,7 @@ from plumbweave.errors import (
 )
 from plumbweave.fibration import (
     class_word_json,
+    dump_json,
     render_svg,
     write_atomic,
 )
@@ -640,6 +643,197 @@ def test_class_word_json_ignores_labels(ex_ordered):
     )
     assert class_word_json(alf) == class_word_json(relabeled)
     assert to_json(alf) != to_json(relabeled)
+
+
+# ---------------------------------------------------------------------------
+# the writers against their references: the generic JSON layout and the
+# renderer that computed every point, star corner and label separately
+
+
+def _alf_to_doc(alf):
+    return {
+        "fiber": {
+            "pattern": {
+                "vertices": list(alf.fiber.pattern.vertices),
+                "edges": [list(e) for e in alf.fiber.pattern.edges],
+            },
+            "sphere_dim": alf.fiber.sphere_dim,
+        },
+        "cycles": [
+            {"label": c.label, "coords": list(c.cls), "display": c.display}
+            for c in alf.cycles
+        ],
+        "n": alf.n,
+    }
+
+
+def reference_to_json(alf):
+    return dump_json(_alf_to_doc(alf))
+
+
+def _ref_fmt(x):
+    return f"{x:.2f}"
+
+
+def _ref_pt(theta):
+    return (210.0 + 160.0 * math.cos(theta), 210.0 - 160.0 * math.sin(theta))
+
+
+def _ref_star(cx, cy):
+    pts = []
+    for k in range(10):
+        r = 8.0 if k % 2 == 0 else 3.2
+        a = math.pi / 2 + k * math.pi / 5
+        pts.append(f"{_ref_fmt(cx + r * math.cos(a))},{_ref_fmt(cy - r * math.sin(a))}")
+    return " ".join(pts)
+
+
+def _ref_esc(s):
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def reference_render_svg(alf, matching):
+    size, center, radius = 420.0, 210.0, 160.0
+    angles = layout(alf)
+    pts = [_ref_pt(a) for a in angles]
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_ref_fmt(size)}" '
+        f'height="{_ref_fmt(size)}" viewBox="0 0 {_ref_fmt(size)} {_ref_fmt(size)}">',
+        f'<circle cx="{_ref_fmt(center)}" cy="{_ref_fmt(center)}" r="{_ref_fmt(radius)}" '
+        'fill="none" stroke="#000000" stroke-width="1"/>',
+    ]
+    for x, y in pts:
+        lines.append(
+            f'<line class="skeleton" x1="{_ref_fmt(center)}" y1="{_ref_fmt(center)}" '
+            f'x2="{_ref_fmt(x)}" y2="{_ref_fmt(y)}" stroke="#bbbbbb" stroke-width="1"/>'
+        )
+    for mc in matching:
+        (i, j) = mc.endpoints
+        (x1, y1), (x2, y2) = pts[i], pts[j]
+        lines.append(
+            f'<line class="matching" x1="{_ref_fmt(x1)}" y1="{_ref_fmt(y1)}" '
+            f'x2="{_ref_fmt(x2)}" y2="{_ref_fmt(y2)}" stroke="#2060c0" stroke-width="1.5"/>'
+        )
+    lines.append(
+        f'<circle class="basepoint" cx="{_ref_fmt(center)}" cy="{_ref_fmt(center)}" '
+        'r="3.00" fill="#000000"/>'
+    )
+    for k, ((x, y), theta) in enumerate(zip(pts, angles)):
+        lines.append(f'<polygon class="singular" points="{_ref_star(x, y)}" fill="#c03020"/>')
+        lx = center + (radius + 24.0) * math.cos(theta)
+        ly = center - (radius + 24.0) * math.sin(theta)
+        lines.append(
+            f'<text x="{_ref_fmt(lx)}" y="{_ref_fmt(ly)}" font-size="11" '
+            f'text-anchor="middle" dominant-baseline="middle">'
+            f"{_ref_esc(alf.cycles[k].display)}</text>"
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _check_writers(alf, matching=()):
+    assert to_json(alf) == reference_to_json(alf)
+    if alf.cycles:
+        assert render_svg(alf, list(matching)) == reference_render_svg(alf, list(matching))
+
+
+# quotes, backslashes, control characters, markup and non-ASCII text
+escapes = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ",
+                           "<", ">", "&", "/", "é", "α", "🌀", "﻿"])
+texts = st.text(st.characters() | escapes, max_size=8)
+
+
+@st.composite
+def hand_words(draw):
+    """A word built by hand on a random fiber with arbitrary names, labels,
+    displays and coordinates; some cycles share one class object, others
+    hold an equal copy."""
+    names = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
+    edges = tuple((names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names)))
+    fiber = PlumbingDescriptor(UnrootedTree(tuple(names), edges), draw(st.integers(1, 6)))
+    coeffs = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    pool = draw(st.lists(st.tuples(*[coeffs] * len(names)), min_size=1, max_size=4))
+    cycles = []
+    for _ in range(draw(st.integers(0, 7))):
+        cls = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            cls = tuple(list(cls))  # equal, not shared
+        cycles.append(VanishingCycle(draw(texts), cls, draw(texts)))
+    return AbstractLF(fiber, tuple(cycles))
+
+
+@given(hand_words(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_writers_match_their_references_on_hand_built_words(alf, data):
+    m = len(alf.cycles)
+    index = st.integers(-m, m - 1) if m else st.nothing()
+    matching = data.draw(st.lists(st.builds(MatchingCycle, texts, st.tuples(index, index)),
+                                  max_size=m))
+    _check_writers(alf, matching)
+
+
+@given(words_and_trees())
+@settings(max_examples=150, deadline=None)
+def test_writers_match_their_references_on_moved_words(case):
+    alf, ot = case
+    try:
+        matching = matching_cycles(alf, ot)
+    except NotAlgorithmOutput:
+        matching = []
+    _check_writers(alf, matching)
+
+
+def test_writers_match_their_references_on_fixed_words(ex_ordered, a2_ordered):
+    ex = fibrate(ex_ordered, 3)
+    a2 = fibrate(a2_ordered, 4)  # rank-1 fiber: "edges": []
+    assert '"edges": []' in to_json(a2)
+    lone = AbstractLF(a2.fiber, a2.cycles[:1])
+    assert len(lone.cycles) == 1
+    empty = AbstractLF(a2.fiber, ())
+    assert '"cycles": [],' in to_json(empty)
+    moved = hurwitz_b(hurwitz_a(cyclic_permute(ex), 2), 5)
+    shared = from_json(to_json(ex))  # equal classes interned, not fibrate's
+    escaped = AbstractLF(
+        PlumbingDescriptor(UnrootedTree(('a"b', "c\\d"), (('a"b', "c\\d"),)), 2),
+        (VanishingCycle('edge:"\x00\n', (1, -2), "<α & β>\t "),
+         VanishingCycle("vertex:\x1f", (-(2**80), 0), "🌀\\\"")),
+    )
+    for alf, ot in ((ex, ex_ordered), (a2, a2_ordered)):
+        _check_writers(alf, matching_cycles(alf, ot))
+    for alf in (lone, empty, moved, shared, escaped, stabilize(ex, "w2", 4)):
+        _check_writers(alf, [MatchingCycle("v0", (0, len(alf.cycles) - 1))] if alf.cycles else [])
+
+
+def _with_cycle(alf, i, **changes):
+    cycles = list(alf.cycles)
+    cycles[i] = replace(cycles[i], **changes)
+    return AbstractLF(alf.fiber, tuple(cycles))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda alf: _with_cycle(alf, 1, cls=(1.0, 0, 0, 0)), "expected an integer"),
+        (lambda alf: _with_cycle(alf, 2, cls=(0, True, 0, 0)), "expected an integer"),
+        pytest.param(
+            lambda alf: _with_cycle(alf, 3, cls=(0, 0, 10**5000, 0)), "decimal digits",
+            marks=pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                     reason="no limit on the digits of an integer"),
+        ),
+        (lambda alf: _with_cycle(alf, 0, display=None), "expected a string"),
+        (lambda alf: _with_cycle(alf, 4, label=7), "expected a string"),
+        (lambda alf: replace(alf, fiber=replace(alf.fiber, pattern=UnrootedTree(
+            ("w0", 5, "w2", "w3"), (("w0", 5), ("w0", "w2"), ("w0", "w3"))))),
+         "expected a string"),
+    ],
+    ids=["coords-float", "coords-bool", "coords-too-long", "display-null", "label-int",
+         "vertex-int"],
+)
+def test_to_json_refuses_what_from_json_would(ex_ordered, edit, message):
+    alf = edit(fibrate(ex_ordered, 3))
+    with pytest.raises(FormatError, match=message):
+        to_json(alf)
 
 
 def test_write_atomic_removes_its_temp_on_failure(tmp_path):

@@ -132,6 +132,19 @@ def test_parse_comments_and_blanks(ex_tree):
     assert parse_tree(noisy) == ex_tree
 
 
+@pytest.mark.parametrize("rot", [None, 5, (["e0"],), ({"e0"},)],
+                         ids=["none", "int", "list-entry", "set-entry"])
+def test_a_rotation_that_is_not_a_sequence_of_ids_is_refused(rot):
+    edges = (Edge("e0", "a", "b"),)
+    with pytest.raises(BadRotation, match="rotation at 'a'"):
+        RootedEmbeddedTree(("a", "b"), edges, {"a": rot, "b": ("e0",)}, ("a", "e0"))
+    # the per-edge checks still come first, and the root check after
+    with pytest.raises(DuplicateId):
+        RootedEmbeddedTree(("a", "b"), edges * 2, {"a": rot, "b": rot}, ("a", "e0"))
+    with pytest.raises(BadRotation):
+        RootedEmbeddedTree(("a", "b"), edges, {"a": rot, "b": ("e0",)}, ("c", "e1"))
+
+
 def reference_validate(vertices, edges, rotation, root):
     """The rooted-tree validator that built the incidence lists a second
     time and compared sorted rotations: the reference for the checks in
