@@ -11,35 +11,31 @@ class PlumbweaveError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class TreeError(PlumbweaveError):
-    """Invalid tree data."""
-
-
-class FormatError(TreeError):
+class FormatError(PlumbweaveError):
     """Malformed tree file or serialized document."""
 
 
-class CycleDetected(TreeError):
+class CycleDetected(PlumbweaveError):
     """The edge set contains a cycle (self-loop, multi-edge, or genuine cycle)."""
 
 
-class Disconnected(TreeError):
+class Disconnected(PlumbweaveError):
     """The edge set does not connect all vertices."""
 
 
-class BadRoot(TreeError):
+class BadRoot(PlumbweaveError):
     """Missing root, or root edge not incident to the root vertex."""
 
 
-class DuplicateId(TreeError):
+class DuplicateId(PlumbweaveError):
     """A vertex or edge identifier is declared twice."""
 
 
-class EmptyTree(TreeError):
+class EmptyTree(PlumbweaveError):
     """No edges: a single vertex cannot carry a (vertex, edge) root."""
 
 
-class BadRotation(TreeError):
+class BadRotation(PlumbweaveError):
     """A rotation line is not a permutation of the incident edges."""
 
 

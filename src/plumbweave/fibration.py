@@ -76,7 +76,6 @@ __all__ = [
     "fiber_form",
     "to_json",
     "from_json",
-    "class_word_json",
 ]
 
 
@@ -128,9 +127,9 @@ class AbstractLF:
 
 @dataclass(frozen=True)
 class MatchingCycle:
-    """The two singular values (by word index) sharing a vertex's cycle."""
+    """The two singular values (by word index) sharing a vertex's cycle;
+    vertex i's is entry i of :func:`matching_cycles`."""
 
-    vertex: str  # canonical label v{i}
     endpoints: tuple[int, int]
 
 
@@ -174,7 +173,7 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
 
 
 def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
-    """One matching cycle per vertex of the input tree.
+    """One matching cycle per vertex of the input tree, in vertex order.
 
     Requires the unmoved output of :func:`fibrate` for the same tree.
     The root vertex pairs with the root-edge cycle; vertex i pairs with
@@ -187,10 +186,10 @@ def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
             "matching cycles are defined on the pristine algorithm output"
         )
     index_of = {c.label: i for i, c in enumerate(alf.cycles)}
-    out = [MatchingCycle("v0", (index_of["vertex:v0"], index_of["edge:e0"]))]
+    out = [MatchingCycle((index_of["vertex:v0"], index_of["edge:e0"]))]
     for i, t in enumerate(ot.tail, start=1):
         partner = f"vertex:v{i - 1}" if t == i - 1 else f"edge:e{i - 1}"
-        out.append(MatchingCycle(f"v{i}", (index_of[f"vertex:v{i}"], index_of[partner])))
+        out.append(MatchingCycle((index_of[f"vertex:v{i}"], index_of[partner])))
     return out
 
 
@@ -413,21 +412,6 @@ def from_json(text: str) -> AbstractLF:
             f"fiber sphere_dim {fiber.sphere_dim} inconsistent with n={n}"
         )
     return AbstractLF(fiber, tuple(cycles))
-
-
-def class_word_json(alf: AbstractLF) -> str:
-    """Canonical serialization of the class word alone.
-
-    Labels and displays are provenance, not identity; this is the byte form
-    used to compare two words.  Search does not go through it: it hashes
-    tuples of interned class ids.
-    """
-    doc = {
-        "sphere_dim": alf.fiber.sphere_dim,
-        "rank": len(alf.fiber.pattern.vertices),
-        "classes": [list(c.cls) for c in alf.cycles],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ tighter than the general statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .fibration import AbstractLF, PlumbingDescriptor, VanishingCycle, _check_n, fibrate
@@ -47,32 +47,17 @@ __all__ = [
 class HomologyReport:
     """Euler characteristic and per-degree (free rank, torsion orders).
 
-    ``h`` carries degrees 0, n-1, n.  The cycle classes the report was
-    computed from are kept for inspection but excluded from equality:
-    reports are compared by what they say about the space, not by the
-    presentation that produced it.  The Smith normal form ran on those
-    classes as rows, the transpose of the boundary map, which is why H_n
-    came from its cokernel and H_{n-1} from its kernel (see the module
-    docstring).
+    ``h`` carries degrees 0, n-1, n; ``caveat`` flags n = 2.  The report
+    says what the space is and nothing about the word it was computed
+    from: the boundary map is ``tuple(zip(*alf.word_classes()))``.  The
+    Smith normal form ran on the word's classes as rows, the transpose of
+    that map, which is why H_n came from its cokernel and H_{n-1} from its
+    kernel (see the module docstring).
     """
 
     euler: int
     h: tuple[tuple[int, int, tuple[int, ...]], ...]
     caveat: bool
-    classes: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
-    fiber_rank: int = field(default=0, compare=False, repr=False)
-
-    @property
-    def boundary_matrix(self) -> tuple[tuple[int, ...], ...] | None:
-        """The boundary map with row i holding coordinate i of every cycle
-        class, built on each read; None for a report with no classes."""
-        if self.classes is None:
-            return None
-        if not self.classes:
-            return ((),) * self.fiber_rank
-        return tuple(zip(*self.classes))
 
     def as_dict(self) -> dict:
         return {
@@ -88,9 +73,9 @@ class HomologyReport:
 def euler_characteristic(alf: AbstractLF) -> int:
     """Fiber Euler characteristic plus one n-cell per vanishing cycle."""
     n = alf.n
-    fiber_rank = len(alf.fiber.pattern.vertices)
+    rank = len(alf.fiber.pattern.vertices)
     m = len(alf.cycles)
-    return (1 + (-1) ** (n - 1) * fiber_rank) + (-1) ** n * m
+    return (1 + (-1) ** (n - 1) * rank) + (-1) ** n * m
 
 
 def total_homology(alf: AbstractLF) -> HomologyReport:
@@ -112,13 +97,7 @@ def total_homology(alf: AbstractLF) -> HomologyReport:
         (n - 1, free_cok, torsion),
         (n, h_n, ()),
     )
-    return HomologyReport(
-        euler=euler_characteristic(alf),
-        h=h,
-        caveat=(n == 2),
-        classes=classes,
-        fiber_rank=rank,
-    )
+    return HomologyReport(euler=euler_characteristic(alf), h=h, caveat=(n == 2))
 
 
 def wedge_oracle(t: RootedEmbeddedTree, n: int) -> HomologyReport:

@@ -158,13 +158,14 @@ class RootedEmbeddedTree:
         if set(self.rotation) != pos.keys():
             raise BadRotation("rotation must cover exactly the vertex set")
         # edge ids are unique and a tree has no self-loop, so the ids at v
-        # are distinct, and a rotation of as many entries that holds them
-        # all is a permutation of them; one with no length or an unhashable
-        # entry (a TypeError) is not
+        # are distinct, and a tuple or list of as many entries that holds
+        # them all is a permutation of them; one with an unhashable entry
+        # (a TypeError) is not
         for v, ids in _incidence(self.vertices, self.edges).items():
             rot = self.rotation[v]
             try:
-                ok = len(rot) == len(ids) and set(rot).issuperset(ids)
+                ok = (isinstance(rot, (tuple, list)) and len(rot) == len(ids)
+                      and set(rot).issuperset(ids))
             except TypeError:
                 ok = False
             if not ok:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,16 @@ def test_order_text(capsys, ex_file):
     assert code == 0
     assert "vertex v3: id=v3 dist=2 height=2 coords=(2, 2)" in out
     assert "boundary: v2(v2) v3(v3) v4(v4) v5(v5)" in out
+
+
+def test_python_m_plumbweave_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "plumbweave", "order", "tests/golden/inputs/ex.tree"],
+        cwd=root, env=dict(os.environ, PYTHONPATH="src"), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "tests/golden/expected/order_ex_text/stdout").read_bytes()
 
 
 def test_order_json(capsys, ex_file):

@@ -30,12 +30,14 @@ from plumbweave import (
 )
 from plumbweave.errors import (
     BadDimension,
+    DuplicateId,
+    EmptyTree,
     FormatError,
     IndexOutOfRange,
     NotAlgorithmOutput,
+    UnknownVertex,
 )
 from plumbweave.fibration import (
-    class_word_json,
     dump_json,
     render_svg,
     write_atomic,
@@ -209,14 +211,21 @@ def test_prefix_word_induction(seed):
 
 def test_matching_ex(ex_ordered):
     alf = fibrate(ex_ordered, 3)
-    pairs = {mc.vertex: mc.endpoints for mc in matching_cycles(alf, ex_ordered)}
+    pairs = [mc.endpoints for mc in matching_cycles(alf, ex_ordered)]
     labels = [c.label for c in alf.cycles]
-    assert pairs["v0"] == (labels.index("vertex:v0"), 0)
-    assert pairs["v1"] == (labels.index("vertex:v1"), labels.index("vertex:v0"))
-    assert pairs["v2"] == (labels.index("vertex:v2"), labels.index("vertex:v1"))
-    assert pairs["v3"] == (labels.index("vertex:v3"), labels.index("edge:e2"))
-    assert pairs["v4"] == (labels.index("vertex:v4"), labels.index("edge:e3"))
-    assert pairs["v5"] == (labels.index("vertex:v5"), labels.index("edge:e4"))
+    assert pairs == [
+        (labels.index("vertex:v0"), 0),
+        (labels.index("vertex:v1"), labels.index("vertex:v0")),
+        (labels.index("vertex:v2"), labels.index("vertex:v1")),
+        (labels.index("vertex:v3"), labels.index("edge:e2")),
+        (labels.index("vertex:v4"), labels.index("edge:e3")),
+        (labels.index("vertex:v5"), labels.index("edge:e4")),
+    ]
+
+
+def test_a_matching_cycle_stores_its_endpoints_only():
+    # vertex i's matching cycle is entry i of the list
+    assert [f.name for f in fields(MatchingCycle)] == ["endpoints"]
 
 
 def test_matching_two_vertex_chain(a2_ordered):
@@ -374,7 +383,7 @@ def test_matching_accepts_exactly_the_pristine_word(case):
         labels = [c.label for c in alf.cycles]
         for i, mc in enumerate(pairs):
             a, b = mc.endpoints
-            assert mc.vertex == f"v{i}" and labels[a] == f"vertex:v{i}"
+            assert labels[a] == f"vertex:v{i}"
             assert labels[b] in ({"edge:e0"} if i == 0 else {f"vertex:v{i - 1}", f"edge:e{i - 1}"})
             assert alf.cycles[a].cls == alf.cycles[b].cls
 
@@ -420,6 +429,8 @@ def test_layout_single_cycle():
         (VanishingCycle("vertex:v0", (1,), "L_{w0}"),),
     )
     assert layout(lone) == (0.0,)
+    with pytest.raises(IndexOutOfRange, match="empty cycle word"):
+        layout(AbstractLF(lone.fiber, ()))
 
 
 def test_render_counts_and_determinism(ex_ordered, tmp_path):
@@ -587,6 +598,28 @@ def _rename_vertex(doc, old, new):
 
 
 @pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda doc: doc["fiber"].update(pattern={"vertices": [], "edges": []}),
+         EmptyTree, "a pattern needs at least one vertex"),
+        (lambda doc: _rename_vertex(doc, "w1", "w0"), DuplicateId, "duplicate pattern vertex"),
+        (lambda doc: doc["fiber"]["pattern"]["edges"][0].__setitem__(1, "zz"),
+         UnknownVertex, r"pattern edge \('w0', 'zz'\) references unknown vertex"),
+        (lambda doc: doc["cycles"][0].update(coords=[1, 0, 0]),
+         FormatError, "cycle coords of length 3 against fiber rank 4"),
+        (lambda doc: doc["cycles"][0].update(label="loop:v0"),
+         FormatError, "unknown cycle label kind in 'loop:v0'"),
+    ],
+    ids=["empty-pattern", "duplicate-vertex", "unknown-edge-end", "coords-length",
+         "label-kind"],
+)
+def test_json_rejects_a_bad_fiber_or_cycle(ex_ordered, edit, error, message):
+    alf = fibrate(ex_ordered, 3)  # four-vertex star fiber w0..w3
+    with pytest.raises(error, match=message):
+        from_json(_edited(alf, edit))
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda doc: _rename_vertex(doc, "w0", 5),
@@ -630,19 +663,6 @@ def test_json_rejects_n_below_2(ex_ordered, n):
 
     with pytest.raises(BadDimension):
         from_json(_edited(fibrate(ex_ordered, 3), edit))
-
-
-def test_class_word_json_ignores_labels(ex_ordered):
-    alf = fibrate(ex_ordered, 3)
-    relabeled = alf.__class__(
-        alf.fiber,
-        tuple(
-            c.__class__(f"vertex:v{i}", c.cls, "renamed")
-            for i, c in enumerate(alf.cycles)
-        ),
-    )
-    assert class_word_json(alf) == class_word_json(relabeled)
-    assert to_json(alf) != to_json(relabeled)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +788,7 @@ def hand_words(draw):
 def test_writers_match_their_references_on_hand_built_words(alf, data):
     m = len(alf.cycles)
     index = st.integers(-m, m - 1) if m else st.nothing()
-    matching = data.draw(st.lists(st.builds(MatchingCycle, texts, st.tuples(index, index)),
+    matching = data.draw(st.lists(st.builds(MatchingCycle, st.tuples(index, index)),
                                   max_size=m))
     _check_writers(alf, matching)
 
@@ -802,7 +822,7 @@ def test_writers_match_their_references_on_fixed_words(ex_ordered, a2_ordered):
     for alf, ot in ((ex, ex_ordered), (a2, a2_ordered)):
         _check_writers(alf, matching_cycles(alf, ot))
     for alf in (lone, empty, moved, shared, escaped, stabilize(ex, "w2", 4)):
-        _check_writers(alf, [MatchingCycle("v0", (0, len(alf.cycles) - 1))] if alf.cycles else [])
+        _check_writers(alf, [MatchingCycle((0, len(alf.cycles) - 1))] if alf.cycles else [])
 
 
 def _with_cycle(alf, i, **changes):

@@ -98,6 +98,12 @@ def test_convention_rejects_non_integer_fields(fields):
         Convention(**fields)
 
 
+@pytest.mark.parametrize("fields", [{"edge_sign": 2}, {"twist_sign": 0}])
+def test_convention_rejects_a_sign_other_than_plus_or_minus_one(fields):
+    with pytest.raises(FormatError, match="edge_sign and twist_sign must be"):
+        Convention(**fields)
+
+
 def test_pair_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         a2_form(3).pair(ALPHA, (1, 0, 0))

@@ -115,6 +115,8 @@ def test_parse_bad_root():
         parse_tree("root a e1\nedge e0 a b\nedge e1 b c\n")
     with pytest.raises(BadRoot):
         parse_tree("edge e0 a b\n")
+    with pytest.raises(BadRoot, match="root edge 'e9' does not exist"):
+        parse_tree("root a e9\nedge e0 a b\n")
 
 
 def test_parse_empty():
@@ -125,6 +127,15 @@ def test_parse_empty():
 def test_parse_malformed_line():
     with pytest.raises(FormatError):
         parse_tree("root a e0\nedge e0 a b\nfrob x\n")
+    for line, error, message in [
+        ("root b e0", FormatError, "line 3: more than one root declaration"),
+        ("rot a", FormatError, r"line 3: rot wants VERTEX EDGE\.\.\."),
+        ("rot c e0", BadRotation, "rot line for unknown vertex 'c'"),
+    ]:
+        with pytest.raises(error, match=message):
+            parse_tree(f"root a e0\nedge e0 a b\n{line}\n")
+    with pytest.raises(DuplicateId, match="line 4: duplicate rot for vertex 'a'"):
+        parse_tree("root a e0\nedge e0 a b\nrot a e0\nrot a e0\n")
 
 
 def test_parse_comments_and_blanks(ex_tree):
@@ -132,8 +143,8 @@ def test_parse_comments_and_blanks(ex_tree):
     assert parse_tree(noisy) == ex_tree
 
 
-@pytest.mark.parametrize("rot", [None, 5, (["e0"],), ({"e0"},)],
-                         ids=["none", "int", "list-entry", "set-entry"])
+@pytest.mark.parametrize("rot", [None, 5, (["e0"],), ({"e0"},), {"e0": 1}, {"e0"}],
+                         ids=["none", "int", "list-entry", "set-entry", "dict", "set"])
 def test_a_rotation_that_is_not_a_sequence_of_ids_is_refused(rot):
     edges = (Edge("e0", "a", "b"),)
     with pytest.raises(BadRotation, match="rotation at 'a'"):
