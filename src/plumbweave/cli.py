@@ -198,7 +198,10 @@ def _cmd_invariants(args) -> int:
         if args.tree is None:
             raise PlumbweaveError("either a tree file or --count is required")
         t = treecore.parse_tree(_read_text(args.tree))
-        report = _invariants_report(os.path.basename(args.tree), t, args.n, convention)
+        # a name that is not UTF-8 keeps its bytes as \x escapes, so the
+        # report stays UTF-8 text
+        name = os.fsencode(os.path.basename(args.tree)).decode("utf-8", "backslashreplace")
+        report = _invariants_report(name, t, args.n, convention)
         _emit(fibration.dump_json(report), args.out)
         return EXIT_OK if report["oracle_match"] else EXIT_FALSE
     reports = []

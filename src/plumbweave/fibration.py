@@ -254,20 +254,9 @@ def family_word(m: int, j: int, n: int) -> AbstractLF:
 # serialization
 
 _LABEL_KINDS = ("vertex", "edge", "stab")
-
-
 _encode_str = json.encoder.encode_basestring  # the escaper of ensure_ascii=False
 _INT_ONLY = frozenset({int})
-
-
-def _strs(values) -> list[str]:
-    """Each of ``values`` as a JSON string, escaped as :func:`dump_json`
-    escapes it; a value that is not a string raises :class:`FormatError`."""
-    try:
-        return list(map(_encode_str, values))
-    except TypeError:
-        bad = next(v for v in values if not isinstance(v, str))
-        raise FormatError(f"expected a string, got {bad!r}") from None
+_STR_ONLY = frozenset({str})
 
 
 def _array(items: list[str], indent: str) -> str:
@@ -278,36 +267,25 @@ def _array(items: list[str], indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[:-2]}]"
 
 
-def _coords(cls) -> str:
-    """A class's ``coords`` array; an entry that :func:`_int` refuses
-    raises its :class:`FormatError`."""
-    try:
-        if set(map(type, cls)) <= _INT_ONLY:
-            return _array(list(map(int.__repr__, cls)), " " * 8)
-    except ValueError:  # an int too long to write
-        pass
-    return _array([int.__repr__(_int(x)) for x in cls], " " * 8)
-
-
 def to_json(alf: AbstractLF) -> str:
     """Stable JSON form of a fibration; byte-identical for equal inputs.
 
     It is the document :func:`dump_json` writes for the fiber, the cycles
     (label, coords, display) and n, written directly: each distinct class
     object's coords once, and every string through the escaper
-    :func:`dump_json` uses.  A name, label or display that is not a string
-    and a coordinate that is not an integer raise :class:`FormatError`,
-    since :func:`from_json` would refuse the document."""
+    :func:`dump_json` uses.  Each field passes the rule :func:`from_json`
+    reads it with, and raises the same :class:`FormatError` as there."""
     pattern = alf.fiber.pattern
     cycles = alf.cycles
-    labels = _strs([c.label for c in cycles])
-    displays = _strs([c.display for c in cycles])
+    labels = map(_encode_str, _labels([c.label for c in cycles]))
+    displays = map(_encode_str, _texts([c.display for c in cycles]))
+    escaped = dict(zip(pattern.vertices, map(_encode_str, _texts(pattern.vertices))))
     blocks: dict[int, str] = {}  # coords by class id; cycles share classes
     parts = [
         '{\n  "fiber": {\n    "pattern": {\n      "vertices": ',
-        _array(_strs(pattern.vertices), " " * 8),
+        _array(list(escaped.values()), " " * 8),
         ',\n      "edges": ',
-        _array([_array(_strs(e), " " * 10) for e in pattern.edges], " " * 8),
+        _array([_array([escaped[a], escaped[b]], " " * 10) for a, b in pattern.edges], " " * 8),
         f'\n    }},\n    "sphere_dim": {int.__repr__(alf.fiber.sphere_dim)}\n  }},'
         '\n  "cycles": [',
     ]
@@ -316,7 +294,11 @@ def to_json(alf: AbstractLF) -> str:
     for c, label, display in zip(cycles, labels, displays):
         block = blocks.get(id(c.cls))
         if block is None:
-            block = blocks[id(c.cls)] = _coords(c.cls)
+            try:
+                digits = list(map(int.__repr__, _coords(c.cls, len(pattern.vertices))))
+            except ValueError:  # an int too long to write: _int refuses it
+                digits = list(map(int.__repr__, map(_int, c.cls)))
+            block = blocks[id(c.cls)] = _array(digits, " " * 8)
         parts += ('\n    {\n      "label": ', label, ',\n      "coords": ', block,
                   ',\n      "display": ', display, "\n    },")
     if cycles:
@@ -355,6 +337,38 @@ def _text(value) -> str:
     return value
 
 
+def _texts(values):
+    """``values``, each a :func:`_text`: one C-level type test and one UTF-8
+    encode of them all (any surrogate fails), :func:`_text` the error path."""
+    if set(map(type, values)) <= _STR_ONLY:
+        try:
+            "".join(values).encode("utf-8")
+            return values
+        except UnicodeEncodeError:
+            pass
+    return list(map(_text, values))
+
+
+def _labels(values):
+    """Cycle labels: :func:`_texts` whose kind, before the first colon, is
+    ``vertex``, ``edge`` or ``stab``."""
+    values = _texts(values)
+    for label in values:
+        if label.split(":", 1)[0] not in _LABEL_KINDS:
+            raise FormatError(f"unknown cycle label kind in {label!r}")
+    return values
+
+
+def _coords(value, rank: int) -> tuple[int, ...]:
+    """A cycle class, a tuple of ``rank`` ints: one C-level type test, with
+    :func:`_int` as the error path; ``json.loads`` and ``int.__repr__``
+    refuse an int past the digit limit."""
+    coords = tuple(value) if set(map(type, value)) <= _INT_ONLY else tuple(map(_int, value))
+    if len(coords) != rank:
+        raise FormatError(f"cycle coords of length {len(coords)} against fiber rank {rank}")
+    return coords
+
+
 def _check_n(n) -> None:
     """The rule for the total-space parameter: an integer (see :func:`_int`)
     of at least 2, else :class:`FormatError` or :class:`BadDimension`."""
@@ -371,38 +385,24 @@ def _list(value) -> list:
 
 
 def from_json(text: str) -> AbstractLF:
-    """Inverse of :func:`to_json`; validates structure, tree shape, the fiber
-    and n, which must be at least 2 as in :func:`fibrate` and fit the fiber.
-    Cycles with equal coordinates share one class tuple, as in
-    :func:`fibrate`, so the homology certificate reads each class once."""
+    """Inverse of :func:`to_json`, with the same rule per field; validates
+    structure, tree shape, the fiber and n, which must be at least 2 as in
+    :func:`fibrate` and fit the fiber.  Cycles with equal coordinates share
+    one class tuple, as in :func:`fibrate`, so the certificate reads each once."""
     doc = load_json(text)
     try:
         pat = doc["fiber"]["pattern"]
         pattern = UnrootedTree(
-            tuple(_text(v) for v in _list(pat["vertices"])),
+            tuple(_texts(_list(pat["vertices"]))),
             tuple((_text(a), _text(b)) for a, b in map(_list, _list(pat["edges"]))),
         )
         fiber = PlumbingDescriptor(pattern, doc["fiber"]["sphere_dim"])
         rank = len(pattern.vertices)
-        cycles = []
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal checked classes, one object
-        for c in doc["cycles"]:
-            coords = c["coords"]
-            # one C-level type test; _int is the error path, and json.loads
-            # has already refused an integer past the digit limit
-            if set(map(type, coords)) <= _INT_ONLY:
-                coords = tuple(coords)
-            else:
-                coords = tuple(map(_int, coords))
-            if len(coords) != rank:
-                raise FormatError(
-                    f"cycle coords of length {len(coords)} against fiber rank {rank}"
-                )
-            coords = shared.setdefault(coords, coords)
-            label = _text(c["label"])
-            if label.split(":", 1)[0] not in _LABEL_KINDS:
-                raise FormatError(f"unknown cycle label kind in {label!r}")
-            cycles.append(VanishingCycle(label, coords, _text(c["display"])))
+        labels = _labels([c["label"] for c in doc["cycles"]])
+        displays = _texts([c["display"] for c in doc["cycles"]])
+        classes = [_coords(c["coords"], rank) for c in doc["cycles"]]
+        shared = dict(zip(classes, classes))  # one object per value
+        cycles = list(map(VanishingCycle, labels, map(shared.__getitem__, classes), displays))
         n = doc["n"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed fibration document: {exc}") from exc

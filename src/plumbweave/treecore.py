@@ -144,7 +144,10 @@ class RootedEmbeddedTree:
         # the cyclic garbage collector does not track, not a list of pairs
         a_pos, b_pos = [], []
         for e in self.edges:
-            eid, a, b = e
+            try:
+                eid, a, b = e
+            except (TypeError, ValueError):
+                raise FormatError(f"edge record {e!r} is not (id, a, b)") from None
             if eid in by_id:
                 raise DuplicateId(f"duplicate edge identifier {eid!r}")
             by_id[eid] = e
@@ -333,7 +336,11 @@ class UnrootedTree:
         if len(pos) != len(self.vertices):
             raise DuplicateId("duplicate pattern vertex")
         pairs = []
-        for a, b in self.edges:
+        for e in self.edges:
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise FormatError(f"pattern edge {e!r} is not a pair of vertices") from None
             i, j = pos.get(a), pos.get(b)
             if i is None or j is None:
                 raise UnknownVertex(f"pattern edge ({a!r}, {b!r}) references unknown vertex")

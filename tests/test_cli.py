@@ -9,6 +9,7 @@ import pytest
 
 from plumbweave import fibration, invariants, order_tree, parse_tree, random_tree
 from plumbweave.cli import main
+from .conftest import EX_TEXT
 from .test_treecore import tree_text
 
 
@@ -152,6 +153,19 @@ def test_invariants_caveat_n2(capsys, ex_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["homology"]["caveat_n2"] is True
+
+
+def test_invariants_names_a_file_whose_name_is_not_utf8(capsys, tmp_path):
+    name = os.fsencode(tmp_path) + b"/a\xff.tree"
+    try:
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(EX_TEXT)
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, "invariants", os.fsdecode(name), "--n", "3", "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["tree_id"] == "a\\xff.tree"
 
 
 def test_invariants_batch(capsys):

@@ -477,17 +477,17 @@ def test_family_word_length_and_basis(m, data):
     assert beta_positions == [j + 1, m + 3]
 
 
-@given(st.integers(2, 10), st.data())
-@settings(max_examples=60, deadline=None)
-def test_family_tree_matches_family_word(m, data):
-    j = data.draw(st.integers(1, m - 1))
-    ft = family_tree(m, j)
-    ot = order_tree(ft)
-    alf = fibrate(ot, 5)
-    word = family_word(m, j, 5)
-    assert [c.cls for c in alf.cycles] == [c.cls for c in word.cycles]
-    assert [c.label for c in alf.cycles] == [c.label for c in word.cycles]
-    assert len(quotient(ot).quotient_tree.vertices) == 2
+def test_family_tree_matches_family_word():
+    # the tree route and the direct word agree at every position of the leaf
+    for m in range(2, 12):
+        for j in range(1, m):
+            ot = order_tree(family_tree(m, j))
+            assert len(quotient(ot).quotient_tree.vertices) == 2
+            for n in range(2, 6):
+                alf, word = fibrate(ot, n), family_word(m, j, n)
+                assert alf.word_classes() == word.word_classes()
+                assert [c.label for c in alf.cycles] == [c.label for c in word.cycles]
+                assert alf.n == word.n == n
 
 
 def test_family_tree_order_is_pinned():
@@ -503,10 +503,10 @@ def test_family_tree_order_is_pinned():
 
 
 def test_family_tree_rejects_last_position():
-    with pytest.raises(IndexOutOfRange):
-        family_tree(3, 3)
-    with pytest.raises(IndexOutOfRange):
-        family_tree(3, 0)
+    for m in range(2, 12):
+        for j in (0, m):
+            with pytest.raises(IndexOutOfRange):
+                family_tree(m, j)
 
 
 def test_family_word_range():
@@ -761,14 +761,16 @@ def _check_writers(alf, matching=()):
 # quotes, backslashes, control characters, markup and non-ASCII text
 escapes = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ",
                            "<", ">", "&", "/", "é", "α", "🌀", "﻿"])
-texts = st.text(st.characters() | escapes, max_size=8)
+# UTF-8 text: st.characters() alone now and then draws a lone surrogate
+texts = st.text(st.characters(codec="utf-8") | escapes, max_size=8)
+labels = st.builds(str.__add__, st.sampled_from(["vertex:", "edge:", "stab:"]), texts)
 
 
 @st.composite
 def hand_words(draw):
-    """A word built by hand on a random fiber with arbitrary names, labels,
-    displays and coordinates; some cycles share one class object, others
-    hold an equal copy."""
+    """A word built by hand on a random fiber with arbitrary names, displays
+    and coordinates, and labels of every valid kind; some cycles share one
+    class object, others hold an equal copy."""
     names = draw(st.lists(texts, min_size=1, max_size=5, unique=True))
     edges = tuple((names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names)))
     fiber = PlumbingDescriptor(UnrootedTree(tuple(names), edges), draw(st.integers(1, 6)))
@@ -779,7 +781,7 @@ def hand_words(draw):
         cls = draw(st.sampled_from(pool))
         if draw(st.booleans()):
             cls = tuple(list(cls))  # equal, not shared
-        cycles.append(VanishingCycle(draw(texts), cls, draw(texts)))
+        cycles.append(VanishingCycle(draw(labels), cls, draw(texts)))
     return AbstractLF(fiber, tuple(cycles))
 
 
@@ -846,14 +848,53 @@ def _with_cycle(alf, i, **changes):
         (lambda alf: replace(alf, fiber=replace(alf.fiber, pattern=UnrootedTree(
             ("w0", 5, "w2", "w3"), (("w0", 5), ("w0", "w2"), ("w0", "w3"))))),
          "expected a string"),
+        (lambda alf: _with_cycle(alf, 1, display="x\ud800"), "not UTF-8 text"),
+        (lambda alf: _with_cycle(alf, 2, cls=(1,)), "cycle coords of length 1 against fiber rank 4"),
+        (lambda alf: _with_cycle(alf, 3, label="foo:1"), "unknown cycle label kind in 'foo:1'"),
     ],
     ids=["coords-float", "coords-bool", "coords-too-long", "display-null", "label-int",
-         "vertex-int"],
+         "vertex-int", "display-surrogate", "coords-length", "label-kind"],
 )
 def test_to_json_refuses_what_from_json_would(ex_ordered, edit, message):
     alf = edit(fibrate(ex_ordered, 3))
     with pytest.raises(FormatError, match=message):
         to_json(alf)
+
+
+# any string, one in four with a lone surrogate, which no UTF-8 output can
+# carry; a label is one in two of a valid kind
+surrogate = st.sampled_from([""] * 12 + ["\ud800", "\udbff", "\udc00", "\udfff"])
+any_texts = st.builds(lambda a, s, b: a + s + b, texts, surrogate, texts)
+
+
+@st.composite
+def any_words(draw):
+    """A word on a random fiber whose names, labels and displays are any
+    strings and whose classes are ints of any length."""
+    names = draw(st.lists(any_texts, min_size=1, max_size=4, unique=True))
+    edges = tuple((names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names)))
+    fiber = PlumbingDescriptor(UnrootedTree(tuple(names), edges), draw(st.integers(1, 6)))
+    length = st.just(len(names)) | st.integers(0, len(names) + 2)
+    coords = length.flatmap(lambda k: st.tuples(*[st.integers(-(2**70), 2**70)] * k))
+    pool = draw(st.lists(coords, min_size=1, max_size=3))
+    cycles = [VanishingCycle(draw(labels | any_texts), draw(st.sampled_from(pool)), draw(any_texts))
+              for _ in range(draw(st.integers(0, 5)))]
+    return AbstractLF(fiber, tuple(cycles))
+
+
+@given(any_words())
+@settings(max_examples=400, deadline=None)
+def test_to_json_refuses_exactly_what_from_json_would(alf):
+    reference = reference_to_json(alf)
+    try:
+        from_json(reference)
+    except FormatError:
+        with pytest.raises(FormatError):
+            to_json(alf)
+        return
+    text = to_json(alf)
+    assert text == reference
+    assert to_json(from_json(text)) == text
 
 
 def test_write_atomic_removes_its_temp_on_failure(tmp_path):

@@ -103,6 +103,25 @@ def test_pattern_with_too_many_edges_names_the_edge_closing_a_cycle():
         parse_tree("root a ab\nedge ab a b\nedge cd c d\nedge ef e f\nedge eg e g\n")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: UnrootedTree(("a", "b", "c"), (("a", "b", "c"),)),
+         r"pattern edge \('a', 'b', 'c'\) is not a pair of vertices"),
+        (lambda: UnrootedTree(("a", "b"), (5,)), "pattern edge 5 is not a pair of vertices"),
+        (lambda: RootedEmbeddedTree(("a", "b"), (("e0", "a"),), {"a": ("e0",), "b": ("e0",)},
+                                    ("a", "e0")),
+         r"edge record \('e0', 'a'\) is not \(id, a, b\)"),
+        (lambda: RootedEmbeddedTree(("a", "b"), (5,), {"a": ("e0",), "b": ("e0",)}, ("a", "e0")),
+         r"edge record 5 is not \(id, a, b\)"),
+    ],
+    ids=["pattern-triple", "pattern-int", "rooted-pair", "rooted-int"],
+)
+def test_an_edge_of_the_wrong_shape_is_refused(build, message):
+    with pytest.raises(FormatError, match=message):
+        build()
+
+
 def test_parse_duplicate_edge_id():
     with pytest.raises(DuplicateId):
         parse_tree("root a e\nedge e a b\nedge e b c\n")
