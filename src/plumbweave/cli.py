@@ -94,6 +94,11 @@ def _format_class(coords) -> str:
     return " ".join(terms) if terms else "0"
 
 
+def _class_doc(coords) -> dict:
+    """A family class as its coordinates and its :func:`_format_class`."""
+    return {"coords": list(coords), "pretty": _format_class(coords)}
+
+
 # ---------------------------------------------------------------------------
 # order
 
@@ -205,23 +210,21 @@ def _cmd_invariants(args) -> int:
         _emit(fibration.dump_json(report), args.out)
         return EXIT_OK if report["oracle_match"] else EXIT_FALSE
     reports = []
-    all_match = True
     for i in range(args.count):
         t = treecore.random_tree(args.seed + i, args.max_vertices)
-        rep = _invariants_report(f"random:{args.seed + i}", t, args.n, convention)
-        all_match = all_match and rep["oracle_match"]
-        reports.append(rep)
+        reports.append(_invariants_report(f"random:{args.seed + i}", t, args.n, convention))
+    mismatches = [r["tree_id"] for r in reports if not r["oracle_match"]]
     doc = {
         "seed": args.seed,
         "count": args.count,
         "n": args.n,
         "max_vertices": args.max_vertices,
-        "all_match": all_match,
-        "mismatches": [r["tree_id"] for r in reports if not r["oracle_match"]],
+        "all_match": not mismatches,
+        "mismatches": mismatches,
         "reports": reports if args.full else [],
     }
     _emit(fibration.dump_json(doc), args.out)
-    return EXIT_OK if all_match else EXIT_FALSE
+    return EXIT_FALSE if mismatches else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -240,23 +243,19 @@ def _collect_moves(args):
     return tuple(seq)
 
 
-def _cmd_moves_apply(args) -> int:
-    convention = _convention_from_args(args)
-    alf = fibration.from_json(_read_text(args.fibration))
-    seq = _collect_moves(args)
-    result = moves.replay(alf, seq, convention)
-    _emit(fibration.to_json(result), args.out)
-    if args.seq_out:
-        fibration.write_atomic(args.seq_out, moves.moves_to_json(seq))
-    return EXIT_OK
+def _saved_moves(args):
+    return moves.moves_from_json(_read_text(args.sequence))
 
 
 def _cmd_moves_replay(args) -> int:
+    """``moves apply`` and ``moves replay``: load the fibration, read the
+    moves with ``args.read_moves``, replay them and emit the result."""
     convention = _convention_from_args(args)
     alf = fibration.from_json(_read_text(args.fibration))
-    seq = moves.moves_from_json(_read_text(args.sequence))
-    result = moves.replay(alf, seq, convention)
-    _emit(fibration.to_json(result), args.out)
+    seq = args.read_moves(args)
+    _emit(fibration.to_json(moves.replay(alf, seq, convention)), args.out)
+    if args.seq_out:
+        fibration.write_atomic(args.seq_out, moves.moves_to_json(seq))
     return EXIT_OK
 
 
@@ -338,17 +337,9 @@ def _cmd_family(args) -> int:
         "convention": asdict(convention),
         "interior_position": {"zero_based": pos, "one_based": pos + 1},
         "word_length": len(source.cycles),
-        "witness": [
-            {"kind": mv.kind, "index": mv.index} for mv in witness
-        ],
-        "final_interior_class": {
-            "coords": list(final.cls),
-            "pretty": _format_class(final.cls),
-        },
-        "target_interior_class": {
-            "coords": list(target_final.cls),
-            "pretty": _format_class(target_final.cls),
-        },
+        "witness": [moves._move_doc(mv) for mv in witness],
+        "final_interior_class": _class_doc(final.cls),
+        "target_interior_class": _class_doc(target_final.cls),
         "equal": equal,
     }
     if args.json:
@@ -479,14 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--seq-out")
     _add_convention_args(p)
-    p.set_defaults(func=_cmd_moves_apply)
+    p.set_defaults(func=_cmd_moves_replay, read_moves=_collect_moves)
 
     p = msub.add_parser("replay", help="replay a saved move sequence")
     p.add_argument("fibration")
     p.add_argument("sequence")
     p.add_argument("--out")
     _add_convention_args(p)
-    p.set_defaults(func=_cmd_moves_replay)
+    p.set_defaults(func=_cmd_moves_replay, read_moves=_saved_moves, seq_out=None)
 
     p = msub.add_parser("search", help="bidirectional breadth-first witness search")
     p.add_argument("source")

@@ -18,8 +18,9 @@ vertex in order, where the block of ``v`` is (non-first outgoing edge cycles
 of ``v``, reversed) + (vertex cycle of ``v``).  Insertions for distinct
 tails target disjoint gaps, so the block form is exact.
 
-Every vertex then spans a matching cycle between two equal-class singular
-values; singular values sit at angles ``2*pi*k/m`` on the unit circle and
+Each class's cycles are one edge's and then its vertices', in order, so
+every vertex spans a matching cycle back to the previous cycle of its
+class; singular values sit at angles ``2*pi*k/m`` on the unit circle and
 the base diagram is rendered as a deterministic SVG.
 
 Tuples of a word's length are built from a list, ``tuple([...])``, never
@@ -127,8 +128,8 @@ class AbstractLF:
 
 @dataclass(frozen=True)
 class MatchingCycle:
-    """The two singular values (by word index) sharing a vertex's cycle;
-    vertex i's is entry i of :func:`matching_cycles`."""
+    """The word indices of a vertex's cycle and of the previous cycle of its
+    class; vertex i's is entry i of :func:`matching_cycles`."""
 
     endpoints: tuple[int, int]
 
@@ -175,21 +176,22 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
 def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
     """One matching cycle per vertex of the input tree, in vertex order.
 
-    Requires the unmoved output of :func:`fibrate` for the same tree.
-    The root vertex pairs with the root-edge cycle; vertex i pairs with
-    vertex i - 1 when edge i - 1 leads from it (``tail[i - 1] == i - 1``)
-    and with edge i - 1 otherwise.  Both endpoints always carry the same
-    class and denote the same fiber sphere.
+    Requires the unmoved output of :func:`fibrate` for the same tree, where
+    a class's cycles are one edge's followed by its vertices' in order: each
+    cycle after the first of its class is a vertex's and pairs with the one
+    before it, told apart by the ``id`` of the one tuple per class.
     """
-    if alf != fibrate(ot, alf.n):
+    word = fibrate(ot, alf.n)
+    if alf != word:
         raise NotAlgorithmOutput(
             "matching cycles are defined on the pristine algorithm output"
         )
-    index_of = {c.label: i for i, c in enumerate(alf.cycles)}
-    out = [MatchingCycle((index_of["vertex:v0"], index_of["edge:e0"]))]
-    for i, t in enumerate(ot.tail, start=1):
-        partner = f"vertex:v{i - 1}" if t == i - 1 else f"edge:e{i - 1}"
-        out.append(MatchingCycle((index_of[f"vertex:v{i}"], index_of[partner])))
+    last: dict[int, int] = {}  # class id -> index of its latest cycle
+    out = []
+    for k, c in enumerate(word.cycles):
+        if id(c.cls) in last:
+            out.append(MatchingCycle((k, last[id(c.cls)])))
+        last[id(c.cls)] = k
     return out
 
 
@@ -360,9 +362,11 @@ def _labels(values):
 
 
 def _coords(value, rank: int) -> tuple[int, ...]:
-    """A cycle class, a tuple of ``rank`` ints: one C-level type test, with
-    :func:`_int` as the error path; ``json.loads`` and ``int.__repr__``
-    refuse an int past the digit limit."""
+    """A cycle class, a tuple or list of ``rank`` ints: one C-level type
+    test, with :func:`_int` as the error path; ``json.loads`` and
+    ``int.__repr__`` refuse an int past the digit limit."""
+    if not isinstance(value, (tuple, list)):
+        raise FormatError(f"cycle coords {value!r} are not an array")
     coords = tuple(value) if set(map(type, value)) <= _INT_ONLY else tuple(map(_int, value))
     if len(coords) != rank:
         raise FormatError(f"cycle coords of length {len(coords)} against fiber rank {rank}")

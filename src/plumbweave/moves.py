@@ -376,16 +376,13 @@ def _descend(state, dist, alphabet, twist) -> tuple:
 # ---------------------------------------------------------------------------
 # serialization and the one-move-per-line grammar
 
+def _move_doc(move: MoveRecord) -> dict:
+    """A move's JSON object: its fields that are set, in field order."""
+    return {k: v for k, v in vars(move).items() if v is not None}
+
+
 def moves_to_json(seq) -> str:
-    out = []
-    for mv in seq:
-        doc: dict = {"kind": mv.kind}
-        if mv.index is not None:
-            doc["index"] = mv.index
-        if mv.vertex is not None:
-            doc["vertex"] = mv.vertex
-        out.append(doc)
-    return dump_json(out)
+    return dump_json([_move_doc(mv) for mv in seq])
 
 
 def moves_from_json(text: str):

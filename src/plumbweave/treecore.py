@@ -94,6 +94,14 @@ def _incidence(vertices, edges) -> dict[str, list[str]]:
     return incident
 
 
+def _positions(vertices, *, what: str) -> dict:
+    """The position of each vertex name, which must be hashable."""
+    try:
+        return {v: i for i, v in enumerate(vertices)}
+    except TypeError:
+        raise FormatError(f"{what}: a vertex name is not hashable") from None
+
+
 def _check_tree_shape(vertices, index_pairs, *, what: str) -> None:
     """Validate that the edges, given as pairs of positions in ``vertices``,
     form a tree on those vertices (union-find with path halving)."""
@@ -136,7 +144,7 @@ class RootedEmbeddedTree:
     def __post_init__(self):
         if not self.edges:
             raise EmptyTree("a tree needs at least one edge to carry a root")
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        pos = _positions(self.vertices, what="tree")
         if len(pos) != len(self.vertices):
             raise DuplicateId("duplicate vertex identifier")
         by_id: dict[str, Edge] = {}
@@ -144,18 +152,18 @@ class RootedEmbeddedTree:
         # the cyclic garbage collector does not track, not a list of pairs
         a_pos, b_pos = [], []
         for e in self.edges:
+            # a record is a tuple or a list; its id and ends must be hashable
             try:
-                eid, a, b = e
-            except (TypeError, ValueError):
-                raise FormatError(f"edge record {e!r} is not (id, a, b)") from None
-            if eid in by_id:
-                raise DuplicateId(f"duplicate edge identifier {eid!r}")
-            by_id[eid] = e
-            try:
+                eid, a, b = e if isinstance(e, (tuple, list)) else ()
+                if eid in by_id:
+                    raise DuplicateId(f"duplicate edge identifier {eid!r}")
+                by_id[eid] = e
                 a_pos.append(pos[a])
                 b_pos.append(pos[b])
             except KeyError:
                 raise UnknownVertex(f"edge {eid!r} references an unknown vertex") from None
+            except (TypeError, ValueError):
+                raise FormatError(f"edge record {e!r} is not (id, a, b)") from None
         _check_tree_shape(self.vertices, zip(a_pos, b_pos), what="tree")
 
         if set(self.rotation) != pos.keys():
@@ -176,7 +184,11 @@ class RootedEmbeddedTree:
                     f"rotation at {v!r} is not a permutation of its incident edges"
                 )
 
-        rv, re = self.root
+        try:
+            rv, re = self.root
+            hash((rv, re))
+        except (TypeError, ValueError):
+            raise FormatError(f"root {self.root!r} is not a (vertex, edge id) pair") from None
         if rv not in pos:
             raise BadRoot(f"root vertex {rv!r} does not exist")
         if re not in by_id:
@@ -299,7 +311,8 @@ def order_tree(t: RootedEmbeddedTree) -> OrderedTree:
             boundary.append(i)
             continue
         for e in reversed(outs):
-            stack.append((by_id[e].other(v), e, i))
+            _, a, b = by_id[e]
+            stack.append((b if a == v else a, e, i))
     if len(rotation[root_v]) == 1:
         boundary.append(0)
 
@@ -332,16 +345,16 @@ class UnrootedTree:
     def __post_init__(self):
         if not self.vertices:
             raise EmptyTree("a pattern needs at least one vertex")
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        pos = _positions(self.vertices, what="pattern")
         if len(pos) != len(self.vertices):
             raise DuplicateId("duplicate pattern vertex")
         pairs = []
         for e in self.edges:
-            try:
-                a, b = e
+            try:  # a tuple or a list of two hashable names
+                a, b = e if isinstance(e, (tuple, list)) else ()
+                i, j = pos.get(a), pos.get(b)
             except (TypeError, ValueError):
                 raise FormatError(f"pattern edge {e!r} is not a pair of vertices") from None
-            i, j = pos.get(a), pos.get(b)
             if i is None or j is None:
                 raise UnknownVertex(f"pattern edge ({a!r}, {b!r}) references unknown vertex")
             pairs.append((i, j))

@@ -70,7 +70,7 @@ def test_order_json_coords_are_dist_and_height(capsys, ex_file, tmp_path, seed):
         path.write_text(tree_text(t, lambda v: True), encoding="utf-8")
     code, out, _ = run(capsys, "order", str(path), "--json")
     assert code == 0
-    ot = order_tree(parse_tree(open(path, encoding="utf-8").read()))
+    ot = order_tree(parse_tree(Path(path).read_text(encoding="utf-8")))
     vertices = json.loads(out)["vertices"]
     assert [v["id"] for v in vertices] == list(ot.vertex_order)
     for i, v in enumerate(vertices):
@@ -251,7 +251,7 @@ def test_moves_apply_script(capsys, fib_json, tmp_path):
     code, out, _ = run(capsys, "moves", "apply", fib_json, "--script", str(script))
     assert code == 0
     doc = json.loads(out)
-    original = json.loads(open(fib_json).read())
+    original = json.loads(Path(fib_json).read_text(encoding="utf-8"))
     assert [c["coords"] for c in doc["cycles"]] == [
         c["coords"] for c in original["cycles"]
     ]
@@ -259,7 +259,7 @@ def test_moves_apply_script(capsys, fib_json, tmp_path):
 
 @pytest.mark.parametrize("n", [1, 0])
 def test_moves_apply_n_below_2_exits_2_and_writes_nothing(capsys, fib_json, tmp_path, n):
-    doc = json.loads(open(fib_json, encoding="utf-8").read())
+    doc = json.loads(Path(fib_json).read_text(encoding="utf-8"))
     doc["n"], doc["fiber"]["sphere_dim"] = n, n - 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -290,7 +290,7 @@ MALFORMED_FIBRATIONS = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_FIBRATIONS))
 def test_malformed_fibration_exits_2_and_writes_nothing(capsys, fib_json, tmp_path, case):
     old, new = MALFORMED_FIBRATIONS[case]
-    text = open(fib_json, encoding="utf-8").read()
+    text = Path(fib_json).read_text(encoding="utf-8")
     assert old in text
     bad = tmp_path / "bad.json"
     bad.write_text(text.replace(old, new, 1), encoding="utf-8")
@@ -486,7 +486,7 @@ def test_repeat_runs_are_byte_identical(capsys, ex_file):
 def test_fibration_json_round_trips_through_cli(capsys, fib_json, tmp_path):
     from plumbweave.fibration import from_json, to_json
 
-    text = open(fib_json).read()
+    text = Path(fib_json).read_text(encoding="utf-8")
     assert to_json(from_json(text)) == text
 
 

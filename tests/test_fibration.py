@@ -401,6 +401,42 @@ def test_matching_invariants(seed):
         assert alf.cycles[i].cls == alf.cycles[j].cls
 
 
+def reference_matching_cycles(alf, ot):
+    """The label-and-tail rule: the root vertex pairs with the root-edge
+    cycle, and vertex i with vertex i - 1 when edge i - 1 leads from it
+    (``tail[i - 1] == i - 1``) and with edge i - 1 otherwise."""
+    index_of = {c.label: i for i, c in enumerate(alf.cycles)}
+    out = [MatchingCycle((index_of["vertex:v0"], index_of["edge:e0"]))]
+    for i, t in enumerate(ot.tail, start=1):
+        partner = f"vertex:v{i - 1}" if t == i - 1 else f"edge:e{i - 1}"
+        out.append(MatchingCycle((index_of[f"vertex:v{i}"], index_of[partner])))
+    return out
+
+
+def every_root(t):
+    """``t`` rooted at each (vertex, incident edge) pair, leaves included."""
+    for v, rot in t.rotation.items():
+        for e in rot:
+            yield replace(t, root=(v, e))
+
+
+@given(seeds, st.integers(2, 5))
+@settings(max_examples=150, deadline=None)
+def test_matching_matches_the_label_and_tail_rule_at_every_root(seed, n):
+    for t in every_root(random_tree(seed, 9)):
+        ot = order_tree(t)
+        alf = fibrate(ot, n)
+        assert matching_cycles(alf, ot) == reference_matching_cycles(alf, ot)
+
+
+def test_matching_matches_the_label_and_tail_rule_at_2352_vertices():
+    t = random_tree(6, 2400)
+    assert len(t.vertices) == 2352
+    ot = order_tree(t)
+    alf = from_json(to_json(fibrate(ot, 3)))  # equal classes, not the same tuples
+    assert matching_cycles(alf, ot) == reference_matching_cycles(alf, ot)
+
+
 # ---------------------------------------------------------------------------
 # layout and rendering
 
@@ -859,6 +895,28 @@ def test_to_json_refuses_what_from_json_would(ex_ordered, edit, message):
     alf = edit(fibrate(ex_ordered, 3))
     with pytest.raises(FormatError, match=message):
         to_json(alf)
+
+
+@pytest.mark.parametrize("cls", [None, 5, "1000", {"0": 1}], ids=["null", "int", "string", "object"])
+def test_a_class_that_is_not_an_array_is_refused_both_ways(ex_ordered, cls):
+    alf = fibrate(ex_ordered, 3)
+    with pytest.raises(FormatError, match="are not an array"):
+        to_json(_with_cycle(alf, 1, cls=cls))
+    with pytest.raises(FormatError, match="are not an array"):
+        from_json(_edited(alf, lambda doc: doc["cycles"][1].update(coords=cls)))
+
+
+def test_a_pattern_edge_is_a_pair_that_round_trips():
+    with pytest.raises(FormatError, match="pattern edge 'ab' is not a pair of vertices"):
+        UnrootedTree(("a", "b"), ("ab",))
+    for edge in (("a", "b"), ["a", "b"]):
+        fiber = PlumbingDescriptor(UnrootedTree(("a", "b"), (edge,)), 2)
+        alf = AbstractLF(fiber, (VanishingCycle("stab:1", (1, 0), "x"),))
+        text = to_json(alf)
+        back = from_json(text)
+        assert back.fiber.pattern.edges == (("a", "b"),)
+        assert to_json(back) == text
+    assert back == replace(alf, fiber=replace(fiber, pattern=UnrootedTree(("a", "b"), (("a", "b"),))))
 
 
 # any string, one in four with a lone surrogate, which no UTF-8 output can

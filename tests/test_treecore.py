@@ -122,6 +122,54 @@ def test_an_edge_of_the_wrong_shape_is_refused(build, message):
         build()
 
 
+ROT_AB = {"a": ("e",), "b": ("e",)}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: UnrootedTree(("a", "b"), ("ab",)), "pattern edge 'ab' is not a pair of vertices"),
+        (lambda: UnrootedTree(("a", "b"), ({"a": 0, "b": 1},)),
+         "pattern edge {'a': 0, 'b': 1} is not a pair of vertices"),
+        (lambda: RootedEmbeddedTree(("a", "b"), ("eab",), ROT_AB, ("a", "e")),
+         r"edge record 'eab' is not \(id, a, b\)"),
+        (lambda: RootedEmbeddedTree(("a", "b"), ({"e", "a", "b"},), ROT_AB, ("a", "e")),
+         r"edge record .* is not \(id, a, b\)"),
+        (lambda: UnrootedTree((["a"],), ()), "pattern: a vertex name is not hashable"),
+        (lambda: UnrootedTree(("a", "b"), ((["a"], "b"),)),
+         r"pattern edge \(\['a'\], 'b'\) is not a pair of vertices"),
+        (lambda: RootedEmbeddedTree((["a"], "b"), (("e", "a", "b"),), ROT_AB, ("a", "e")),
+         "tree: a vertex name is not hashable"),
+        (lambda: RootedEmbeddedTree(("a", "b"), ((["e"], "a", "b"),), ROT_AB, ("a", "e")),
+         r"edge record \(\['e'\], 'a', 'b'\) is not \(id, a, b\)"),
+        (lambda: RootedEmbeddedTree(("a", "b"), (("e", "a", ["b"]),), ROT_AB, ("a", "e")),
+         r"edge record \('e', 'a', \['b'\]\) is not \(id, a, b\)"),
+        (lambda: RootedEmbeddedTree(("a", "b"), (("e", "a", "b"),), ROT_AB, (["a"], "e")),
+         r"root \(\['a'\], 'e'\) is not a \(vertex, edge id\) pair"),
+        (lambda: RootedEmbeddedTree(("a", "b"), (("e", "a", "b"),), ROT_AB, ("a",)),
+         r"root \('a',\) is not a \(vertex, edge id\) pair"),
+    ],
+    ids=["pattern-string", "pattern-dict", "rooted-string", "rooted-set", "pattern-vertex-list",
+         "pattern-end-list", "rooted-vertex-list", "rooted-id-list", "rooted-end-list",
+         "root-vertex-list", "root-single"],
+)
+def test_a_record_that_is_not_a_sequence_or_an_unhashable_name_is_refused(build, message):
+    with pytest.raises(FormatError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4])
+def test_edge_tuple_and_list_records_order_alike(ex_tree, seed):
+    t = ex_tree if seed is None else random_tree(seed, 40)
+    orders = []
+    for record in (Edge, lambda *f: f, lambda *f: list(f)):
+        edges = tuple(record(*e) for e in t.edges)
+        ot = order_tree(RootedEmbeddedTree(t.vertices, edges, t.rotation, t.root))
+        orders.append({f: getattr(ot, f) for f in OrderedTree.__dataclass_fields__ if f != "base"})
+    assert orders[0] == orders[1] == orders[2]
+    assert orders[0] == {f: getattr(order_tree(t), f) for f in orders[0]}
+
+
 def test_parse_duplicate_edge_id():
     with pytest.raises(DuplicateId):
         parse_tree("root a e\nedge e a b\nedge e b c\n")
