@@ -30,6 +30,17 @@ but, once freed, goes to the free list for its own size, which then only
 grows.  Only a full collection empties those lists, and the writers below
 allocate too few objects to trigger one, so the lists would grow to
 megabytes.
+
+A word holds one :class:`VanishingCycle` per cycle, so its ``__init__``
+fills the three slots through their descriptors: the ``__init__`` a frozen
+dataclass generates sets each field through ``object.__setattr__``, which
+makes a record cost about 1.5 times as much to build.  Writing the
+instance ``__dict__`` instead is a little cheaper to build, but gives each
+record a dict of its own, about 100 bytes, and makes every field read
+about three times slower.  The class stays a frozen dataclass, for
+``dataclasses.replace``, ``==``, ``hash`` and ``repr`` read its fields,
+and assignment raises ``FrozenInstanceError``, as for every other record
+of the package.
 """
 
 from __future__ import annotations
@@ -91,7 +102,7 @@ class PlumbingDescriptor:
         _check_sphere_dim(self.sphere_dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VanishingCycle:
     """One vanishing cycle: origin label, lattice class, symbolic display.
 
@@ -99,11 +110,23 @@ class VanishingCycle:
     ``stab:1``) and never changes; ``display`` is the symbolic name, which
     accumulates a formal twist word under Hurwitz moves.  ``==`` compares all
     three; only :func:`equal_homology` and the search compare classes alone.
+    A class given as a list is stored as a tuple; a tuple is kept as it is.
     """
 
     label: str
     cls: tuple[int, ...]
     display: str
+
+    # see the module docstring for why it fills the slots itself
+    def __init__(self, label: str, cls: tuple[int, ...], display: str):
+        _set_label(self, label)
+        _set_cls(self, tuple(cls) if type(cls) is list else cls)
+        _set_display(self, display)
+
+
+_set_label = VanishingCycle.label.__set__
+_set_cls = VanishingCycle.cls.__set__
+_set_display = VanishingCycle.display.__set__
 
 
 @dataclass(frozen=True)
@@ -113,6 +136,10 @@ class AbstractLF:
 
     fiber: PlumbingDescriptor
     cycles: tuple[VanishingCycle, ...]
+
+    def __post_init__(self):
+        if type(self.cycles) is list:  # stored as the tuple from_json reads back
+            object.__setattr__(self, "cycles", tuple(self.cycles))
 
     @property
     def n(self) -> int:

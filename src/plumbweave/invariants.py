@@ -83,7 +83,7 @@ def total_homology(alf: AbstractLF) -> HomologyReport:
     n = alf.n
     rank = len(alf.fiber.pattern.vertices)
     classes = alf.word_classes()
-    if any(len(c) != rank for c in classes):
+    if not set(map(len, classes)) <= {rank}:
         raise DimensionMismatch(f"cycle classes against fiber rank {rank}")
     if classes:
         # one row per cycle: the transpose of the boundary map

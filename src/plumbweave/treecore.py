@@ -40,6 +40,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -97,7 +98,7 @@ def _incidence(vertices, edges) -> dict[str, list[str]]:
 def _positions(vertices, *, what: str) -> dict:
     """The position of each vertex name, which must be hashable."""
     try:
-        return {v: i for i, v in enumerate(vertices)}
+        return dict(zip(vertices, range(len(vertices))))
     except TypeError:
         raise FormatError(f"{what}: a vertex name is not hashable") from None
 
@@ -133,6 +134,12 @@ class RootedEmbeddedTree:
     maps each vertex to the cyclic sequence of its incident edge ids.
     Instances are validated on construction and immutable afterwards;
     validation also stores ``edge_by_id``, the edge record of each id.
+
+    Validation walks the edge records once, which fills ``edge_by_id``,
+    the positions of each edge's ends and the ids at each vertex position
+    in declaration order.  The union-find shape check then reads the
+    positions, and the rotation check the ids, so the first fault found is
+    a record's, then the shape's, then a rotation's, then the root's.
     """
 
     vertices: tuple[str, ...]
@@ -151,6 +158,7 @@ class RootedEmbeddedTree:
         # the positions of the ends of each edge, as two lists of ints, which
         # the cyclic garbage collector does not track, not a list of pairs
         a_pos, b_pos = [], []
+        incident: list[list[str]] = [[] for _ in pos]
         for e in self.edges:
             # a record is a tuple or a list; its id and ends must be hashable
             try:
@@ -158,12 +166,15 @@ class RootedEmbeddedTree:
                 if eid in by_id:
                     raise DuplicateId(f"duplicate edge identifier {eid!r}")
                 by_id[eid] = e
-                a_pos.append(pos[a])
-                b_pos.append(pos[b])
+                i, j = pos[a], pos[b]
             except KeyError:
                 raise UnknownVertex(f"edge {eid!r} references an unknown vertex") from None
             except (TypeError, ValueError):
                 raise FormatError(f"edge record {e!r} is not (id, a, b)") from None
+            a_pos.append(i)
+            b_pos.append(j)
+            incident[i].append(eid)
+            incident[j].append(eid)
         _check_tree_shape(self.vertices, zip(a_pos, b_pos), what="tree")
 
         if set(self.rotation) != pos.keys():
@@ -172,7 +183,7 @@ class RootedEmbeddedTree:
         # are distinct, and a tuple or list of as many entries that holds
         # them all is a permutation of them; one with an unhashable entry
         # (a TypeError) is not
-        for v, ids in _incidence(self.vertices, self.edges).items():
+        for v, ids in zip(self.vertices, incident):
             rot = self.rotation[v]
             try:
                 ok = (isinstance(rot, (tuple, list)) and len(rot) == len(ids)
@@ -205,42 +216,46 @@ def parse_tree(text: str) -> RootedEmbeddedTree:
     ``#`` starts a comment; blank lines are skipped.  ``rot`` lines are
     optional; the default rotation is the edge declaration order.
     """
-    edges: list[Edge] = []
-    ends: list[str] = []
+    # the four tokens of each edge line, in one list of strings, so that no
+    # list per line outlives its line for the garbage collector to scan
+    edge_tokens: list[str] = []
     rot_lines: dict[str, tuple[str, ...]] = {}
     root: tuple[str, str] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
-        kind, args = tokens[0], tokens[1:]
+        kind = tokens[0]
         if kind == "edge":
-            if len(args) != 3:
+            if len(tokens) != 4:
                 raise FormatError(f"line {lineno}: edge wants ID A B")
-            edges.append(Edge(*args))
-            ends += args[1:]
+            edge_tokens += tokens
+        elif kind == "rot":
+            if len(tokens) < 3:
+                raise FormatError(f"line {lineno}: rot wants VERTEX EDGE...")
+            v = tokens[1]
+            if v in rot_lines:
+                raise DuplicateId(f"line {lineno}: duplicate rot for vertex {v!r}")
+            rot_lines[v] = tuple(tokens[2:])
         elif kind == "root":
-            if len(args) != 2:
+            if len(tokens) != 3:
                 raise FormatError(f"line {lineno}: root wants VERTEX EDGE")
             if root is not None:
                 raise FormatError(f"line {lineno}: more than one root declaration")
-            root = (args[0], args[1])
-        elif kind == "rot":
-            if len(args) < 2:
-                raise FormatError(f"line {lineno}: rot wants VERTEX EDGE...")
-            v = args[0]
-            if v in rot_lines:
-                raise DuplicateId(f"line {lineno}: duplicate rot for vertex {v!r}")
-            rot_lines[v] = tuple(args[1:])
+            root = (tokens[1], tokens[2])
         else:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
 
-    if not edges:
+    if not edge_tokens:
         raise EmptyTree("no edges declared; a single vertex cannot carry a root")
     if root is None:
         raise BadRoot("no root declared")
-    vertices = dict.fromkeys(ends)  # first mention order
+    ids, a_ends, b_ends = edge_tokens[1::4], edge_tokens[2::4], edge_tokens[3::4]
+    # each record in C, as Edge._make builds it but for the length check,
+    # which the line check made
+    edges = list(map(tuple.__new__, repeat(Edge), zip(ids, a_ends, b_ends)))
+    vertices = dict.fromkeys(chain.from_iterable(zip(a_ends, b_ends)))  # first mention order
     for v in rot_lines:
         if v not in vertices:
             raise BadRotation(f"rot line for unknown vertex {v!r}")
@@ -368,6 +383,12 @@ class UnrootedTree:
             below[j].append(i)
         object.__setattr__(self, "above", tuple(map(tuple, above)))
         object.__setattr__(self, "below", tuple(map(tuple, below)))
+        # lists stored as the tuples from_json reads back
+        if type(self.vertices) is list:
+            object.__setattr__(self, "vertices", tuple(self.vertices))
+        if type(self.edges) is not tuple or list in map(type, self.edges):
+            edges = [tuple(e) if type(e) is list else e for e in self.edges]
+            object.__setattr__(self, "edges", tuple(edges))
 
     def edge_index_pairs(self) -> frozenset[tuple[int, int]]:
         """Edges as position pairs, for name-independent comparison."""
