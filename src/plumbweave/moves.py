@@ -17,8 +17,9 @@ formal twist word purely for provenance.
 
 Deformation is not a move here: at the homology level it is the identity,
 so it is represented by equality itself.  Whether the four moves connect all
-fibrations of a fixed total space is unknown; a failed bounded search is
-therefore never evidence of inequivalence.
+fibrations of a fixed total space is unknown, so no search result is
+evidence of inequivalence: a failed search shows at most that these moves
+do not reach the target.
 
 Search is a bidirectional breadth-first search over class words (Pohl,
 "Bi-directional search", 1971).  When every class is an isometric centre,
@@ -27,9 +28,14 @@ with explicit inverses (``hurwitz_b`` at i undoes ``hurwitz_a`` at i and
 the reverse; Seidel, *Fukaya Categories and Picard-Lefschetz Theory*,
 2008), so a second frontier grows backward from the target; and since
 isometries keep every class's square, a target with a class of another
-square is cut off at once.  Each search interns the classes it meets as
-small integer ids, so a state is a tuple of ids, and computes each twist
-(centre, class, power) once, in a table that lives only for that call.
+square is cut off at once.  Every cyclic or Hurwitz move replaces a pair
+(x, y) with (y, x + c*y) or (y + c'*x, x), a unimodular recombination, so
+it keeps the lattice the word's classes span; in the two-sided case
+a target whose classes span another lattice, told apart by the Smith normal
+form of the class rows, is cut off at once as well.  Each search interns
+the classes it meets as small integer ids, so a state is a tuple of ids,
+and computes each twist (centre, class, power) once, in a table that lives
+only for that call.
 """
 
 from __future__ import annotations
@@ -51,7 +57,14 @@ from .fibration import (
     fiber_form,
     load_json,
 )
-from .lattice import ANTISYMMETRIC, Convention, DEFAULT_CONVENTION, _int, dehn_twist
+from .lattice import (
+    ANTISYMMETRIC,
+    Convention,
+    DEFAULT_CONVENTION,
+    _int,
+    dehn_twist,
+    smith_normal_form,
+)
 from .treecore import UnrootedTree
 
 __all__ = [
@@ -242,7 +255,7 @@ def search_equivalence(
     index (no stabilization), in that fixed order; the result is the
     shortest witness and lexicographically least among those.  Returns a
     tuple of MoveRecord, or None when no witness has at most ``max_depth``
-    moves.  A None is never evidence of inequivalence.
+    moves.  A None is never evidence that the fibrations differ.
 
     States are words of class ids: the call interns each class it meets,
     and the ``twist`` it hands to :func:`_move_word` computes each
@@ -255,13 +268,21 @@ def search_equivalence(
     explicit inverse, so a second search grows from b over predecessors
     (right rotation, and ``hurwitz_b`` at i for ``hurwitz_a`` at i and the
     reverse), always on the smaller frontier, until the two meet or their
-    depths add up to ``max_depth``.  Isometries keep each class's square,
-    so when every class of a is a centre and some class of b is not, b is
-    unreachable and None comes back at once; even that None shows only
-    that these moves do not reach b, not that the fibrations differ.
-    Otherwise only the forward side grows, and a twist that has no integer
-    inverse raises :class:`NonInvertibleTwist` where a one-sided search
-    meets it.  A negative ``max_depth`` raises :class:`IndexOutOfRange`.
+    depths add up to ``max_depth``.  Otherwise only the forward side grows,
+    and a twist that has no integer inverse raises
+    :class:`NonInvertibleTwist` where a one-sided search meets it.
+
+    Two cuts return None before anything is interned, at any depth.
+    Isometries keep each class's square, so when every class of a is a
+    centre and some class of b is not, b is unreachable.  Each move sends a
+    pair (x, y) to (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of
+    the word's classes; in a two-sided search whose words have different
+    sets of distinct classes, class rows with different Smith normal forms
+    (those ``total_homology`` computes) make b unreachable too, and a class
+    entry that is not an ``int`` raises :class:`FormatError` there.  Such a
+    None shows only that these moves do not reach b, not that the
+    fibrations differ.  A negative ``max_depth`` raises
+    :class:`IndexOutOfRange`.
     """
     if _int(max_depth) < 0:
         raise IndexOutOfRange(f"search depth {max_depth} below 0")
@@ -278,6 +299,12 @@ def search_equivalence(
     bidirectional = all(_isometric_centre(form, c) for c in start)
     if bidirectional and not all(_isometric_centre(form, c) for c in goal):
         return None
+    if (
+        bidirectional
+        and set(start) != set(goal)
+        and smith_normal_form(start) != smith_normal_form(goal)
+    ):
+        return None  # every move keeps the span of the word's classes
     ids: dict = {}  # class -> id
     classes: list = []  # id -> class
     twists: dict = {}  # (centre id, class id, power) -> id of the twisted class

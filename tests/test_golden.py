@@ -62,6 +62,10 @@ CASES = {
     "moves_replay": ("moves replay {in}/ex_n3.json {in}/seq.json", None),
     "moves_search_found": ("moves search {in}/ex_n3.json {in}/target.json --depth 4", None),
     "moves_search_exhausted": ("moves search {in}/ex_n3.json {in}/target.json --depth 1", None),
+    "moves_search_lattice_cut": (
+        "moves search {in}/family_6_1_n4.json {in}/family_6_3_n4_index2.json --depth 50",
+        None,
+    ),
     "moves_repl": ("moves repl {in}/ex_n3.json --out {out}/repl.json", "repl.txt"),
     "family_pass_text": ("family --m 6 --j 1 --shift 4 --n 3", None),
     "family_pass_json": ("family --m 6 --j 1 --shift 4 --n 3 --json", None),

@@ -585,6 +585,66 @@ def test_search_isometry_cut_returns_none():
     assert _reference_bfs(a, b, 2) is None
 
 
+def _count_twists(monkeypatch) -> Counter:
+    computed = Counter()
+
+    def counting_twist(form, l, x, power=1):
+        computed[l, x, power] += 1
+        return dehn_twist(form, l, x, power)
+
+    monkeypatch.setattr(moves, "dehn_twist", counting_twist)
+    return computed
+
+
+# at even n the fiber form is antisymmetric, so every class is an isometric
+# centre and the search is two-sided; this target's classes span a
+# sublattice of index 2, which no move can reach
+INDEX_2_PAIR = (family_word(6, 1, 4), _map_classes(family_word(6, 3, 4), ((1, 1), (0, 2))))
+
+
+def test_search_lattice_cut_returns_none_before_any_twist(monkeypatch):
+    a, b = INDEX_2_PAIR
+    assert _reference_bfs(a, b, 3) is None
+    computed = _count_twists(monkeypatch)
+    assert search_equivalence(a, b, 8) is None
+    assert not computed
+
+
+def test_search_lattice_cut_at_scale(monkeypatch):
+    t = random_tree(86, 400)
+    assert len(t.vertices) == 400
+    a = fibrate(order_tree(t), 4)
+    doubled = tuple(replace(c, cls=(2 * c.cls[0],) + c.cls[1:]) for c in a.cycles)
+    b = cyclic_permute(replace(a, cycles=doubled))
+    computed = _count_twists(monkeypatch)
+    for depth in (2, 6):
+        assert search_equivalence(a, b, depth) is None
+        assert not computed
+
+
+def test_one_sided_search_is_not_cut_by_the_lattice():
+    # no class is an isometric centre under these signs, so a target whose
+    # classes span another lattice is still searched, and the twist with no
+    # integer inverse raises where the search meets it
+    convention = Convention(2, 1, 1)
+    a = family_word(6, 1, 5)
+    b = _map_classes(family_word(6, 5, 5), ((1, 1), (0, 2)))
+    for depth in (1, 4):
+        for search in (search_equivalence, _reference_bfs):
+            with pytest.raises(NonInvertibleTwist):
+                search(a, b, depth, convention)
+
+
+@pytest.mark.parametrize("kind", [float, bool])
+def test_search_lattice_cut_refuses_non_integer_entries(kind):
+    # a hand-built word only: the fibration reader refuses such entries
+    a, b = INDEX_2_PAIR
+    a = replace(a, cycles=tuple(replace(c, cls=tuple(map(kind, c.cls))) for c in a.cycles))
+    for depth in (0, 2):
+        with pytest.raises(FormatError):
+            search_equivalence(a, b, depth)
+
+
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_search_wrong_length_class_matches_reference(side):
     # a hand-built word may carry a class of the wrong length: the twist
