@@ -12,7 +12,7 @@ bundles along a tree pattern, so its middle homology is free on one class
   :func:`pattern_form` alone;
 * the homological twist action ``x -> x + eps * <x, l> * l`` of a Dehn twist
   around a sphere with class ``l``, including exact integer inverses, which
-  touches only the coordinates where ``l`` is nonzero;
+  reads the support of ``l`` once and runs each pairing and update over it;
 * exact Smith normal form over the integers, the workhorse behind all
   homology computations: one sparse elimination loop whose pivots are
   entries of least magnitude, so the ±1 entries go first and any other
@@ -124,14 +124,19 @@ class IntersectionForm:
     convention: Convention
 
     def pair(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        """Evaluate <x, y> = x^T B y over the nonzero coordinates of x."""
+        """Evaluate <x, y> = x^T B y: check both lengths, then run the one
+        pairing loop, :meth:`_pair_on`, over the support of x, read once."""
         r = len(self.basis)
         if len(x) != r or len(y) != r:
             raise DimensionMismatch(f"vectors of length {len(x)}, {len(y)} against rank {r}")
+        return self._pair_on(compress(range(r), x), x, y)
+
+    def _pair_on(self, support, x: tuple[int, ...], y: tuple[int, ...]) -> int:
+        """<x, y> over ``support``, x's nonzero positions; lengths unchecked."""
         diag, upper, lower = self.diagonal, self.upper, self.lower
         above, below = self.above, self.below
         total = 0
-        for i in compress(range(r), x):
+        for i in support:
             row = diag * y[i]
             for j in above[i]:
                 row += upper * y[j]
@@ -176,7 +181,8 @@ def dehn_twist(
     twist sign, changing x only where l is nonzero.  Negative powers
     invert; the inverse is again of twist shape with coefficient
     -eps - <l,l>, which is an integer automorphism exactly when eps*<l,l>
-    is 0 or -2 (transvection resp. reflection).
+    is 0 or -2 (transvection resp. reflection).  l's support is read once
+    and serves <l,l>, each <x,l> (as ±<l,x>) and each update of x.
     """
     r = len(form.basis)
     if len(l) != r or len(x) != r:
@@ -184,21 +190,25 @@ def dehn_twist(
             f"twist on vectors of length {len(l)}, {len(x)} against rank {r}"
         )
     eps = form.convention.twist_sign
-    if _int(power) >= 0:
+    power = _int(power)
+    support = list(compress(range(r), l))
+    if power >= 0:
         coeff, reps = eps, power
     else:
-        s = form.pair(l, l)
+        s = form._pair_on(support, l, l)
         if eps * s not in (0, -2):
             raise NonInvertibleTwist(
                 f"twist with eps={eps} around a class of square {s} has no integer inverse"
             )
         coeff, reps = -eps - s, -power
+    if form.parity == ANTISYMMETRIC:
+        coeff = -coeff  # <x, l> = -<l, x>
     for _ in range(reps):
-        c = form.pair(x, l)
+        c = form._pair_on(support, l, x)
         if c:
             k = coeff * c
             out = list(x)
-            for i in compress(range(r), l):
+            for i in support:
                 out[i] += k * l[i]
             x = tuple(out)
     return x

@@ -9,7 +9,8 @@ homology level, where cycle classes evolve by the exact twist action.
 :class:`MoveRecord` is the one grammar of moves, checked when a record is
 built; :func:`apply_move` is the one entry that runs a move, and the four
 public moves call it.  Cyclic and Hurwitz moves follow one rule,
-:func:`_move_word`, which the search also runs on its words of class ids.
+:func:`_move_word`, which the search also runs on its words of class ids;
+a Hurwitz move copies the word once and twists it with :func:`dehn_twist`.
 
 Cycle identity after moves lives at two tiers: the lattice class (decidable,
 used for every equality check) and the display string, which accumulates a
@@ -40,7 +41,7 @@ only for that call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -145,9 +146,12 @@ def _move_word(word: tuple, move: MoveRecord, twist) -> tuple:
         return word[1:] + word[:1]
     i = move.index
     x, y = word[i], word[i + 1]
+    out = list(word)
     if move.kind == HURWITZ_A:
-        return word[:i] + (y, twist(y, x, 1)) + word[i + 2 :]
-    return word[:i] + (twist(x, y, -1), x) + word[i + 2 :]
+        out[i], out[i + 1] = y, twist(y, x, 1)
+    else:
+        out[i], out[i + 1] = twist(x, y, -1), x
+    return tuple(out)
 
 
 def stabilize(alf: AbstractLF, attach_vertex: str, position: int) -> AbstractLF:
@@ -193,7 +197,7 @@ def apply_move(
     if move.kind == CYCLIC:
         if not word:
             raise IndexOutOfRange("empty cycle word")
-        return replace(alf, cycles=_move_word(word, move, None))
+        return AbstractLF(alf.fiber, _move_word(word, move, None))
     if not 0 <= move.index < len(word) - 1:
         raise IndexOutOfRange(f"pair index {move.index} not in 0..{len(word) - 2}")
     form = fiber_form(alf.fiber, convention)
@@ -204,7 +208,7 @@ def apply_move(
             x.label, dehn_twist(form, l.cls, x.cls, power), f"{tau}[{l.display}]({x.display})"
         )
 
-    return replace(alf, cycles=_move_word(word, move, twist))
+    return AbstractLF(alf.fiber, _move_word(word, move, twist))
 
 
 def replay(

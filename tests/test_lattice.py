@@ -339,6 +339,32 @@ def test_form_and_twist_match_reference(data, pattern, sphere_dim, convention, p
     assert outcome(dehn_twist, form, l, x, power) == outcome(reference_twist, ref, l, x, power)
 
 
+class CountingClass(tuple):
+    """A class that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("twist_sign", [1, -1])
+@pytest.mark.parametrize("sphere_dim", [2, 3])
+@pytest.mark.parametrize("power", range(-3, 4))
+def test_twist_reads_its_centre_once(power, sphere_dim, twist_sign):
+    """Each power, both parities, and the non-invertible path (eps = -1 on
+    the symmetric form): the centre's support is read once per call."""
+    pattern = UnrootedTree(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d")))
+    convention = Convention(twist_sign=twist_sign)
+    form = pattern_form(pattern, sphere_dim, convention)
+    ref = ReferenceForm(pattern, sphere_dim, convention)
+    centre, x = (0, 1, 1, 0), (1, 0, 0, 2)
+    l = CountingClass(centre)
+    assert outcome(dehn_twist, form, l, x, power) == outcome(reference_twist, ref, centre, x, power)
+    assert l.iterations <= 1
+
+
 def test_form_shares_the_pattern_adjacency():
     pattern = UnrootedTree(("c", "a", "b"), (("a", "c"), ("b", "c")))
     assert (pattern.above, pattern.below) == (((1, 2), (), ()), ((), (0,), (0,)))

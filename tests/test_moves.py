@@ -180,6 +180,41 @@ def test_hurwitz_pair_identity_random(seed, n):
     assert word_of(hurwitz_a(hurwitz_b(alf, i), i)) == word_of(alf)
 
 
+def sliced_move_word(word, move, twist):
+    """The move rule written with slices and tuple concatenation: the
+    reference for ``_move_word``, which copies the word once."""
+    if move.kind == CYCLIC:
+        return word[1:] + word[:1]
+    i = move.index
+    x, y = word[i], word[i + 1]
+    if move.kind == HURWITZ_A:
+        return word[:i] + (y, twist(y, x, 1)) + word[i + 2 :]
+    return word[:i] + (twist(x, y, -1), x) + word[i + 2 :]
+
+
+def tagged_twist(l, x, power):
+    return ("τ", l, x, power)
+
+
+def refusing_twist(l, x, power):
+    raise NonInvertibleTwist(f"no inverse around {l}")
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=14).map(tuple))
+@settings(max_examples=150, deadline=None)
+def test_move_word_matches_the_sliced_rule(word):
+    before = tuple(word)
+    alphabet = _state_moves(len(word))  # cyclic, then each Hurwitz move at 0..m-2
+    for move in alphabet:
+        out = _move_word(word, move, tagged_twist)
+        assert type(out) is tuple
+        assert out == sliced_move_word(word, move, tagged_twist)
+    for move in alphabet[1:]:
+        with pytest.raises(NonInvertibleTwist):
+            _move_word(word, move, refusing_twist)
+    assert word == before
+
+
 # ---------------------------------------------------------------------------
 # stabilization
 
@@ -693,30 +728,39 @@ def test_moves_preserve_homology(seed, n):
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [3, 4])
 def test_move_script_matches_reference_twist_at_scale(n):
+    """A seeded script of 300 cyclic and Hurwitz moves at random indices on
+    the word of a 1500-vertex tree: after each move every class equals the
+    reference twist's, and every label and display follows the move rule."""
     t = random_tree(84, 1500)
     assert len(t.vertices) == 1500
     alf = fibrate(order_tree(t), n)
     ref = ReferenceForm(alf.fiber.pattern, alf.fiber.sphere_dim, DEFAULT_CONVENTION)
     word = list(alf.word_classes())
+    names = [(c.label, c.display) for c in alf.cycles]
     rng = random.Random(n)
     twisted = 0
-    for _ in range(86):
+    for _ in range(300):
         kind = rng.choice("abc")
         if kind == "c":
             alf = cyclic_permute(alf)
             word = word[1:] + word[:1]
-            continue
-        i = rng.randrange(len(word) - 1)
-        x, y = word[i], word[i + 1]
-        if kind == "a":
-            alf = hurwitz_a(alf, i)
-            word[i : i + 2] = [y, reference_twist(ref, y, x)]
+            names = names[1:] + names[:1]
         else:
-            alf = hurwitz_b(alf, i)
-            word[i : i + 2] = [reference_twist(ref, x, y, -1), x]
-        twisted += word[i : i + 2] != [y, x]
+            i = rng.randrange(len(word) - 1)
+            x, y = word[i], word[i + 1]
+            (xl, xd), (yl, yd) = names[i], names[i + 1]
+            if kind == "a":
+                alf = hurwitz_a(alf, i)
+                word[i : i + 2] = [y, reference_twist(ref, y, x)]
+                names[i : i + 2] = [(yl, yd), (xl, f"τ[{yd}]({xd})")]
+            else:
+                alf = hurwitz_b(alf, i)
+                word[i : i + 2] = [reference_twist(ref, x, y, -1), x]
+                names[i : i + 2] = [(yl, f"τ^{{-1}}[{xd}]({yd})"), (xl, xd)]
+            twisted += word[i : i + 2] != [y, x]
         assert alf.word_classes() == tuple(word)
-    assert twisted >= 25
+        assert [(c.label, c.display) for c in alf.cycles] == names
+    assert twisted >= 75
     assert total_homology(alf) == wedge_oracle(t, n)
 
 
