@@ -110,7 +110,8 @@ class VanishingCycle:
     ``stab:1``) and never changes; ``display`` is the symbolic name, which
     accumulates a formal twist word under Hurwitz moves.  ``==`` compares all
     three; only :func:`equal_homology` and the search compare classes alone.
-    A class given as a list is stored as a tuple; a tuple is kept as it is.
+    A class given as a list is stored as a tuple; a tuple is kept as it is;
+    anything else raises :class:`FormatError` (see :func:`_class_tuple`).
     """
 
     label: str
@@ -120,7 +121,7 @@ class VanishingCycle:
     # see the module docstring for why it fills the slots itself
     def __init__(self, label: str, cls: tuple[int, ...], display: str):
         _set_label(self, label)
-        _set_cls(self, tuple(cls) if type(cls) is list else cls)
+        _set_cls(self, cls if type(cls) is tuple else _class_tuple(cls))
         _set_display(self, display)
 
 
@@ -388,13 +389,22 @@ def _labels(values):
     return values
 
 
+def _class_tuple(value) -> tuple:
+    """The one array rule for a cycle class: a tuple as it is, a list as a
+    tuple; anything else raises :class:`FormatError`."""
+    if isinstance(value, tuple):
+        return value
+    if isinstance(value, list):
+        return tuple(value)
+    raise FormatError(f"cycle coords {value!r} are not an array")
+
+
 def _coords(value, rank: int) -> tuple[int, ...]:
-    """A cycle class, a tuple or list of ``rank`` ints: one C-level type
-    test, with :func:`_int` as the error path; ``json.loads`` and
+    """A cycle class, a :func:`_class_tuple` of ``rank`` ints: one C-level
+    type test, with :func:`_int` as the error path; ``json.loads`` and
     ``int.__repr__`` refuse an int past the digit limit."""
-    if not isinstance(value, (tuple, list)):
-        raise FormatError(f"cycle coords {value!r} are not an array")
-    coords = tuple(value) if set(map(type, value)) <= _INT_ONLY else tuple(map(_int, value))
+    value = _class_tuple(value)
+    coords = value if set(map(type, value)) <= _INT_ONLY else tuple(map(_int, value))
     if len(coords) != rank:
         raise FormatError(f"cycle coords of length {len(coords)} against fiber rank {rank}")
     return coords

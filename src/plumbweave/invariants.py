@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch
-from .fibration import AbstractLF, PlumbingDescriptor, VanishingCycle, _check_n, fibrate
+from .fibration import AbstractLF, _check_n, fibrate
 from .lattice import smith_normal_form
-from .treecore import RootedEmbeddedTree, UnrootedTree, order_tree, parse_tree
+from .treecore import RootedEmbeddedTree, order_tree, parse_tree
 
 __all__ = [
     "HomologyReport",
@@ -85,17 +85,13 @@ def total_homology(alf: AbstractLF) -> HomologyReport:
     classes = alf.word_classes()
     if not set(map(len, classes)) <= {rank}:
         raise DimensionMismatch(f"cycle classes against fiber rank {rank}")
-    if classes:
-        # one row per cycle: the transpose of the boundary map
-        snf = smith_normal_form(classes)
-        free_cok, torsion = snf.kernel_rank, snf.cokernel[1]
-        h_n = snf.cokernel[0]
-    else:  # no row to read r from: H_{n-1} = Z^r
-        free_cok, torsion, h_n = rank, (), 0
+    # one row per cycle: the transpose of the boundary map; with no row,
+    # rank 0 leaves H_{n-1} = Z^r
+    snf = smith_normal_form(classes)
     h = (
         (0, 1, ()),
-        (n - 1, free_cok, torsion),
-        (n, h_n, ()),
+        (n - 1, rank - snf.rank, snf.cokernel[1]),
+        (n, snf.cokernel[0], ()),
     )
     return HomologyReport(euler=euler_characteristic(alf), h=h, caveat=(n == 2))
 
@@ -112,18 +108,6 @@ def wedge_oracle(t: RootedEmbeddedTree, n: int) -> HomologyReport:
     )
 
 
-def _two_cycle_base_variant(n: int) -> AbstractLF:
-    """The two-cycle reading of the smallest fibration: a single-sphere
-    fiber with the zero section repeated twice (one cycle per vertex only,
-    no root-edge cycle)."""
-    pattern = UnrootedTree(("w0",), ())
-    cycles = (
-        VanishingCycle("vertex:v0", (1,), "L_{q(v0)}"),
-        VanishingCycle("vertex:v1", (1,), "L_{q(v1)}"),
-    )
-    return AbstractLF(PlumbingDescriptor(pattern, n - 1), cycles)
-
-
 _BASE_CASE_N = (2, 3, 4, 5)
 
 
@@ -132,7 +116,8 @@ def base_case_audit() -> dict:
 
     The literal three-step algorithm emits three cycles for the two-vertex
     chain (root edge plus both vertices); an alternative reading emits one
-    cycle per vertex only.  The audit reports, for n = 2 to 5, whether each
+    cycle per vertex only, which is the literal word without its root-edge
+    cycle, on the same fiber.  The audit reports, for n = 2 to 5, whether each
     variant's Euler characteristic and homology match the wedge oracle.
     Neither variant is patched to agree: the verdicts stand as computed.
     """
@@ -142,7 +127,7 @@ def base_case_audit() -> dict:
     for n in _BASE_CASE_N:
         oracle = wedge_oracle(a2, n)
         lit = fibrate(ot, n)
-        two = _two_cycle_base_variant(n)
+        two = AbstractLF(lit.fiber, lit.cycles[1:])  # no root-edge cycle
         for name, alf in (("literal_steps", lit), ("two_cycle_variant", two)):
             rep = total_homology(alf)
             verdicts[name][n] = {

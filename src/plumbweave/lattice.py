@@ -12,7 +12,8 @@ bundles along a tree pattern, so its middle homology is free on one class
   :func:`pattern_form` alone;
 * the homological twist action ``x -> x + eps * <x, l> * l`` of a Dehn twist
   around a sphere with class ``l``, including exact integer inverses, which
-  reads the support of ``l`` once and runs each pairing and update over it;
+  reads the support of ``l`` once and runs each pairing and update over it,
+  and the rule for which classes' twists are integer isometries;
 * exact Smith normal form over the integers, the workhorse behind all
   homology computations: one sparse elimination loop whose pivots are
   entries of least magnitude, so the ±1 entries go first and any other
@@ -212,6 +213,21 @@ def dehn_twist(
                 out[i] += k * l[i]
             x = tuple(out)
     return x
+
+
+def _isometric_centre(form, cls) -> bool:
+    """Whether the twist around ``cls`` is an integer isometry of ``form``:
+    always for an antisymmetric form, else when eps * <cls, cls> = -2, one
+    of the two squares for which :func:`dehn_twist` inverts.
+
+    A class of the wrong length is no centre; it fails in the twist.  On a
+    symmetric form a class in the radical is no centre either, though its
+    twist is the identity: the rule is conservative there."""
+    if len(cls) != len(form.basis):
+        return False
+    if form.parity == ANTISYMMETRIC:
+        return True
+    return form.convention.twist_sign * form.pair(cls, cls) == -2
 
 
 @dataclass(frozen=True)

@@ -23,20 +23,21 @@ evidence of inequivalence: a failed search shows at most that these moves
 do not reach the target.
 
 Search is a bidirectional breadth-first search over class words (Pohl,
-"Bi-directional search", 1971).  When every class is an isometric centre,
-a class whose twist is an integer isometry, the moves form a group action
-with explicit inverses (``hurwitz_b`` at i undoes ``hurwitz_a`` at i and
-the reverse; Seidel, *Fukaya Categories and Picard-Lefschetz Theory*,
-2008), so a second frontier grows backward from the target; and since
-isometries keep every class's square, a target with a class of another
-square is cut off at once.  Every cyclic or Hurwitz move replaces a pair
-(x, y) with (y, x + c*y) or (y + c'*x, x), a unimodular recombination, so
-it keeps the lattice the word's classes span; in the two-sided case
-a target whose classes span another lattice, told apart by the Smith normal
-form of the class rows, is cut off at once as well.  Each search interns
-the classes it meets as small integer ids, so a state is a tuple of ids,
-and computes each twist (centre, class, power) once, in a table that lives
-only for that call.
+"Bi-directional search", 1971).  When every class is an isometric centre
+(:func:`~plumbweave.lattice._isometric_centre`, a class whose twist is an
+integer isometry), the moves form a group action with explicit inverses
+(``hurwitz_b`` at i undoes ``hurwitz_a`` at i and the reverse; Seidel,
+*Fukaya Categories and Picard-Lefschetz Theory*, 2008), so a second
+frontier grows backward from the target; and since isometries keep every
+class's square, a target with a class of another square is cut off at
+once.  Every cyclic or Hurwitz move replaces a pair (x, y) with
+(y, x + c*y) or (y + c'*x, x), a unimodular recombination, so it keeps the
+lattice the word's classes span, and with it the total space's homology;
+in the two-sided case a target whose homology certificate
+(:func:`~plumbweave.invariants.total_homology`) differs is cut off at once
+as well.  Each search interns the classes it meets as small integer ids,
+so a state is a tuple of ids, and computes each twist (centre, class,
+power) once, in a table that lives only for that call.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ from .fibration import (
     fiber_form,
     load_json,
 )
+from .invariants import total_homology
 from .lattice import (
-    ANTISYMMETRIC,
     Convention,
     DEFAULT_CONVENTION,
     _int,
+    _isometric_centre,
     dehn_twist,
-    smith_normal_form,
 )
 from .treecore import UnrootedTree
 
@@ -280,13 +281,14 @@ def search_equivalence(
     Isometries keep each class's square, so when every class of a is a
     centre and some class of b is not, b is unreachable.  Each move sends a
     pair (x, y) to (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of
-    the word's classes; in a two-sided search whose words have different
-    sets of distinct classes, class rows with different Smith normal forms
-    (those ``total_homology`` computes) make b unreachable too, and a class
-    entry that is not an ``int`` raises :class:`FormatError` there.  Such a
-    None shows only that these moves do not reach b, not that the
-    fibrations differ.  A negative ``max_depth`` raises
-    :class:`IndexOutOfRange`.
+    the word's classes and hence :func:`total_homology`; in a two-sided
+    search whose words have different sets of distinct classes, homology
+    certificates that differ make b unreachable too, and a class entry that
+    is not an ``int`` raises :class:`FormatError` there.  On one fiber and
+    one word length the certificates differ exactly when the Smith normal
+    forms of the class rows do.  Such a None shows only that these moves do
+    not reach b, not that the fibrations differ.  A negative ``max_depth``
+    raises :class:`IndexOutOfRange`.
     """
     if _int(max_depth) < 0:
         raise IndexOutOfRange(f"search depth {max_depth} below 0")
@@ -303,12 +305,8 @@ def search_equivalence(
     bidirectional = all(_isometric_centre(form, c) for c in start)
     if bidirectional and not all(_isometric_centre(form, c) for c in goal):
         return None
-    if (
-        bidirectional
-        and set(start) != set(goal)
-        and smith_normal_form(start) != smith_normal_form(goal)
-    ):
-        return None  # every move keeps the span of the word's classes
+    if bidirectional and set(start) != set(goal) and total_homology(a) != total_homology(b):
+        return None  # every move keeps the total space's homology
     ids: dict = {}  # class -> id
     classes: list = []  # id -> class
     twists: dict = {}  # (centre id, class id, power) -> id of the twisted class
@@ -367,18 +365,6 @@ def search_equivalence(
                 if dist.get(state) == depth_b:
                     return _path(parents, state) + _descend(state, dist, alphabet, twist)
     return None
-
-
-def _isometric_centre(form, cls) -> bool:
-    """Whether the twist around ``cls`` is an integer isometry of ``form``:
-    always for an antisymmetric form, else when eps * <cls, cls> = -2.
-
-    A class of the wrong length is no centre; it fails in the twist."""
-    if len(cls) != len(form.basis):
-        return False
-    if form.parity == ANTISYMMETRIC:
-        return True
-    return form.convention.twist_sign * form.pair(cls, cls) == -2
 
 
 def _path(parents, state) -> tuple:

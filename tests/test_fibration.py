@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -904,6 +905,16 @@ def test_a_class_that_is_not_an_array_is_refused_both_ways(ex_ordered, cls):
         to_json(_with_cycle(alf, 1, cls=cls))
     with pytest.raises(FormatError, match="are not an array"):
         from_json(_edited(alf, lambda doc: doc["cycles"][1].update(coords=cls)))
+
+
+@pytest.mark.parametrize("cls", [None, 5, "ab", {"0": 1}], ids=["null", "int", "string", "object"])
+def test_a_vanishing_cycle_refuses_a_class_that_is_not_an_array(cls):
+    # refused where the cycle is built, so no move or certificate meets it
+    c = VanishingCycle("edge:e0", (0, 1), "L")
+    with pytest.raises(FormatError, match=f"cycle coords {re.escape(repr(cls))} are not an array"):
+        VanishingCycle("edge:e0", cls, "L")
+    with pytest.raises(FormatError, match="are not an array"):
+        replace(c, cls=cls)
 
 
 def test_a_pattern_edge_is_a_pair_that_round_trips():

@@ -1,7 +1,7 @@
 import random
 import re
 import time
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from math import gcd, prod
 
 import pytest
@@ -14,7 +14,7 @@ from plumbweave import (
     smith_normal_form,
 )
 from plumbweave.errors import BadDimension, DimensionMismatch, FormatError, NonInvertibleTwist
-from plumbweave.lattice import SmithResult, pattern_form
+from plumbweave.lattice import SmithResult, _isometric_centre, pattern_form
 from plumbweave.treecore import UnrootedTree
 
 A2_PATTERN = UnrootedTree(("alpha", "beta"), (("alpha", "beta"),))
@@ -384,6 +384,56 @@ def test_twist_power_cases():
     assert dehn_twist(form, ALPHA, BETA, 0) == BETA
     with pytest.raises(NonInvertibleTwist):
         dehn_twist(form, ALPHA, BETA, -3)
+
+
+def centre_patterns():
+    """Every tree on up to 4 vertices as a parent array, and on 5 and 6
+    vertices the chain, the star and a branched tree."""
+    parent_arrays = [p for k in range(1, 5) for p in product(*map(range, range(1, k)))]
+    parent_arrays += [(0, 1, 2, 3), (0, 0, 0, 0), (0, 1, 1, 3), (0, 1, 2, 3, 4),
+                      (0, 0, 0, 0, 0), (0, 1, 1, 3, 3)]
+    for parents in parent_arrays:
+        names = tuple(f"w{i}" for i in range(len(parents) + 1))
+        yield UnrootedTree(names, tuple((names[p], names[i]) for i, p in enumerate(parents, 1)))
+
+
+def centre_classes(r, rng):
+    """Every class with entries in -2..2 up to rank 2, in -1..1 at ranks 3
+    and 4, and 40 seeded draws from -2..2 above that."""
+    if r <= 4:
+        return list(product(range(-2, 3) if r <= 2 else range(-1, 2), repeat=r))
+    return [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(40)]
+
+
+def test_isometric_centre_is_a_twist_that_keeps_the_form():
+    """Off the radical, a class is an isometric centre exactly when its twist
+    keeps the pairing of every two basis vectors.  On a symmetric form a
+    radical class is no centre (its twist is the identity: the rule is
+    conservative there); a class of the wrong length is never one."""
+    rng = random.Random(5)
+    radical_seen = 0
+    for pattern in centre_patterns():
+        r = len(pattern.vertices)
+        basis = [unit(r, i) for i in range(r)]
+        for n, s, edge_sign, twist_sign in product(range(2, 6), (-2, -1, 0, 2), (1, -1), (1, -1)):
+            form = pattern_form(pattern, n - 1, Convention(s, edge_sign, twist_sign))
+            gram = matrix(form)
+            for l in centre_classes(r, rng):
+                centre = _isometric_centre(form, l)
+                if not any(form.pair(e, l) for e in basis):
+                    radical_seen += any(l)
+                    assert centre == (form.parity == "antisymmetric")
+                    continue
+                twisted = [dehn_twist(form, l, e) for e in basis]
+                keeps = all(
+                    form.pair(twisted[i], twisted[j]) == gram[i][j]
+                    for i in range(r)
+                    for j in range(r)
+                )
+                assert centre == keeps, (pattern, n, form.convention, l)
+            for wrong in ((1,) * (r + 1), (0,) * (r - 1)):
+                assert not _isometric_centre(form, wrong)
+    assert radical_seen  # degenerate forms, such as s = -1 on the 2-chain, were met
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbweave import (
+    AbstractLF,
+    PlumbingDescriptor,
+    VanishingCycle,
     cyclic_permute,
     equal_homology,
     family_word,
@@ -20,6 +23,7 @@ from plumbweave import (
     random_tree,
     replay,
     search_equivalence,
+    smith_normal_form,
     stabilize,
     total_homology,
     wedge_oracle,
@@ -47,6 +51,7 @@ from plumbweave.moves import (
     moves_to_json,
     parse_move_line,
 )
+from plumbweave.treecore import UnrootedTree
 
 from .test_lattice import ReferenceForm, reference_twist
 
@@ -678,6 +683,55 @@ def test_search_lattice_cut_refuses_non_integer_entries(kind):
     for depth in (0, 2):
         with pytest.raises(FormatError):
             search_equivalence(a, b, depth)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """Two words on one fiber and of one length: random class words, one of
+    them sometimes the other's image under a random integer matrix with
+    rows shuffled, or a family word against an index-d image of another."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 6))
+        m = draw(st.integers(1, 6))
+        a = family_word(m, draw(st.integers(1, m)), n)
+        d = draw(st.integers(1, 4))
+        k = draw(st.integers(-3, 3))
+        matrix = draw(st.sampled_from([((1, k), (0, d)), ((d, 0), (k, 1)), ((k, d), (1, 0))]))
+        return a, _map_classes(family_word(m, draw(st.integers(1, m)), n), matrix)
+    r = draw(st.integers(1, 4))
+    names = tuple(f"w{i}" for i in range(r))
+    pattern = UnrootedTree(names, tuple((names[draw(st.integers(0, i - 1))], names[i])
+                                        for i in range(1, r)))
+    fiber = PlumbingDescriptor(pattern, draw(st.integers(1, 5)))
+    length = draw(st.integers(0, 6))
+    entries = st.integers(-3, 3)
+    rows = [tuple(draw(entries) for _ in range(r)) for _ in range(length)]
+    if draw(st.booleans()):
+        matrix = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(r)]
+        if draw(st.booleans()):  # unimodular: upper unitriangular
+            matrix = [[int(i == j) if i >= j else v for j, v in enumerate(row)]
+                      for i, row in enumerate(matrix)]
+        image = [tuple(sum(matrix[i][j] * x[j] for j in range(r)) for i in range(r))
+                 for x in rows]
+        other = draw(st.permutations(image))
+    else:
+        other = [tuple(draw(entries) for _ in range(r)) for _ in range(length)]
+
+    def word(classes):
+        return AbstractLF(fiber, tuple(VanishingCycle(f"stab:{i}", c, "c")
+                                       for i, c in enumerate(classes)))
+
+    return word(rows), word(other)
+
+
+@given(same_shape_pairs())
+@settings(max_examples=300, deadline=None)
+def test_homology_certificates_differ_when_the_class_rows_do(pair):
+    # the search's lattice cut compares certificates; on one fiber and one
+    # word length that is the Smith normal form of the class rows
+    a, b = pair
+    rows_differ = smith_normal_form(a.word_classes()) != smith_normal_form(b.word_classes())
+    assert (total_homology(a) != total_homology(b)) == rows_differ
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
