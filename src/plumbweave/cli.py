@@ -158,20 +158,16 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_fibrate(args) -> int:
+    """``fibrate`` and ``render``: emit the word when ``args.word``, then
+    write the SVG to ``args.render`` if set; ``render`` sets ``word`` false
+    and stores its ``--out`` as ``args.render``."""
     ot = _load_ordered(args.tree)
     alf = fibration.fibrate(ot, args.n)
-    _emit(fibration.to_json(alf), args.out)
+    if args.word:
+        _emit(fibration.to_json(alf), args.out)
     if args.render:
         matching = fibration.matching_cycles(alf, ot)
         fibration.write_atomic(args.render, fibration.render_svg(alf, matching))
-    return EXIT_OK
-
-
-def _cmd_render(args) -> int:
-    ot = _load_ordered(args.tree)
-    alf = fibration.fibrate(ot, args.n)
-    matching = fibration.matching_cycles(alf, ot)
-    fibration.write_atomic(args.out, fibration.render_svg(alf, matching))
     return EXIT_OK
 
 
@@ -231,16 +227,24 @@ def _cmd_invariants(args) -> int:
 # moves
 
 
-def _collect_moves(args):
-    seq = []
-    if args.script:
-        for raw in _read_text(args.script).splitlines():
+def _move_lines(lines, source: str):
+    """The move lines of a script or of stdin: each line without its ``#``
+    comment and outer blanks, blank ones skipped.  Text that is not UTF-8
+    raises :class:`FormatError`, as in :func:`_read_text`."""
+    try:
+        for raw in lines:
+            raw.encode("utf-8")
             line = raw.split("#", 1)[0].strip()
             if line:
-                seq.append(moves.parse_move_line(line))
-    for spec in args.move or []:
-        seq.append(moves.parse_move_line(spec))
-    return tuple(seq)
+                yield line
+    except UnicodeError as exc:
+        raise FormatError(f"{source}: not UTF-8 text: {exc}") from None
+
+
+def _collect_moves(args):
+    lines = _read_text(args.script).splitlines() if args.script else ()
+    specs = itertools.chain(_move_lines(lines, args.script), args.move or ())
+    return tuple(map(moves.parse_move_line, specs))
 
 
 def _saved_moves(args):
@@ -288,10 +292,7 @@ def _state_text(alf) -> str:
 def _cmd_moves_repl(args) -> int:
     convention = _convention_from_args(args)
     alf = fibration.from_json(_read_text(args.fibration))
-    lines = (raw.split("#", 1)[0].strip() for raw in sys.stdin)
-    for line in itertools.chain(["show"], lines):
-        if not line:
-            continue
+    for line in itertools.chain(["show"], _move_lines(sys.stdin, "<stdin>")):
         if line in ("quit", "exit"):
             break
         if line != "show":
@@ -366,17 +367,19 @@ def _cmd_selftest(args) -> int:
     seed = args.seed
     audit = invariants.base_case_audit()
 
-    identity_failures, oracle_failures = [], []
-    for i in range(max(args.trees, args.oracle_trees)):
+    identity_failures = []
+    for i in range(args.trees):
+        t = treecore.random_tree(seed + i, args.max_vertices)
+        alf = fibration.fibrate(treecore.order_tree(t), 3)
+        if len(alf.cycles) != len(t.vertices) + len(alf.fiber.pattern.vertices):
+            identity_failures.append(seed + i)
+    oracle_failures = []
+    for i in range(args.oracle_trees):
         t = treecore.random_tree(seed + i, args.max_vertices)
         ot = treecore.order_tree(t)
-        oracle = i < args.oracle_trees
-        for n in (3, 4, 5) if oracle else (3,):
+        for n in (3, 4, 5):
             alf = fibration.fibrate(ot, n)
-            rank = len(alf.fiber.pattern.vertices)
-            if n == 3 and i < args.trees and len(alf.cycles) != len(t.vertices) + rank:
-                identity_failures.append(seed + i)
-            if oracle and invariants.total_homology(alf) != invariants.wedge_oracle(t, n):
+            if invariants.total_homology(alf) != invariants.wedge_oracle(t, n):
                 oracle_failures.append([seed + i, n])
 
     ok = not identity_failures and not oracle_failures
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--render", metavar="SVG")
-    p.set_defaults(func=_cmd_fibrate)
+    p.set_defaults(func=_cmd_fibrate, word=True)
 
     p = sub.add_parser("invariants", help="homology of the total space vs oracle")
     p.add_argument("tree", nargs="?")
@@ -506,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="base diagram SVG for a tree file")
     p.add_argument("tree")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_render)
+    p.add_argument("--out", required=True, dest="render", metavar="OUT")
+    p.set_defaults(func=_cmd_fibrate, word=False)
 
     p = sub.add_parser("selftest", help="base-case audit plus random suites")
     p.add_argument("--seed", type=int, default=os.environ.get("PLUMBWEAVE_SEED", "0"))

@@ -270,14 +270,15 @@ def family_word(m: int, j: int, n: int) -> AbstractLF:
     pattern = UnrootedTree(("alpha", "beta"), (("alpha", "beta"),))
     fiber = PlumbingDescriptor(pattern, n - 1)
     alpha, beta = (1, 0), (0, 1)
-    cycles = [VanishingCycle("edge:e0", alpha, "α")]
-    for i in range(j):
-        cycles.append(VanishingCycle(f"vertex:v{i}", alpha, "α"))
-    cycles.append(VanishingCycle(f"edge:e{m}", beta, "β"))
-    for i in range(j, m + 1):
-        cycles.append(VanishingCycle(f"vertex:v{i}", alpha, "α"))
-    cycles.append(VanishingCycle(f"vertex:v{m + 1}", beta, "β"))
-    return AbstractLF(fiber, tuple(cycles))
+    vertex_cycles = [VanishingCycle(f"vertex:v{i}", alpha, "α") for i in range(m + 1)]
+    cycles = (
+        VanishingCycle("edge:e0", alpha, "α"),
+        *vertex_cycles[:j],
+        VanishingCycle(f"edge:e{m}", beta, "β"),
+        *vertex_cycles[j:],
+        VanishingCycle(f"vertex:v{m + 1}", beta, "β"),
+    )
+    return AbstractLF(fiber, cycles)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,11 @@ once.  Every cyclic or Hurwitz move replaces a pair (x, y) with
 lattice the word's classes span, and with it the total space's homology;
 in the two-sided case a target whose homology certificate
 (:func:`~plumbweave.invariants.total_homology`) differs is cut off at once
-as well.  Each search interns the classes it meets as small integer ids,
-so a state is a tuple of ids, and computes each twist (centre, class,
-power) once, in a table that lives only for that call.
+as well.  A state that both sides have reached is where they meet, and
+:func:`_witness` builds every witness from it.  Each search interns the
+classes it meets as small integer ids, so a state is a tuple of ids, and
+computes each twist (centre, class, power) once, in a table that lives
+only for that call.
 """
 
 from __future__ import annotations
@@ -341,13 +343,12 @@ def search_equivalence(
             for state in forward:
                 for move in alphabet:
                     child = _move_word(state, move, twist)
+                    if child in parents:
+                        continue
+                    parents[child] = (state, move)
                     if child in dist:
-                        return _path(parents, state) + (move,) + _descend(
-                            child, dist, alphabet, twist
-                        )
-                    if child not in parents:
-                        parents[child] = (state, move)
-                        layer.append(child)
+                        return _witness(child, parents, dist, alphabet, twist)
+                    layer.append(child)
             forward = layer
             depth_f += 1
         else:
@@ -362,24 +363,26 @@ def search_equivalence(
             backward = layer
             depth_b += 1
             for state in forward:
-                if dist.get(state) == depth_b:
-                    return _path(parents, state) + _descend(state, dist, alphabet, twist)
+                if state in dist:
+                    return _witness(state, parents, dist, alphabet, twist)
     return None
 
 
-def _path(parents, state) -> tuple:
-    """The moves of the least path from the search start to ``state``."""
+def _witness(state, parents, dist, alphabet, twist) -> tuple:
+    """The witness through ``state``, where the two sides meet: the least
+    path from the start to ``state``, read back through ``parents``, then
+    the least shortest descent to the goal, at each step the first move
+    whose child is one step closer.
+
+    A state is in both ``parents`` and ``dist`` only where the sides meet:
+    had an older forward state entered ``dist``, its forward child on that
+    backward path would have met first."""
     seq = []
-    while parents[state] is not None:
-        state, move = parents[state]
+    at = state
+    while parents[at] is not None:
+        at, move = parents[at]
         seq.append(move)
-    return tuple(reversed(seq))
-
-
-def _descend(state, dist, alphabet, twist) -> tuple:
-    """The least shortest move sequence from ``state`` down to distance 0:
-    at each step the first move whose child is one step closer."""
-    seq = []
+    seq.reverse()
     for d in range(dist[state] - 1, -1, -1):
         for move in alphabet:
             child = _move_word(state, move, twist)

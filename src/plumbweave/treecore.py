@@ -437,24 +437,21 @@ def random_tree(seed: int, max_vertices: int) -> RootedEmbeddedTree:
     nv = rng.randint(2, max_vertices)
     labels = [f"x{i}" for i in range(nv)]
 
-    # uniform labeled tree via Prüfer decoding
+    # uniform labeled tree via Prüfer decoding (two vertices: the empty sequence)
     pairs: list[tuple[int, int]] = []
-    if nv == 2:
-        pairs.append((0, 1))
-    else:
-        seq = [rng.randrange(nv) for _ in range(nv - 2)]
-        degree = [1] * nv
-        for s in seq:
-            degree[s] += 1
-        leaves = [i for i in range(nv) if degree[i] == 1]
-        heapq.heapify(leaves)
-        for s in seq:
-            leaf = heapq.heappop(leaves)
-            pairs.append((leaf, s))
-            degree[s] -= 1
-            if degree[s] == 1:
-                heapq.heappush(leaves, s)
-        pairs.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    seq = [rng.randrange(nv) for _ in range(nv - 2)]
+    degree = [1] * nv
+    for s in seq:
+        degree[s] += 1
+    leaves = [i for i in range(nv) if degree[i] == 1]
+    heapq.heapify(leaves)
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        pairs.append((leaf, s))
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    pairs.append((heapq.heappop(leaves), heapq.heappop(leaves)))
 
     edges = tuple(Edge(f"g{i}", labels[a], labels[b]) for i, (a, b) in enumerate(pairs))
     rotation = {}

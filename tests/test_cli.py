@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -132,6 +133,28 @@ def test_render_subcommand(capsys, ex_file, tmp_path):
     # fibrate --render writes the same bytes as render
     assert run(capsys, "fibrate", ex_file, "--n", "3", "--render", str(svg3))[0] == 0
     assert svg3.read_bytes() == svg1.read_bytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_render_is_fibrate_render_without_the_word(capsys, tmp_path, n):
+    sources = sorted((Path(__file__).parent / "golden" / "inputs").glob("*.tree"))
+    for seed in range(20):
+        path = tmp_path / f"random{seed}.tree"
+        path.write_text(tree_text(random_tree(seed, 14), lambda v: True), encoding="utf-8")
+        sources.append(path)
+    got, want, word = tmp_path / "render.svg", tmp_path / "fibrate.svg", tmp_path / "w.json"
+    for source in map(str, sources):
+        code, out, err = run(capsys, "render", source, "--n", str(n), "--out", str(got))
+        assert out == ""
+        fib = run(
+            capsys, "fibrate", source, "--n", str(n), "--out", str(word), "--render", str(want)
+        )
+        assert (code, err) == (fib[0], fib[2]), source
+        assert got.exists() == want.exists() == (code == 0), source
+        if code == 0:
+            assert got.read_bytes() == want.read_bytes(), source
+            got.unlink()
+            want.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +383,19 @@ def test_moves_repl(capsys, fib_json, monkeypatch):
     assert lines[1].startswith("chi=-5")
     assert "τ[" in lines[2]
     assert any(l.startswith("error: FormatError") for l in lines)
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_moves_repl_refuses_stdin_that_is_not_utf8(
+    capsys, fib_json, tmp_path, monkeypatch, errors
+):
+    stdin = io.BytesIO(b"cyclic\n\xff\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin, encoding="utf-8", errors=errors))
+    out = tmp_path / "repl.json"
+    code, _, err = run(capsys, "moves", "repl", fib_json, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: FormatError: <stdin>: not UTF-8 text: ")
+    assert not out.exists()
 
 
 def test_moves_repl_reports_torsion(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import heapq
+import random
 from collections import deque
 from dataclasses import dataclass
 
@@ -488,6 +490,48 @@ def test_random_tree_two_vertices():
     t = random_tree(123, 2)
     assert len(t.vertices) == 2
     assert len(t.edges) == 1
+
+
+def frozen_random_tree(seed: int, max_vertices: int):
+    """A frozen copy of the seeded tree generator, kept as the oracle that
+    pins every seeded tree: vertices, edge records, rotations and root."""
+    rng = random.Random(seed)
+    nv = rng.randint(2, max_vertices)
+    labels = [f"x{i}" for i in range(nv)]
+    pairs = []
+    if nv == 2:
+        pairs.append((0, 1))
+    else:
+        seq = [rng.randrange(nv) for _ in range(nv - 2)]
+        degree = [1] * nv
+        for s in seq:
+            degree[s] += 1
+        leaves = [i for i in range(nv) if degree[i] == 1]
+        heapq.heapify(leaves)
+        for s in seq:
+            leaf = heapq.heappop(leaves)
+            pairs.append((leaf, s))
+            degree[s] -= 1
+            if degree[s] == 1:
+                heapq.heappush(leaves, s)
+        pairs.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    edges = tuple((f"g{i}", labels[a], labels[b]) for i, (a, b) in enumerate(pairs))
+    rotation = {}
+    for v in labels:
+        rot = [eid for eid, a, b in edges if v in (a, b)]
+        rng.shuffle(rot)
+        rotation[v] = tuple(rot)
+    root_v = labels[rng.randrange(nv)]
+    root_e = rotation[root_v][rng.randrange(len(rotation[root_v]))]
+    return tuple(labels), edges, rotation, (root_v, root_e)
+
+
+@pytest.mark.parametrize("max_vertices", [2, 3, 14])
+def test_random_tree_matches_the_frozen_generator(max_vertices):
+    for seed in range(300):
+        t = random_tree(seed, max_vertices)
+        got = (t.vertices, tuple(map(tuple, t.edges)), t.rotation, t.root)
+        assert got == frozen_random_tree(seed, max_vertices), seed
 
 
 def test_random_tree_refuses_a_size_that_is_not_an_integer():
