@@ -19,11 +19,10 @@ import itertools
 import os
 import sys
 import traceback
-from dataclasses import asdict
 
 from . import fibration, invariants, moves, treecore
 from .errors import FormatError, PlumbweaveError
-from .lattice import Convention
+from .lattice import SELF_INTERSECTION, TWIST_SIGN, Convention
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -51,12 +50,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _convention_from_args(args) -> Convention:
-    return Convention(
-        self_intersection=args.self_intersection,
-        edge_sign=args.edge_sign,
-        twist_sign=args.twist_sign,
-    )
+def _convention_doc(convention: Convention) -> dict:
+    """A report's convention object: the edge sign and the two fixed signs."""
+    edge = convention.edge_sign
+    return {"self_intersection": SELF_INTERSECTION, "edge_sign": edge, "twist_sign": TWIST_SIGN}
 
 
 def _at_least(low: int):
@@ -75,9 +72,7 @@ def _at_least(low: int):
 
 
 def _add_convention_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--self-intersection", type=int, default=-2)
     parser.add_argument("--edge-sign", type=int, choices=(1, -1), default=1)
-    parser.add_argument("--twist-sign", type=int, choices=(1, -1), default=1)
 
 
 def _format_class(coords) -> str:
@@ -187,12 +182,12 @@ def _invariants_report(tree_id, t, n, convention) -> dict:
         "homology": computed.as_dict(),
         "oracle": expected.as_dict(),
         "oracle_match": computed == expected,
-        "convention": asdict(convention),
+        "convention": _convention_doc(convention),
     }
 
 
 def _cmd_invariants(args) -> int:
-    convention = _convention_from_args(args)
+    convention = Convention(args.edge_sign)
     if args.tree is not None and args.count is not None:
         raise PlumbweaveError("give a tree file or --count, not both")
     if args.count is None:
@@ -254,7 +249,7 @@ def _saved_moves(args):
 def _cmd_moves_replay(args) -> int:
     """``moves apply`` and ``moves replay``: load the fibration, read the
     moves with ``args.read_moves``, replay them and emit the result."""
-    convention = _convention_from_args(args)
+    convention = Convention(args.edge_sign)
     alf = fibration.from_json(_read_text(args.fibration))
     seq = args.read_moves(args)
     _emit(fibration.to_json(moves.replay(alf, seq, convention)), args.out)
@@ -264,7 +259,7 @@ def _cmd_moves_replay(args) -> int:
 
 
 def _cmd_moves_search(args) -> int:
-    convention = _convention_from_args(args)
+    convention = Convention(args.edge_sign)
     a = fibration.from_json(_read_text(args.source))
     b = fibration.from_json(_read_text(args.target))
     witness = moves.search_equivalence(a, b, args.depth, convention)
@@ -290,7 +285,7 @@ def _state_text(alf) -> str:
 
 
 def _cmd_moves_repl(args) -> int:
-    convention = _convention_from_args(args)
+    convention = Convention(args.edge_sign)
     alf = fibration.from_json(_read_text(args.fibration))
     for line in itertools.chain(["show"], _move_lines(sys.stdin, "<stdin>")):
         if line in ("quit", "exit"):
@@ -312,7 +307,7 @@ def _cmd_moves_repl(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    convention = _convention_from_args(args)
+    convention = Convention(args.edge_sign)
     if args.shift not in (2, 4):
         raise PlumbweaveError("shift must be 2 or 4")
     if not 1 <= args.j or args.j + args.shift > args.m:
@@ -335,7 +330,7 @@ def _cmd_family(args) -> int:
         "shift": args.shift,
         "n": args.n,
         "parity": fibration.fiber_form(source.fiber, convention).parity,
-        "convention": asdict(convention),
+        "convention": _convention_doc(convention),
         "interior_position": {"zero_based": pos, "one_based": pos + 1},
         "word_length": len(source.cycles),
         "witness": [moves._move_doc(mv) for mv in witness],
@@ -542,6 +537,10 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # stdin and stdout are strict UTF-8, as files are, whatever the locale
+    for stream in (sys.stdin, sys.stdout):
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8", errors="strict")
     sys.exit(main())
 
 

@@ -5,12 +5,12 @@ bundles along a tree pattern, so its middle homology is free on one class
 ``L_w`` per pattern vertex.  This module carries:
 
 * the (anti)symmetric intersection pairing on that lattice — symmetric with
-  diagonal ``s`` (default -2) when the spheres are even dimensional,
-  antisymmetric with zero diagonal when odd, off-diagonal ``±1`` exactly on
-  pattern edges, stored as the tree gives it (the pattern's index adjacency
-  plus the diagonal, upper and lower entries) and built by
-  :func:`pattern_form` alone;
-* the homological twist action ``x -> x + eps * <x, l> * l`` of a Dehn twist
+  diagonal -2 when the spheres are even dimensional, antisymmetric with
+  zero diagonal when odd, off-diagonal ``±1`` exactly on pattern edges,
+  stored as the tree gives it (the pattern's index adjacency plus the
+  diagonal, upper and lower entries) and built by :func:`pattern_form`
+  alone;
+* the homological twist action ``x -> x + <x, l> * l`` of a Dehn twist
   around a sphere with class ``l``, including exact integer inverses, which
   reads the support of ``l`` once and runs each pairing and update over it,
   and the rule for which classes' twists are integer isometries;
@@ -22,9 +22,10 @@ bundles along a tree pattern, so its middle homology is free on one class
   their class tuples (as ``fibrate`` builds them) costs one scan per
   distinct class, not one per cycle.
 
-Signs are not canonical; they live in a :class:`Convention` record that each
-report embeds.  With the defaults (``s=-2, eps=+1``) the twist around a class
-of square -2 is an involution, which is what the plumbing moves rely on.
+The vanishing cycles are Lagrangian spheres, so by Picard–Lefschetz a
+sphere class has square -2 and each twist, of sign +1, is a reflection or
+a transvection.  The edge sign is the one choice, held by a
+:class:`Convention` record that each report embeds.
 
 A cycle class is a plain tuple of ints in the basis order of its form.
 """
@@ -85,19 +86,18 @@ def _check_sphere_dim(sphere_dim) -> None:
 
 @dataclass(frozen=True)
 class Convention:
-    """Sign choices: sphere self-intersection, edge sign, and twist sign."""
+    """The one sign choice: the entry ±1 of pattern edge (i, j), i < j."""
 
-    self_intersection: int = -2
     edge_sign: int = 1
-    twist_sign: int = 1
 
     def __post_init__(self):
-        _int(self.self_intersection)
-        if _int(self.edge_sign) not in (1, -1) or _int(self.twist_sign) not in (1, -1):
-            raise FormatError("edge_sign and twist_sign must be +1 or -1")
+        if _int(self.edge_sign) not in (1, -1):
+            raise FormatError("edge_sign must be +1 or -1")
 
 
 DEFAULT_CONVENTION = Convention()
+SELF_INTERSECTION = -2  # a sphere class's square, fixed by the geometry
+TWIST_SIGN = 1  # the sign of the twist x -> x + <x, l> l, likewise
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -122,7 +122,6 @@ class IntersectionForm:
     upper: int
     lower: int
     parity: str
-    convention: Convention
 
     def pair(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         """Evaluate <x, y> = x^T B y: check both lengths, then run the one
@@ -152,11 +151,11 @@ def pattern_form(
 ) -> IntersectionForm:
     """Intersection form of a plumbing of ``sphere_dim``-spheres along a tree.
 
-    Symmetric iff ``sphere_dim`` is even.  For an edge whose endpoints are
-    the i-th and j-th basis vertices with i < j, entry (i, j) gets
-    ``edge_sign`` and (j, i) gets ``±edge_sign`` by parity.  The form reads
-    the adjacency the pattern stored when it was validated, so building
-    one does not depend on the size of the pattern.
+    Symmetric, with diagonal -2, iff ``sphere_dim`` is even.  For an edge
+    whose endpoints are the i-th and j-th basis vertices with i < j, entry
+    (i, j) gets ``edge_sign`` and (j, i) gets ``±edge_sign`` by parity.
+    The form reads the adjacency the pattern stored when it was validated,
+    so building one does not depend on the size of the pattern.
     """
     _check_sphere_dim(sphere_dim)
     symmetric = sphere_dim % 2 == 0
@@ -165,11 +164,10 @@ def pattern_form(
         basis=pattern.vertices,
         above=pattern.above,
         below=pattern.below,
-        diagonal=convention.self_intersection if symmetric else 0,
+        diagonal=SELF_INTERSECTION if symmetric else 0,
         upper=upper,
         lower=upper if symmetric else -upper,
         parity=SYMMETRIC if symmetric else ANTISYMMETRIC,
-        convention=convention,
     )
 
 
@@ -178,30 +176,27 @@ def dehn_twist(
 ) -> tuple[int, ...]:
     """Apply the homological twist around ``l`` to ``x``, ``power`` times.
 
-    One application sends x to x + eps*<x,l>*l with eps the convention's
-    twist sign, changing x only where l is nonzero.  Negative powers
-    invert; the inverse is again of twist shape with coefficient
-    -eps - <l,l>, which is an integer automorphism exactly when eps*<l,l>
-    is 0 or -2 (transvection resp. reflection).  l's support is read once
-    and serves <l,l>, each <x,l> (as ±<l,x>) and each update of x.
+    One application sends x to x + <x,l>*l, changing x only where l is
+    nonzero.  Negative powers invert; the inverse is again of twist shape
+    with coefficient -1 - <l,l>, an integer automorphism exactly when <l,l>
+    is 0 or -2 (transvection resp. reflection): always for a sphere class,
+    not for a hand-built class such as 2*l.  l's support is read once and
+    serves <l,l>, each <x,l> (as ±<l,x>) and each update of x.
     """
     r = len(form.basis)
     if len(l) != r or len(x) != r:
         raise DimensionMismatch(
             f"twist on vectors of length {len(l)}, {len(x)} against rank {r}"
         )
-    eps = form.convention.twist_sign
     power = _int(power)
     support = list(compress(range(r), l))
     if power >= 0:
-        coeff, reps = eps, power
+        coeff, reps = TWIST_SIGN, power
     else:
         s = form._pair_on(support, l, l)
-        if eps * s not in (0, -2):
-            raise NonInvertibleTwist(
-                f"twist with eps={eps} around a class of square {s} has no integer inverse"
-            )
-        coeff, reps = -eps - s, -power
+        if s not in (0, SELF_INTERSECTION):
+            raise NonInvertibleTwist(f"twist around a class of square {s} has no integer inverse")
+        coeff, reps = -TWIST_SIGN - s, -power
     if form.parity == ANTISYMMETRIC:
         coeff = -coeff  # <x, l> = -<l, x>
     for _ in range(reps):
@@ -217,8 +212,8 @@ def dehn_twist(
 
 def _isometric_centre(form, cls) -> bool:
     """Whether the twist around ``cls`` is an integer isometry of ``form``:
-    always for an antisymmetric form, else when eps * <cls, cls> = -2, one
-    of the two squares for which :func:`dehn_twist` inverts.
+    every class of an antisymmetric form, else a class of square -2, one of
+    the two squares for which :func:`dehn_twist` inverts.
 
     A class of the wrong length is no centre; it fails in the twist.  On a
     symmetric form a class in the radical is no centre either, though its
@@ -227,7 +222,7 @@ def _isometric_centre(form, cls) -> bool:
         return False
     if form.parity == ANTISYMMETRIC:
         return True
-    return form.convention.twist_sign * form.pair(cls, cls) == -2
+    return form.pair(cls, cls) == SELF_INTERSECTION
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,16 @@ evidence of inequivalence: a failed search shows at most that these moves
 do not reach the target.
 
 Search is a bidirectional breadth-first search over class words (Pohl,
-"Bi-directional search", 1971).  When every class is an isometric centre
-(:func:`~plumbweave.lattice._isometric_centre`, a class whose twist is an
-integer isometry), the moves form a group action with explicit inverses
-(``hurwitz_b`` at i undoes ``hurwitz_a`` at i and the reverse; Seidel,
-*Fukaya Categories and Picard-Lefschetz Theory*, 2008), so a second
+"Bi-directional search", 1971).  The classes that fibrate, family_word and
+stabilize write, and their images under moves, are sphere classes, each an
+isometric centre (:func:`~plumbweave.lattice._isometric_centre`: its twist
+is an integer isometry), so the moves form a group action with explicit
+inverses (``hurwitz_b`` at i undoes ``hurwitz_a`` at i and the reverse;
+Seidel, *Fukaya Categories and Picard-Lefschetz Theory*, 2008), so a second
 frontier grows backward from the target; and since isometries keep every
 class's square, a target with a class of another square is cut off at
-once.  Every cyclic or Hurwitz move replaces a pair (x, y) with
+once.  Only a hand-built source word, say one holding 2*l, is searched
+one-sided.  Every cyclic or Hurwitz move replaces a pair (x, y) with
 (y, x + c*y) or (y + c'*x, x), a unimodular recombination, so it keeps the
 lattice the word's classes span, and with it the total space's homology;
 in the two-sided case a target whose homology certificate
@@ -275,9 +277,9 @@ def search_equivalence(
     explicit inverse, so a second search grows from b over predecessors
     (right rotation, and ``hurwitz_b`` at i for ``hurwitz_a`` at i and the
     reverse), always on the smaller frontier, until the two meet or their
-    depths add up to ``max_depth``.  Otherwise only the forward side grows,
-    and a twist that has no integer inverse raises
-    :class:`NonInvertibleTwist` where a one-sided search meets it.
+    depths add up to ``max_depth``.  Otherwise (a hand-built word, such as
+    one holding 2*l) only the forward side grows, and a twist that has no
+    integer inverse raises :class:`NonInvertibleTwist` where it is met.
 
     Two cuts return None before anything is interned, at any depth.
     Isometries keep each class's square, so when every class of a is a

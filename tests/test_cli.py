@@ -446,6 +446,38 @@ def test_family_bad_arguments(capsys):
     assert run(capsys, "family", "--m", "6", "--j", "1", "--shift", "3", "--n", "5")[0] == 2
 
 
+@pytest.mark.parametrize("edge_sign", ["1", "-1"])
+@pytest.mark.parametrize("n", ["3", "5"])
+def test_family_relation_holds_at_odd_n_under_both_edge_signs(capsys, n, edge_sign):
+    code, out, _ = run(
+        capsys, "family", "--m", "6", "--j", "1", "--shift", "4", "--n", n,
+        "--edge-sign", edge_sign, "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["convention"] == {
+        "self_intersection": -2, "edge_sign": int(edge_sign), "twist_sign": 1
+    }
+
+
+# every subcommand that takes the edge sign
+CONVENTION_COMMANDS = {
+    "invariants": ["invariants", "{tree}", "--n", "3"],
+    "moves apply": ["moves", "apply", "{fib}", "--move", "cyclic"],
+    "moves replay": ["moves", "replay", "{fib}", "{fib}"],
+    "moves search": ["moves", "search", "{fib}", "{fib}", "--depth", "1"],
+    "moves repl": ["moves", "repl", "{fib}"],
+    "family": ["family", "--m", "6", "--j", "1", "--shift", "4", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("option", [["--self-intersection", "2"], ["--twist-sign", "-1"]])
+@pytest.mark.parametrize("command", list(CONVENTION_COMMANDS))
+def test_removed_sign_options_exit_2(capsys, ex_file, fib_json, command, option):
+    argv = [a.format(tree=ex_file, fib=fib_json) for a in CONVENTION_COMMANDS[command]]
+    assert exit_code(argv + option) == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # selftest and determinism
 
@@ -528,6 +560,55 @@ def test_fibration_json_round_trips_through_cli(capsys, fib_json, tmp_path):
 
 # ---------------------------------------------------------------------------
 # internal errors
+
+
+# ---------------------------------------------------------------------------
+# the console script's streams
+
+
+def run_console(encoding, *argv, stdin=b""):
+    """``python -m plumbweave`` with ``PYTHONIOENCODING`` set to ``encoding``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONIOENCODING=encoding)
+    return subprocess.run(
+        [sys.executable, "-m", "plumbweave", *argv],
+        input=stdin, env=env, capture_output=True, timeout=60,
+    )
+
+
+STREAM_ENCODINGS = ["ascii", "latin-1"]
+
+
+@pytest.mark.parametrize("encoding", STREAM_ENCODINGS)
+def test_console_writes_utf8_whatever_the_locale(capsys, encoding):
+    argv = ["family", "--m", "6", "--j", "1", "--shift", "2", "--n", "3"]
+    proc = run_console(encoding, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "β" in out
+    assert proc.stdout == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("encoding", STREAM_ENCODINGS)
+def test_console_stdout_bytes_are_the_out_file_bytes(tmp_path, encoding):
+    tree = tmp_path / "accent.tree"
+    tree.write_text("root é e0\nedge e0 é v1\n", encoding="utf-8")
+    out = tmp_path / "order.json"
+    proc = run_console(encoding, "order", str(tree), "--json")
+    assert run_console(encoding, "order", str(tree), "--json", "--out", str(out)).returncode == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+    assert '"vertex": "é"'.encode("utf-8") in proc.stdout
+
+
+@pytest.mark.parametrize("encoding", STREAM_ENCODINGS)
+def test_console_repl_reads_utf8_whatever_the_locale(fib_json, encoding):
+    proc = run_console(encoding, "moves", "repl", fib_json, stdin=b"hurwitzA 0\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "τ[".encode("utf-8") in proc.stdout
+    proc = run_console(encoding, "moves", "repl", fib_json, stdin=b"cyclic\n\xff\n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: FormatError: <stdin>: not UTF-8 text: ")
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch, ex_file):

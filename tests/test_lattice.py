@@ -1,8 +1,10 @@
+import dataclasses
 import random
 import re
 import time
 from itertools import combinations, compress, product
 from math import gcd, prod
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,21 +77,21 @@ def test_form_rejects_small_n(ex_ordered):
 
 
 def test_form_convention_overrides():
-    form = pattern_form(A2_PATTERN, 2, Convention(self_intersection=2, edge_sign=-1))
-    assert matrix(form) == ((2, -1), (-1, 2))
+    form = pattern_form(A2_PATTERN, 2, Convention(edge_sign=-1))
+    assert matrix(form) == ((-2, -1), (-1, -2))
 
 
 @pytest.mark.parametrize(
     "fields",
     [
-        {"self_intersection": -2.0},
-        {"self_intersection": True},
         {"edge_sign": 1.0},
         {"edge_sign": True},
-        {"twist_sign": -1.0},
-        {"twist_sign": False},
-        {"self_intersection": "-2"},
-        {"self_intersection": 10**5000},
+        {"edge_sign": -1.0},
+        {"edge_sign": False},
+        {"edge_sign": "1"},
+        {"edge_sign": None},
+        {"edge_sign": [1]},
+        {"edge_sign": 10**5000},
     ],
 )
 def test_convention_rejects_non_integer_fields(fields):
@@ -98,10 +100,18 @@ def test_convention_rejects_non_integer_fields(fields):
         Convention(**fields)
 
 
-@pytest.mark.parametrize("fields", [{"edge_sign": 2}, {"twist_sign": 0}])
+@pytest.mark.parametrize("fields", [{"edge_sign": 2}, {"edge_sign": 0}])
 def test_convention_rejects_a_sign_other_than_plus_or_minus_one(fields):
-    with pytest.raises(FormatError, match="edge_sign and twist_sign must be"):
+    with pytest.raises(FormatError, match="edge_sign must be"):
         Convention(**fields)
+
+
+@pytest.mark.parametrize("field", ["self_intersection", "twist_sign"])
+def test_convention_has_one_field(field):
+    # the sphere square and the twist sign are fixed: only edge_sign is a field
+    assert [f.name for f in dataclasses.fields(Convention)] == ["edge_sign"]
+    with pytest.raises(TypeError):
+        Convention(**{field: 1})
 
 
 def test_pair_dimension_mismatch():
@@ -113,11 +123,12 @@ def test_pair_dimension_mismatch():
 
 def dense_pattern_matrix(pattern, sphere_dim, convention):
     """Dense r x r Gram matrix of a tree plumbing: the reference for the
-    tree-sparse form (entry (i, j), i < j, on an edge gets ``edge_sign``,
-    entry (j, i) the same or its negative by parity)."""
+    tree-sparse form (diagonal -2 or 0 by parity; entry (i, j), i < j, on
+    an edge gets ``edge_sign``, entry (j, i) the same or its negative by
+    parity)."""
     symmetric = sphere_dim % 2 == 0
     r = len(pattern.vertices)
-    diag = convention.self_intersection if symmetric else 0
+    diag = -2 if symmetric else 0
     mat = [[diag if i == j else 0 for j in range(r)] for i in range(r)]
     pos = {v: i for i, v in enumerate(pattern.vertices)}
     for a, b in pattern.edges:
@@ -140,12 +151,7 @@ def tree_patterns(draw):
     return UnrootedTree(tuple(names), tuple(draw(st.permutations(edges))))
 
 
-conventions = st.builds(
-    Convention,
-    self_intersection=st.integers(-4, 4),
-    edge_sign=st.sampled_from([1, -1]),
-    twist_sign=st.sampled_from([1, -1]),
-)
+conventions = st.builds(Convention, edge_sign=st.sampled_from([1, -1]))
 
 
 @given(st.data(), tree_patterns(), st.integers(1, 6), conventions)
@@ -195,9 +201,9 @@ def test_twist_refuses_a_power_that_is_not_an_integer(power):
 
 
 def test_twist_non_invertible():
-    form = pattern_form(A2_PATTERN, 2, Convention(twist_sign=-1))
-    with pytest.raises(NonInvertibleTwist):
-        dehn_twist(form, ALPHA, BETA, -1)
+    # a hand-built centre of square -8: 1 - 8 is no unit
+    with pytest.raises(NonInvertibleTwist, match="square -8 has no integer inverse"):
+        dehn_twist(a2_form(3), (2, 0), BETA, -1)
 
 
 vecs = st.tuples(*(st.integers(-9, 9) for _ in range(2)))
@@ -260,15 +266,39 @@ def test_twist_power_is_repeated_twist(data, pattern, sphere_dim, convention, po
     assert outcome(dehn_twist, form, l, x, power) == outcome(repeated_twist, form, l, x, power)
 
 
+class Signs(NamedTuple):
+    """A sign setting stated in full, as the reference form and twist take
+    it: the sphere square s, the edge sign e and the twist sign eps."""
+
+    self_intersection: int
+    edge_sign: int
+    twist_sign: int
+
+
+def signs_of(convention):
+    """A convention's setting in full: square -2 and twist sign +1."""
+    return Signs(-2, convention.edge_sign, 1)
+
+
+def equivalent(signs):
+    """The convention whose twists are those of ``signs`` when they are
+    geometric: twist sign times edge sign."""
+    return Convention(signs.twist_sign * signs.edge_sign)
+
+
+# the settings of three signs with eps * s = -2, as Lagrangian spheres have
+GEOMETRIC_SIGNS = [Signs(s, e, eps) for s, eps in ((-2, 1), (2, -1)) for e in (1, -1)]
+
+
 class ReferenceForm:
     """The form built directly from the edge list: per basis vertex, the
     ``(neighbour index, signed entry)`` pairs of its pattern edges, found
     through a position dict.  The reference for the adjacency a pattern
-    stores and for ``pair``."""
+    stores and for ``pair``; it takes all three signs."""
 
-    def __init__(self, pattern, sphere_dim, convention):
+    def __init__(self, pattern, sphere_dim, signs):
         symmetric = sphere_dim % 2 == 0
-        upper = convention.edge_sign
+        upper = signs.edge_sign
         lower = upper if symmetric else -upper
         pos = {v: i for i, v in enumerate(pattern.vertices)}
         neighbours = [[] for _ in pattern.vertices]
@@ -279,9 +309,9 @@ class ReferenceForm:
             neighbours[i].append((j, upper))
             neighbours[j].append((i, lower))
         self.rank = len(pattern.vertices)
-        self.diagonal = convention.self_intersection if symmetric else 0
+        self.diagonal = signs.self_intersection if symmetric else 0
         self.neighbours = neighbours
-        self.eps = convention.twist_sign
+        self.eps = signs.twist_sign
 
     def pair(self, x, y):
         r = self.rank
@@ -332,10 +362,32 @@ def classes(r):
 @settings(max_examples=300, deadline=None)
 def test_form_and_twist_match_reference(data, pattern, sphere_dim, convention, power):
     form = pattern_form(pattern, sphere_dim, convention)
-    ref = ReferenceForm(pattern, sphere_dim, convention)
+    ref = ReferenceForm(pattern, sphere_dim, signs_of(convention))
     r = len(pattern.vertices)
     l, x, y = data.draw(classes(r)), data.draw(classes(r)), data.draw(classes(r))
     assert outcome(form.pair, x, y) == outcome(ref.pair, x, y)
+    assert outcome(dehn_twist, form, l, x, power) == outcome(reference_twist, ref, l, x, power)
+
+
+@given(
+    st.data(),
+    tree_patterns(),
+    st.integers(1, 6),
+    st.sampled_from(GEOMETRIC_SIGNS),
+    st.integers(-3, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_geometric_signs_twist_as_their_edge_sign(data, pattern, sphere_dim, signs, power):
+    """Each setting (s, e, eps) with eps * s = -2 twists as the convention
+    of edge sign eps * e, and its form is eps times that convention's."""
+    form = pattern_form(pattern, sphere_dim, equivalent(signs))
+    ref = ReferenceForm(pattern, sphere_dim, signs)
+    r = len(pattern.vertices)
+    l, x, y = data.draw(classes(r)), data.draw(classes(r)), data.draw(classes(r))
+    scaled = outcome(ref.pair, x, y)
+    if isinstance(scaled, int):
+        scaled *= signs.twist_sign
+    assert outcome(form.pair, x, y) == scaled
     assert outcome(dehn_twist, form, l, x, power) == outcome(reference_twist, ref, l, x, power)
 
 
@@ -349,16 +401,17 @@ class CountingClass(tuple):
         return super().__iter__()
 
 
-@pytest.mark.parametrize("twist_sign", [1, -1])
+@pytest.mark.parametrize("edge_sign", [1, -1])
 @pytest.mark.parametrize("sphere_dim", [2, 3])
 @pytest.mark.parametrize("power", range(-3, 4))
-def test_twist_reads_its_centre_once(power, sphere_dim, twist_sign):
-    """Each power, both parities, and the non-invertible path (eps = -1 on
-    the symmetric form): the centre's support is read once per call."""
+def test_twist_reads_its_centre_once(power, sphere_dim, edge_sign):
+    """Each power, both parities, and the non-invertible path (edge sign -1
+    gives the centre square -6 on the symmetric form): the centre's support
+    is read once per call."""
     pattern = UnrootedTree(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d")))
-    convention = Convention(twist_sign=twist_sign)
+    convention = Convention(edge_sign)
     form = pattern_form(pattern, sphere_dim, convention)
-    ref = ReferenceForm(pattern, sphere_dim, convention)
+    ref = ReferenceForm(pattern, sphere_dim, signs_of(convention))
     centre, x = (0, 1, 1, 0), (1, 0, 0, 2)
     l = CountingClass(centre)
     assert outcome(dehn_twist, form, l, x, power) == outcome(reference_twist, ref, centre, x, power)
@@ -374,16 +427,17 @@ def test_form_shares_the_pattern_adjacency():
 
 
 def test_twist_power_cases():
-    # transvection: linear in k; reflection: k mod 2; square 2 with eps=+1:
-    # <x,l> is multiplied by q = 3 per twist, so k twists add 1+3+9+... of it
+    # transvection: linear in k; reflection: k mod 2; a hand-built centre
+    # 2*alpha of square -8: <x,l> is multiplied by q = 1 - 8 = -7 per twist,
+    # so k twists add 1 - 7 + 49 - ... of it
     assert dehn_twist(a2_form(4), ALPHA, BETA, -5) == (5, 1)
     assert dehn_twist(a2_form(3), ALPHA, BETA, 5) == (1, 1)
     assert dehn_twist(a2_form(3), ALPHA, BETA, -6) == BETA
-    form = pattern_form(A2_PATTERN, 2, Convention(self_intersection=2))
-    assert dehn_twist(form, ALPHA, BETA, 3) == (13, 1)
-    assert dehn_twist(form, ALPHA, BETA, 0) == BETA
+    form, l = a2_form(3), (2, 0)
+    assert dehn_twist(form, l, BETA, 3) == (172, 1)
+    assert dehn_twist(form, l, BETA, 0) == BETA
     with pytest.raises(NonInvertibleTwist):
-        dehn_twist(form, ALPHA, BETA, -3)
+        dehn_twist(form, l, BETA, -3)
 
 
 def centre_patterns():
@@ -399,10 +453,12 @@ def centre_patterns():
 
 def centre_classes(r, rng):
     """Every class with entries in -2..2 up to rank 2, in -1..1 at ranks 3
-    and 4, and 40 seeded draws from -2..2 above that."""
+    and 4, and 40 seeded draws from -2..2 above that; at rank 5 also the
+    radical classes of the symmetric star with four leaves (affine D4)."""
     if r <= 4:
         return list(product(range(-2, 3) if r <= 2 else range(-1, 2), repeat=r))
-    return [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(40)]
+    draws = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(40)]
+    return draws + [(2, 1, 1, 1, 1), (-2, 1, 1, 1, 1)] if r == 5 else draws
 
 
 def test_isometric_centre_is_a_twist_that_keeps_the_form():
@@ -411,17 +467,18 @@ def test_isometric_centre_is_a_twist_that_keeps_the_form():
     radical class is no centre (its twist is the identity: the rule is
     conservative there); a class of the wrong length is never one."""
     rng = random.Random(5)
-    radical_seen = 0
+    radical_seen = set()
     for pattern in centre_patterns():
         r = len(pattern.vertices)
         basis = [unit(r, i) for i in range(r)]
-        for n, s, edge_sign, twist_sign in product(range(2, 6), (-2, -1, 0, 2), (1, -1), (1, -1)):
-            form = pattern_form(pattern, n - 1, Convention(s, edge_sign, twist_sign))
+        for n, edge_sign in product(range(2, 6), (1, -1)):
+            form = pattern_form(pattern, n - 1, Convention(edge_sign))
             gram = matrix(form)
             for l in centre_classes(r, rng):
                 centre = _isometric_centre(form, l)
                 if not any(form.pair(e, l) for e in basis):
-                    radical_seen += any(l)
+                    if any(l):
+                        radical_seen.add(form.parity)
                     assert centre == (form.parity == "antisymmetric")
                     continue
                 twisted = [dehn_twist(form, l, e) for e in basis]
@@ -430,10 +487,11 @@ def test_isometric_centre_is_a_twist_that_keeps_the_form():
                     for i in range(r)
                     for j in range(r)
                 )
-                assert centre == keeps, (pattern, n, form.convention, l)
+                assert centre == keeps, (pattern, n, edge_sign, l)
             for wrong in ((1,) * (r + 1), (0,) * (r - 1)):
                 assert not _isometric_centre(form, wrong)
-    assert radical_seen  # degenerate forms, such as s = -1 on the 2-chain, were met
+    # degenerate forms were met: affine D4, and antisymmetric forms of odd rank
+    assert radical_seen == {"symmetric", "antisymmetric"}
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from plumbweave.errors import (
     UnknownVertex,
 )
 from plumbweave.fibration import fiber_form
-from plumbweave.lattice import Convention, DEFAULT_CONVENTION, dehn_twist, pattern_form
+from plumbweave.lattice import Convention, dehn_twist, pattern_form
 from plumbweave.moves import (
     CYCLIC,
     HURWITZ_A,
@@ -53,7 +53,7 @@ from plumbweave.moves import (
 )
 from plumbweave.treecore import UnrootedTree
 
-from .test_lattice import ReferenceForm, reference_twist
+from .test_lattice import ReferenceForm, Signs, equivalent, reference_twist
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -407,14 +407,10 @@ def test_search_replays_to_target(seed, depth):
     assert equal_homology(replay(a, wit), b)
 
 
-def _reference_bfs(
-    a,
-    b,
-    max_depth: int,
-    convention: Convention = DEFAULT_CONVENTION,
-):
+def _reference_bfs(a, b, max_depth: int, signs: Signs = Signs(-2, 1, 1)):
     """The one-sided breadth-first search that search_equivalence replaced,
-    kept verbatim as its differential oracle."""
+    kept as its differential oracle; it twists with the reference twist
+    under all three ``signs``."""
     if not _same_fiber(a, b):
         raise DimensionMismatch("search requires identical fibers")
     if len(a.cycles) != len(b.cycles):
@@ -424,7 +420,8 @@ def _reference_bfs(
     goal = b.word_classes()
     if start == goal:
         return ()
-    twist = partial(dehn_twist, fiber_form(a.fiber, convention))
+    ref = ReferenceForm(a.fiber.pattern, a.fiber.sphere_dim, signs)
+    twist = partial(reference_twist, ref)
     alphabet = _state_moves(len(start))
     parents: dict = {start: None}
     frontier = deque([start])
@@ -450,17 +447,23 @@ def _reference_bfs(
     return None
 
 
-# reflections and isometric centres, non-invertible twists (eps * s = 2),
-# and invertible non-isometric transvections (s = 0 on a symmetric form)
-SEARCH_CONVENTIONS = [
-    Convention(-2, 1, 1),
-    Convention(-2, 1, -1),
-    Convention(-2, -1, 1),
-    Convention(-2, -1, -1),
-    Convention(2, 1, 1),
-    Convention(2, 1, -1),
-    Convention(0, 1, 1),
+# settings of the three signs (s, e, eps) that the reference search runs
+# in; each is checked where it twists as the convention of edge sign
+# eps * e: at even n, where the form is antisymmetric and s plays no part,
+# every setting, and at odd n the geometric ones, eps * s = -2
+REFERENCE_SIGNS = [
+    Signs(-2, 1, 1),
+    Signs(-2, 1, -1),
+    Signs(-2, -1, 1),
+    Signs(-2, -1, -1),
+    Signs(2, 1, 1),
+    Signs(2, 1, -1),
+    Signs(0, 1, 1),
 ]
+
+
+def signs_at(n):
+    return [c for c in REFERENCE_SIGNS if n % 2 == 0 or c.twist_sign * c.self_intersection == -2]
 
 
 def _map_classes(alf, matrix):
@@ -478,8 +481,9 @@ def _map_classes(alf, matrix):
 def search_cases(draw):
     """A short word, a target reached from it by a random move script, and
     optionally one of the two mapped through a random integer matrix."""
-    convention = draw(st.sampled_from(SEARCH_CONVENTIONS))
     n = draw(st.sampled_from([3, 4, 5]))
+    signs = draw(st.sampled_from(signs_at(n)))
+    convention = equivalent(signs)
     if draw(st.booleans()):
         m = draw(st.integers(1, 2))
         source = family_word(m, draw(st.integers(1, m)), n)
@@ -488,13 +492,10 @@ def search_cases(draw):
     target = source
     script = st.tuples(st.sampled_from("cab"), st.integers(0, len(source.cycles) - 2))
     for kind, i in draw(st.lists(script, min_size=1, max_size=5)):
-        try:
-            if kind == "c":
-                target = cyclic_permute(target)
-            else:
-                target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
-        except NonInvertibleTwist:
-            pass
+        if kind == "c":
+            target = cyclic_permute(target)
+        else:
+            target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
     if draw(st.booleans()):
         r = len(source.fiber.pattern.vertices)
         row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
@@ -505,7 +506,7 @@ def search_cases(draw):
             source = _map_classes(source, matrix)
     if draw(st.booleans()):
         source, target = target, source
-    return source, target, convention
+    return source, target, signs
 
 
 def search_outcome(search, *args):
@@ -518,9 +519,9 @@ def search_outcome(search, *args):
 @given(search_cases(), st.integers(0, 5))
 @settings(max_examples=300, deadline=None)
 def test_search_matches_reference_bfs(case, depth):
-    source, target, convention = case
-    assert search_outcome(search_equivalence, source, target, depth, convention) == (
-        search_outcome(_reference_bfs, source, target, depth, convention)
+    source, target, signs = case
+    assert search_outcome(search_equivalence, source, target, depth, equivalent(signs)) == (
+        search_outcome(_reference_bfs, source, target, depth, signs)
     )
 
 
@@ -566,19 +567,21 @@ def test_search_computes_each_twist_once(monkeypatch, source, target, depth, wit
     assert computed and max(computed.values()) == 1
 
 
+# a hand-built source: beta -> 2*beta makes a class of square -8, which is
+# no isometric centre, and the inverse twist around it has no integer form
+HAND_BUILT_SOURCE = _map_classes(family_word(6, 1, 5), ((1, 0), (0, 2)))
+
+
 def test_one_sided_search_raises_on_a_non_invertible_twist():
-    # under these signs every sphere class has square 2 and twist sign 1,
-    # so no class is an isometric centre and the inverse twist that
-    # hurwitz_b needs has no integer form
-    convention = Convention(2, 1, 1)
-    a, b = family_word(6, 1, 5), family_word(6, 5, 5)
-    form = fiber_form(a.fiber, convention)
-    assert {form.pair(c, c) for c in a.word_classes()} == {2}
-    assert search_equivalence(a, b, 0, convention) is None
+    # hurwitz_b needs the inverse twist around 2*beta
+    a, b = HAND_BUILT_SOURCE, family_word(6, 5, 5)
+    form = fiber_form(a.fiber)
+    assert {form.pair(c, c) for c in a.word_classes()} == {-2, -8}
+    assert search_equivalence(a, b, 0) is None
     for depth in (1, 4):
         for search in (search_equivalence, _reference_bfs):
             with pytest.raises(NonInvertibleTwist):
-                search(a, b, depth, convention)
+                search(a, b, depth)
 
 
 # tree words with multi-coordinate classes: random trees of 6 to 8 vertices
@@ -587,12 +590,12 @@ TREE_SEEDS = [0, 2, 5, 6, 10, 17, 19, 20]
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "convention",
-    SEARCH_CONVENTIONS,
-    ids=lambda c: f"c{c.self_intersection}{c.edge_sign:+d}{c.twist_sign:+d}",
+    "n, signs",
+    [(n, c) for n in (3, 4) for c in signs_at(n)],
+    ids=lambda c: str(c) if isinstance(c, int) else f"c{c[0]}{c[1]:+d}{c[2]:+d}",
 )
-@pytest.mark.parametrize("n", [3, 4])
-def test_search_matches_reference_bfs_on_tree_words(n, convention):
+def test_search_matches_reference_bfs_on_tree_words(n, signs):
+    convention = equivalent(signs)
     for seed in TREE_SEEDS:
         t = random_tree(seed, 8)
         assert 6 <= len(t.vertices) <= 8
@@ -601,18 +604,15 @@ def test_search_matches_reference_bfs_on_tree_words(n, convention):
         target = source
         for _ in range(rng.randint(2, 3)):
             kind, i = rng.choice("cab"), rng.randrange(len(source.cycles) - 1)
-            try:
-                if kind == "c":
-                    target = cyclic_permute(target)
-                else:
-                    target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
-            except NonInvertibleTwist:
-                pass
+            if kind == "c":
+                target = cyclic_permute(target)
+            else:
+                target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
         first = target.cycles[0]
         negated = replace(first, cls=tuple(-v for v in first.cls))
         for goal in (target, replace(target, cycles=(negated,) + target.cycles[1:])):
             assert search_outcome(search_equivalence, source, goal, 3, convention) == (
-                search_outcome(_reference_bfs, source, goal, 3, convention)
+                search_outcome(_reference_bfs, source, goal, 3, signs)
             )
 
 
@@ -663,16 +663,16 @@ def test_search_lattice_cut_at_scale(monkeypatch):
 
 
 def test_one_sided_search_is_not_cut_by_the_lattice():
-    # no class is an isometric centre under these signs, so a target whose
-    # classes span another lattice is still searched, and the twist with no
-    # integer inverse raises where the search meets it
-    convention = Convention(2, 1, 1)
-    a = family_word(6, 1, 5)
-    b = _map_classes(family_word(6, 5, 5), ((1, 1), (0, 2)))
+    # the source's class 2*beta is no isometric centre, so a target whose
+    # classes span another lattice, of another homology, is still searched,
+    # and the twist with no integer inverse raises where the search meets it
+    a = HAND_BUILT_SOURCE
+    b = _map_classes(family_word(6, 5, 5), ((1, 1), (0, 4)))
+    assert total_homology(a) != total_homology(b)
     for depth in (1, 4):
         for search in (search_equivalence, _reference_bfs):
             with pytest.raises(NonInvertibleTwist):
-                search(a, b, depth, convention)
+                search(a, b, depth)
 
 
 @pytest.mark.parametrize("kind", [float, bool])
@@ -788,7 +788,7 @@ def test_move_script_matches_reference_twist_at_scale(n):
     t = random_tree(84, 1500)
     assert len(t.vertices) == 1500
     alf = fibrate(order_tree(t), n)
-    ref = ReferenceForm(alf.fiber.pattern, alf.fiber.sphere_dim, DEFAULT_CONVENTION)
+    ref = ReferenceForm(alf.fiber.pattern, alf.fiber.sphere_dim, Signs(-2, 1, 1))
     word = list(alf.word_classes())
     names = [(c.label, c.display) for c in alf.cycles]
     rng = random.Random(n)
