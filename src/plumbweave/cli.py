@@ -537,10 +537,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    # stdin and stdout are strict UTF-8, as files are, whatever the locale
+    # stdin and stdout are strict UTF-8, as files are, whatever the locale;
+    # stderr is UTF-8 too, so one error reads the same in every locale, and
+    # escapes what UTF-8 cannot carry rather than fail while reporting
     for stream in (sys.stdin, sys.stdout):
         if stream is not None:
             stream.reconfigure(encoding="utf-8", errors="strict")
+    if sys.stderr is not None:
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(main())
 
 

@@ -173,15 +173,27 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
     """Run the three-step algorithm on an ordered tree.
 
     The class of a cycle is the unit vector of its quotient class in the
-    fiber basis.  The r unit tuples are built once, each as one C-level
-    slice of a shared row, and every cycle of a class holds that class's
-    tuple: the word costs O(m + r^2) instead of a Python loop of length r
-    per cycle.
+    fiber basis.  The r unit tuples are built as C-level slices of one
+    shared row, and every cycle of a class holds that class's tuple: the
+    word costs O(m + r^2) instead of a Python loop of length r per cycle.
+
+    Only the fiber's sphere dimension depends on ``n``, so the cycles are
+    built on the first call and kept in the ordered tree (see
+    :class:`~plumbweave.treecore.OrderedTree`): every call checks ``n`` and
+    reads :func:`quotient`, and the words at every n share one ``cycles``
+    tuple of frozen records.
     """
     _check_n(n)
     qd = quotient(ot)
     fiber = PlumbingDescriptor(qd.quotient_tree, n - 1)
-    r = len(qd.quotient_tree.vertices)
+    cycles = ot._memo.get("cycles")
+    if cycles is None:
+        cycles = ot._memo["cycles"] = _word(ot, len(qd.quotient_tree.vertices))
+    return AbstractLF(fiber, cycles)
+
+
+def _word(ot: OrderedTree, r: int) -> tuple[VanishingCycle, ...]:
+    """The vanishing cycles of :func:`fibrate` on a fiber of rank ``r``."""
     row = (0,) * r + (1,) + (0,) * r  # e_k is row[r - k : 2r - k]
     unit = [row[r - k : 2 * r - k] for k in range(r)]
     cls = [unit[h - 1] for h in ot.height]
@@ -198,7 +210,7 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
         for j in reversed(edges):
             word.append(VanishingCycle(f"edge:e{j}", cls[j + 1], display[j + 1]))
         word.append(VanishingCycle(f"vertex:v{i}", cls[i], display[i]))
-    return AbstractLF(fiber, tuple(word))
+    return tuple(word)
 
 
 def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
@@ -207,7 +219,9 @@ def matching_cycles(alf: AbstractLF, ot: OrderedTree) -> list[MatchingCycle]:
     Requires the unmoved output of :func:`fibrate` for the same tree, where
     a class's cycles are one edge's followed by its vertices' in order: each
     cycle after the first of its class is a vertex's and pairs with the one
-    before it, told apart by the ``id`` of the one tuple per class.
+    before it, told apart by the ``id`` of the one tuple per class.  The
+    check reruns :func:`fibrate`, which reads the word the ordered tree
+    keeps, so on a word of that tree it compares mostly identical objects.
     """
     word = fibrate(ot, alf.n)
     if alf != word:

@@ -47,6 +47,7 @@ only for that call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -244,11 +245,15 @@ def equal_homology(a: AbstractLF, b: AbstractLF) -> bool:
     return _same_fiber(a, b) and a.word_classes() == b.word_classes()
 
 
-def _state_moves(m: int) -> list[MoveRecord]:
-    out = [MoveRecord(CYCLIC)]
-    out.extend(MoveRecord(HURWITZ_A, i) for i in range(m - 1))
-    out.extend(MoveRecord(HURWITZ_B, i) for i in range(m - 1))
-    return out
+@lru_cache
+def _state_moves(m: int) -> tuple[MoveRecord, ...]:
+    """The search alphabet on words of length ``m``, in its fixed order;
+    the records are frozen, so one tuple serves every search of that length."""
+    return (
+        MoveRecord(CYCLIC),
+        *[MoveRecord(HURWITZ_A, i) for i in range(m - 1)],
+        *[MoveRecord(HURWITZ_B, i) for i in range(m - 1)],
+    )
 
 
 def search_equivalence(
@@ -306,8 +311,9 @@ def search_equivalence(
     if start == goal:
         return ()
     form = fiber_form(a.fiber, convention)
-    bidirectional = all(_isometric_centre(form, c) for c in start)
-    if bidirectional and not all(_isometric_centre(form, c) for c in goal):
+    # each distinct class once: a word repeats its classes
+    bidirectional = all(_isometric_centre(form, c) for c in dict.fromkeys(start))
+    if bidirectional and not all(_isometric_centre(form, c) for c in dict.fromkeys(goal)):
         return None
     if bidirectional and set(start) != set(goal) and total_homology(a) != total_homology(b):
         return None  # every move keeps the total space's homology

@@ -277,6 +277,14 @@ class OrderedTree:
     vertex i, and ``boundary_order`` holds positions.  Edge i is its tail's
     first outgoing edge, contracted in the quotient, exactly when
     ``tail[i] == i``.
+
+    The quotient and the vanishing-cycle word depend on these facts alone,
+    not on n, so ``_memo`` keeps what :func:`quotient` and
+    :func:`~plumbweave.fibration.fibrate` build the first time: the
+    :class:`QuotientData` under ``"quotient"`` and the word's cycles under
+    ``"cycles"``.  It lives and dies with the ordered tree, takes no part in
+    ``==`` or ``repr``, and starts empty in every new instance,
+    ``dataclasses.replace`` included.
     """
 
     base: RootedEmbeddedTree
@@ -286,6 +294,7 @@ class OrderedTree:
     dist: tuple[int, ...]
     height: tuple[int, ...]
     boundary_order: tuple[int, ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def order_tree(t: RootedEmbeddedTree) -> OrderedTree:
@@ -390,6 +399,17 @@ class UnrootedTree:
             edges = [tuple(e) if type(e) is list else e for e in self.edges]
             object.__setattr__(self, "edges", tuple(edges))
 
+    @classmethod
+    def _trusted(cls, vertices, edges, above, below) -> "UnrootedTree":
+        """A pattern whose shape and adjacency its builder knows to be
+        right, stored without the checks of ``__init__``: only
+        :func:`quotient`, whose contraction makes a tree, builds one."""
+        self = object.__new__(cls)
+        for name, value in (("vertices", vertices), ("edges", edges),
+                            ("above", above), ("below", below)):
+            object.__setattr__(self, name, value)
+        return self
+
     def edge_index_pairs(self) -> frozenset[tuple[int, int]]:
         """Edges as position pairs, for name-independent comparison."""
         return frozenset((i, j) for i, ups in enumerate(self.above) for j in ups)
@@ -402,7 +422,9 @@ class QuotientData:
     Contracted edges are exactly the first outgoing edges of vertices that
     have one; leaves contribute no contraction.  Class names ``w0, w1, ...``
     are assigned by first occurrence along the vertex order, so the class of
-    the root is always ``w0``.
+    the root is always ``w0``.  One record serves every call of
+    :func:`quotient` on an ordered tree, so ``q`` is shared, as a tree's
+    ``rotation`` is: do not mutate it.
     """
 
     quotient_tree: UnrootedTree
@@ -416,16 +438,38 @@ def quotient(ot: OrderedTree) -> QuotientData:
     Each class is a run of the vertex order that ends at a non-root leaf,
     which has no first outgoing edge, so the class of vertex i is the one of
     its height.  The next run starts at the vertex after such a leaf, whose
-    incoming edge, the one at the leaf's position, survives."""
+    incoming edge, the one at the leaf's position, survives.
+
+    Class k > 0 hangs by that edge from the class of its tail, whose index
+    ``height[tail[p]] - 1`` is less than k, since the tail comes before the
+    run in preorder; so the classes with their parents form a tree, stored
+    with its adjacency and not validated again.  The record is built on the
+    first call and kept in the ordered tree, and every later call returns
+    that one record."""
+    memo = ot._memo
+    qd = memo.get("quotient")
+    if qd is not None:
+        return qd
     height, tail = ot.height, ot.tail
     # the last vertex is the last non-root leaf, whose height is their number
-    names = [f"w{k}" for k in range(height[-1])]
+    r = height[-1]
+    names = [f"w{k}" for k in range(r)]
     q = {v: names[h - 1] for v, h in zip(ot.vertex_order, height)}
-    cut = ot.boundary_order[: len(names) - 1]
+    cut = ot.boundary_order[: r - 1]
     # at exact size, from lists: see the fibration module docstring
     surviving = tuple([ot.edge_order[p] for p in cut])
-    qedges = tuple([(names[height[tail[p]] - 1], w) for p, w in zip(cut, names[1:])])
-    return QuotientData(UnrootedTree(tuple(names), qedges), q, surviving)
+    parents = [height[tail[p]] - 1 for p in cut]  # of classes 1 .. r - 1
+    above: list[list[int]] = [[] for _ in names]
+    for k, j in enumerate(parents, 1):
+        above[j].append(k)
+    qt = UnrootedTree._trusted(
+        tuple(names),
+        tuple([(names[j], w) for j, w in zip(parents, names[1:])]),
+        tuple([tuple(ups) for ups in above]),
+        tuple([()] + [(j,) for j in parents]),
+    )
+    qd = memo["quotient"] = QuotientData(qt, q, surviving)
+    return qd
 
 
 def random_tree(seed: int, max_vertices: int) -> RootedEmbeddedTree:

@@ -611,6 +611,14 @@ def test_console_repl_reads_utf8_whatever_the_locale(fib_json, encoding):
     assert proc.stderr.startswith(b"error: FormatError: <stdin>: not UTF-8 text: ")
 
 
+@pytest.mark.parametrize("encoding", STREAM_ENCODINGS)
+def test_console_errors_are_utf8_whatever_the_locale(encoding):
+    word = Path(__file__).parent / "golden" / "inputs" / "ex_n3.json"
+    proc = run_console(encoding, "moves", "apply", str(word), "--move", "τ 1")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: FormatError: unrecognized move line 'τ 1'\n".encode("utf-8")
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch, ex_file):
     from plumbweave import cli
 

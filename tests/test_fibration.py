@@ -246,6 +246,61 @@ def test_matching_rejects_moved_word(ex_ordered):
         matching_cycles(alf, ex_ordered)
 
 
+# ---------------------------------------------------------------------------
+# an ordered tree builds its quotient and its word once
+
+
+@given(seeds, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_a_reused_ordered_tree_gives_the_bytes_of_a_fresh_one(seed, rng):
+    t = random_tree(seed, 14)
+    ot = order_tree(t)
+    calls = [("quotient", None), ("matching", None)] + [("fibrate", n) for n in range(2, 7)]
+    rng.shuffle(calls)
+    for kind, n in calls:
+        fresh = order_tree(t)
+        if kind == "quotient":
+            assert quotient(ot) == quotient(fresh)
+        elif kind == "matching":
+            assert matching_cycles(fibrate(ot, 3), ot) == matching_cycles(fibrate(fresh, 3), fresh)
+        else:
+            assert to_json(fibrate(ot, n)) == to_json(fibrate(fresh, n))
+
+
+def test_an_ordered_tree_keeps_one_quotient_and_one_word(ex_ordered):
+    assert quotient(ex_ordered) is quotient(ex_ordered)
+    a, b = fibrate(ex_ordered, 3), fibrate(ex_ordered, 5)
+    assert a.cycles is b.cycles
+    assert (a.n, b.n) == (3, 5)
+    assert a.fiber.pattern is b.fiber.pattern is quotient(ex_ordered).quotient_tree
+
+
+@pytest.mark.parametrize("n, error", [(1, BadDimension), ("3", FormatError), (True, FormatError)])
+def test_a_filled_memo_still_checks_n(ex_ordered, n, error):
+    fibrate(ex_ordered, 3)
+    with pytest.raises(error):
+        fibrate(ex_ordered, n)
+
+
+def test_the_memo_is_invisible_to_equality_repr_and_replace(ex_tree):
+    ot = order_tree(ex_tree)
+    before = repr(ot)
+    alf = fibrate(ot, 4)
+    assert ot == order_tree(ex_tree)
+    assert repr(ot) == before
+    assert "_memo" not in before
+    copy = replace(ot)
+    assert copy == ot and copy._memo == {}
+    assert fibrate(copy, 4) == alf and fibrate(copy, 4).cycles is not alf.cycles
+
+
+def test_a_filled_memo_still_refuses_a_moved_word(ex_ordered):
+    alf = fibrate(ex_ordered, 3)
+    matching_cycles(alf, ex_ordered)
+    with pytest.raises(NotAlgorithmOutput):
+        matching_cycles(hurwitz_a(alf, 0), ex_ordered)
+
+
 BAD_SPHERE_DIMS = [
     pytest.param("2", FormatError, id="'2'"),
     pytest.param(2.0, FormatError, id="2.0"),

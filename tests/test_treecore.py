@@ -914,6 +914,18 @@ def test_quotient_invariants(seed):
     assert set(firsts.values()) == set(ot.edge_order) - survivors
 
 
+@given(seeds, st.sampled_from([14, 200]))
+@settings(max_examples=100, deadline=None)
+def test_the_quotient_tree_is_the_validated_one(seed, size):
+    # quotient stores its tree without the checks; the public constructor
+    # must accept it and derive the same adjacency
+    qt = quotient(order_tree(random_tree(seed, size))).quotient_tree
+    checked = UnrootedTree(qt.vertices, qt.edges)
+    assert qt == checked
+    assert (qt.above, qt.below) == (checked.above, checked.below)
+    assert type(qt.vertices) is type(qt.edges) is tuple
+
+
 @given(seeds, st.integers(min_value=1, max_value=13))
 @settings(max_examples=100, deadline=None)
 def test_prefix_orders_consistently(seed, k):
