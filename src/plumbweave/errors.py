@@ -44,7 +44,8 @@ class UnknownVertex(PlumbweaveError):
 
 
 class IndexOutOfRange(PlumbweaveError):
-    """An index argument is outside its documented range."""
+    """An index argument, or a class id of a search state, is outside its
+    documented range."""
 
 
 class BadDimension(PlumbweaveError):

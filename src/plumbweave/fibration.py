@@ -484,6 +484,14 @@ _STAR = tuple(
     for k in range(10)
     for r, a in [(8.0 if k % 2 == 0 else 3.2, math.pi / 2 + k * math.pi / 5)]
 )
+# a singular value's star, its corners as "x,y", then its label
+_MARK = (
+    '<polygon class="singular" points="'
+    + " ".join(["%.2f,%.2f"] * len(_STAR))
+    + '" fill="#c03020"/>\n'
+    '<text x="%.2f" y="%.2f" font-size="11" '
+    'text-anchor="middle" dominant-baseline="middle">%s</text>'
+)
 _SVG_HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.2f}" '
@@ -503,20 +511,22 @@ def render_svg(alf: AbstractLF, matching: list[MatchingCycle]) -> str:
 
     Angles run counterclockwise, so a point's y is the centre's minus the
     sine.  Each angle's cosine and sine serve the point and its label, and
-    each point is formatted once."""
+    each point is formatted once; each star and its label fill one
+    template."""
     pts = []  # formatted (x, y) of each singular value
     marks = []  # its star and its label
     for theta, c in zip(layout(alf), alf.cycles):
         cos, sin = math.cos(theta), math.sin(theta)
         x, y = _CENTER + _RADIUS * cos, _CENTER - _RADIUS * sin
         pts.append((f"{x:.2f}", f"{y:.2f}"))
-        star = " ".join([f"{x + dx:.2f},{y - dy:.2f}" for dx, dy in _STAR])
         marks.append(
-            f'<polygon class="singular" points="{star}" fill="#c03020"/>\n'
-            f'<text x="{_CENTER + _LABEL_RADIUS * cos:.2f}" '
-            f'y="{_CENTER - _LABEL_RADIUS * sin:.2f}" font-size="11" '
-            'text-anchor="middle" dominant-baseline="middle">'
-            f"{_esc(c.display)}</text>"
+            _MARK
+            % (
+                *[v for dx, dy in _STAR for v in (x + dx, y - dy)],
+                _CENTER + _LABEL_RADIUS * cos,
+                _CENTER - _LABEL_RADIUS * sin,
+                _esc(c.display),
+            )
         )
     lines = [_SVG_HEAD]
     lines += [

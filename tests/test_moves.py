@@ -14,12 +14,14 @@ from plumbweave import (
     VanishingCycle,
     cyclic_permute,
     equal_homology,
+    family_tree,
     family_word,
     fibrate,
     hurwitz_a,
     hurwitz_b,
     moves,
     order_tree,
+    parse_tree,
     random_tree,
     replay,
     search_equivalence,
@@ -748,6 +750,56 @@ def test_search_wrong_length_class_matches_reference(side):
         assert search_outcome(search_equivalence, a, b, depth) == (
             search_outcome(_reference_bfs, a, b, depth)
         )
+
+
+@pytest.fixture(scope="module")
+def wide_word():
+    """A word with more distinct classes than one byte of class ids holds."""
+    t = random_tree(0, 900)
+    alf = fibrate(order_tree(t), 4)
+    assert (len(t.vertices), len(alf.fiber.pattern.vertices), len(alf.cycles)) == (866, 328, 1194)
+    assert len(set(alf.word_classes())) > 256
+    return alf
+
+
+@pytest.mark.slow
+def test_search_matches_reference_bfs_past_one_byte_of_ids(wide_word):
+    a = wide_word
+    b = hurwitz_a(a, len(a.cycles) - 3)
+    assert search_equivalence(a, b, 1) == _reference_bfs(a, b, 1)
+
+
+def test_search_replays_past_one_byte_of_ids(wide_word):
+    a = wide_word
+    b = hurwitz_b(hurwitz_a(a, len(a.cycles) - 3), 5)
+    wit = search_equivalence(a, b, 2)
+    assert wit is not None and len(wit) == 2
+    assert equal_homology(replay(a, wit), b)
+
+
+def test_search_refuses_more_classes_than_state_characters(monkeypatch):
+    # this search meets six classes, +-alpha, +-beta and +-(alpha + beta),
+    # so ids 0..5; a bound below that raises a typed error, not chr's ValueError
+    a, b = family_word(10, 1, 5), family_word(10, 7, 5)
+    monkeypatch.setattr(moves, "_MAX_CLASS_ID", 5)
+    assert len(search_equivalence(a, b, 6)) == 5
+    for bound in (0, 4):
+        monkeypatch.setattr(moves, "_MAX_CLASS_ID", bound)
+        with pytest.raises(IndexOutOfRange):
+            search_equivalence(a, b, 6)
+
+
+def test_search_finds_the_closed_form_a_d_witness():
+    # D_7 is the chain u0..u5 with a leaf at u1; A_7 is the chain u0..u6
+    # rooted at (u1, c1); at odd n three cyclic moves and then hurwitz_b at
+    # 4, 3, 2 and 1 turn the D word into the A word, and no shorter script does
+    d = fibrate(order_tree(family_tree(5, 1)), 3)
+    chain = "root u1 c1\n" + "".join(f"edge c{i} u{i} u{i + 1}\n" for i in range(6))
+    a = fibrate(order_tree(parse_tree(chain)), 3)
+    wit = search_equivalence(d, a, 7)
+    assert wit == (MoveRecord(CYCLIC),) * 3 + tuple(MoveRecord(HURWITZ_B, i) for i in (4, 3, 2, 1))
+    assert replay(d, wit).word_classes() == a.word_classes()
+    assert search_equivalence(d, a, 6) is None
 
 
 # ---------------------------------------------------------------------------
