@@ -49,6 +49,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     BadDimension,
@@ -138,6 +139,11 @@ class AbstractLF:
     fiber: PlumbingDescriptor
     cycles: tuple[VanishingCycle, ...]
 
+    # not a field: a word of fibrate() links to its ordered tree's slot
+    # [cycles, SmithResult or None], where total_homology keeps the
+    # certificate of those cycles' classes; every other word has None
+    _certificate = None
+
     def __post_init__(self):
         if type(self.cycles) is list:  # stored as the tuple from_json reads back
             object.__setattr__(self, "cycles", tuple(self.cycles))
@@ -181,15 +187,19 @@ def fibrate(ot: OrderedTree, n: int) -> AbstractLF:
     built on the first call and kept in the ordered tree (see
     :class:`~plumbweave.treecore.OrderedTree`): every call checks ``n`` and
     reads :func:`quotient`, and the words at every n share one ``cycles``
-    tuple of frozen records.
+    tuple of frozen records.  Each word links to the ordered tree's slot
+    for those cycles, in which
+    :func:`~plumbweave.invariants.total_homology` keeps their certificate.
     """
     _check_n(n)
     qd = quotient(ot)
     fiber = PlumbingDescriptor(qd.quotient_tree, n - 1)
-    cycles = ot._memo.get("cycles")
-    if cycles is None:
-        cycles = ot._memo["cycles"] = _word(ot, len(qd.quotient_tree.vertices))
-    return AbstractLF(fiber, cycles)
+    slot = ot._memo.get("word")
+    if slot is None:
+        slot = ot._memo["word"] = [_word(ot, len(qd.quotient_tree.vertices)), None]
+    alf = AbstractLF(fiber, slot[0])
+    object.__setattr__(alf, "_certificate", slot)
+    return alf
 
 
 def _word(ot: OrderedTree, r: int) -> tuple[VanishingCycle, ...]:
@@ -478,19 +488,38 @@ _CENTER = _SIZE / 2.0
 _RADIUS = 160.0
 _LABEL_RADIUS = _RADIUS + 24.0
 # a star's ten corners from its centre (x, y), outer and inner in turn from
-# the top, each at (x + dx, y - dy) since SVG y grows downward
+# the top, each at (x + dx, y - dy) since SVG y grows downward: stored as
+# the offsets dx, -dy, dx, -dy, ... to add to [x, y] * 10, for y + (-dy)
+# is exactly y - dy in IEEE-754 arithmetic.  [x, y] * 10 is a list, for
+# CPython 3.11 keeps every freed 20-item tuple on a free list it never
+# draws from, up to 2 000 of them (368 kB)
 _STAR = tuple(
-    (r * math.cos(a), r * math.sin(a))
+    v
     for k in range(10)
     for r, a in [(8.0 if k % 2 == 0 else 3.2, math.pi / 2 + k * math.pi / 5)]
+    for v in (r * math.cos(a), -(r * math.sin(a)))
 )
 # a singular value's star, its corners as "x,y", then its label
 _MARK = (
     '<polygon class="singular" points="'
-    + " ".join(["%.2f,%.2f"] * len(_STAR))
+    + " ".join(["%.2f,%.2f"] * (len(_STAR) // 2))
     + '" fill="#c03020"/>\n'
     '<text x="%.2f" y="%.2f" font-size="11" '
     'text-anchor="middle" dominant-baseline="middle">%s</text>'
+)
+# a skeleton segment to one singular value and a matching chord between
+# two, each point as its formatted "x" and "y"
+_SKELETON = (
+    f'<line class="skeleton" x1="{_CENTER:.2f}" y1="{_CENTER:.2f}" '
+    'x2="%s" y2="%s" stroke="#bbbbbb" stroke-width="1"/>'
+)
+_CHORD = (
+    '<line class="matching" x1="%s" y1="%s" '
+    'x2="%s" y2="%s" stroke="#2060c0" stroke-width="1.5"/>'
+)
+_BASEPOINT = (
+    f'<circle class="basepoint" cx="{_CENTER:.2f}" cy="{_CENTER:.2f}" '
+    'r="3.00" fill="#000000"/>'
 )
 _SVG_HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -511,8 +540,9 @@ def render_svg(alf: AbstractLF, matching: list[MatchingCycle]) -> str:
 
     Angles run counterclockwise, so a point's y is the centre's minus the
     sine.  Each angle's cosine and sine serve the point and its label, and
-    each point is formatted once; each star and its label fill one
-    template."""
+    each point is formatted once; a star's corners are one C-level
+    ``map`` over the offsets in ``_STAR``, and each star and its label
+    fill one template, as does every line."""
     pts = []  # formatted (x, y) of each singular value
     marks = []  # its star and its label
     for theta, c in zip(layout(alf), alf.cycles):
@@ -522,29 +552,18 @@ def render_svg(alf: AbstractLF, matching: list[MatchingCycle]) -> str:
         marks.append(
             _MARK
             % (
-                *[v for dx, dy in _STAR for v in (x + dx, y - dy)],
+                *map(add, [x, y] * 10, _STAR),
                 _CENTER + _LABEL_RADIUS * cos,
                 _CENTER - _LABEL_RADIUS * sin,
                 _esc(c.display),
             )
         )
     lines = [_SVG_HEAD]
-    lines += [
-        f'<line class="skeleton" x1="{_CENTER:.2f}" y1="{_CENTER:.2f}" '
-        f'x2="{x}" y2="{y}" stroke="#bbbbbb" stroke-width="1"/>'
-        for x, y in pts
-    ]
+    lines += [_SKELETON % xy for xy in pts]
     for mc in matching:
         (i, j) = mc.endpoints
-        (x1, y1), (x2, y2) = pts[i], pts[j]
-        lines.append(
-            f'<line class="matching" x1="{x1}" y1="{y1}" '
-            f'x2="{x2}" y2="{y2}" stroke="#2060c0" stroke-width="1.5"/>'
-        )
-    lines.append(
-        f'<circle class="basepoint" cx="{_CENTER:.2f}" cy="{_CENTER:.2f}" '
-        'r="3.00" fill="#000000"/>'
-    )
+        lines.append(_CHORD % (pts[i] + pts[j]))
+    lines.append(_BASEPOINT)
     lines += marks
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

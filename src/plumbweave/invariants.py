@@ -15,6 +15,15 @@ cokernel trade their free parts: the kernel of the m x r transpose has
 rank r - k, the free rank of H_{n-1}, and its cokernel has free rank m - k,
 the rank of H_n.
 
+The Smith normal form reads the class rows alone, and n only names the
+degrees, so one SNF serves every word whose ``cycles`` is one tuple: the
+words :func:`fibrate` builds for one ordered tree at every n.  That tuple
+holds frozen records, each with a class tuple, so its rows cannot change,
+and the SNF computed for the first such word is exact for all of them.
+:func:`total_homology` keeps it in the slot the ordered tree holds next to
+the tuple, which each of those words links to; the rank check still runs
+on every call.
+
 The independent ground truth is the wedge oracle: a plumbing of copies of
 T*S^n along a tree deformation-retracts to a wedge of |V| n-spheres, so its
 reduced homology is Z^|V| in degree n and nothing else, with Euler
@@ -79,15 +88,27 @@ def euler_characteristic(alf: AbstractLF) -> int:
 
 
 def total_homology(alf: AbstractLF) -> HomologyReport:
-    """Homology of the total space from the thimble boundary map."""
+    """Homology of the total space from the thimble boundary map.
+
+    The words :func:`fibrate` builds for one ordered tree at every n share
+    one ``cycles`` tuple, and each links to the slot the ordered tree keeps
+    for it: the first of them certified stores its Smith normal form there,
+    and every later one whose ``cycles`` is that very tuple reads it back
+    (see the module docstring).  Any other word, a moved, stabilized, read
+    or replaced one included, has no such link and runs its own."""
     n = alf.n
     rank = len(alf.fiber.pattern.vertices)
     classes = alf.word_classes()
     if not set(map(len, classes)) <= {rank}:
         raise DimensionMismatch(f"cycle classes against fiber rank {rank}")
-    # one row per cycle: the transpose of the boundary map; with no row,
-    # rank 0 leaves H_{n-1} = Z^r
-    snf = smith_normal_form(classes)
+    slot = alf._certificate  # [cycles, SmithResult or None]
+    if slot is None or slot[0] is not alf.cycles:
+        slot = [alf.cycles, None]
+    if slot[1] is None:
+        # one row per cycle: the transpose of the boundary map; with no
+        # row, rank 0 leaves H_{n-1} = Z^r
+        slot[1] = smith_normal_form(classes)
+    snf = slot[1]
     h = (
         (0, 1, ()),
         (n - 1, rank - snf.rank, snf.cokernel[1]),

@@ -281,10 +281,16 @@ class OrderedTree:
     The quotient and the vanishing-cycle word depend on these facts alone,
     not on n, so ``_memo`` keeps what :func:`quotient` and
     :func:`~plumbweave.fibration.fibrate` build the first time: the
-    :class:`QuotientData` under ``"quotient"`` and the word's cycles under
-    ``"cycles"``.  It lives and dies with the ordered tree, takes no part in
-    ``==`` or ``repr``, and starts empty in every new instance,
-    ``dataclasses.replace`` included.
+    :class:`QuotientData` under ``"quotient"``, and under ``"word"`` the
+    slot ``[cycles, certificate]``, the word's cycles and the
+    :class:`~plumbweave.lattice.SmithResult` of their classes once
+    :func:`~plumbweave.invariants.total_homology` has computed it.  It
+    lives and dies with the ordered tree, takes no part in ``==`` or
+    ``repr``, and starts empty in every new instance,
+    ``dataclasses.replace`` included.  Each word of ``fibrate`` links to
+    that slot alone, so a word keeps its cycles and their certificate
+    alive, and never the :class:`QuotientData` (whose ``q`` has one entry
+    per vertex) or the ordered tree.
     """
 
     base: RootedEmbeddedTree

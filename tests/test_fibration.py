@@ -1057,6 +1057,15 @@ def test_the_cycles_of_one_quotient_class_share_one_tuple(seed, n):
     assert len(by_value) == len(alf.fiber.pattern.vertices)
 
 
+def test_render_svg_matches_its_reference_on_600_random_trees():
+    for seed in range(300):
+        ot = order_tree(random_tree(seed, 60))
+        for n in (3, 4):
+            alf = fibrate(ot, n)
+            matching = matching_cycles(alf, ot)
+            assert render_svg(alf, matching) == reference_render_svg(alf, matching)
+
+
 # any string, one in four with a lone surrogate, which no UTF-8 output can
 # carry; a label is one in two of a valid kind
 surrogate = st.sampled_from([""] * 12 + ["\ud800", "\udbff", "\udc00", "\udfff"])

@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import fields, replace
 
@@ -9,11 +10,13 @@ from plumbweave import (
     euler_characteristic,
     family_word,
     fibrate,
+    from_json,
     hurwitz_a,
     hurwitz_b,
     order_tree,
     random_tree,
     stabilize,
+    to_json,
     total_homology,
     wedge_oracle,
 )
@@ -172,6 +175,75 @@ def test_homology_rejects_classes_of_wrong_length(a2_ordered):
     short = replace(alf, cycles=alf.cycles + (VanishingCycle("extra", (), "0"),))
     with pytest.raises(DimensionMismatch):
         total_homology(short)
+
+
+def _fresh(alf):
+    """The report of an equal word that shares nothing with ``alf``."""
+    return total_homology(from_json(to_json(alf)))
+
+
+def test_one_snf_per_class_word(monkeypatch, ex_tree):
+    calls = []
+
+    def counted(mat):
+        calls.append(mat)
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr("plumbweave.invariants.smith_normal_form", counted)
+    ot = order_tree(ex_tree)
+    words = [fibrate(ot, n) for n in range(2, 7)]
+    reports = [total_homology(alf) for alf in words]
+    assert len(calls) == 1
+    assert [r.caveat for r in reports] == [True, False, False, False, False]
+    monkeypatch.undo()
+    assert reports == [_fresh(alf) for alf in words]
+
+
+def test_a_word_that_only_looks_like_fibrates_runs_its_own_snf(ex_ordered):
+    alf = fibrate(ex_ordered, 3)
+    total_homology(alf)
+    # a copy keeps the link; given other cycles, it must not read the slot
+    other = copy.copy(alf)
+    object.__setattr__(other, "cycles", alf.cycles[:3])
+    assert other._certificate is alf._certificate
+    assert total_homology(other) == _fresh(other) != total_homology(alf)
+    assert replace(alf, cycles=alf.cycles[:3])._certificate is None
+
+
+@given(
+    seeds,
+    st.lists(st.tuples(st.sampled_from("abcsr"), st.integers(0, 2**16)), max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_kept_certificate_is_never_stale(seed, script):
+    ot = order_tree(random_tree(seed, 12))
+    words = [fibrate(ot, n) for n in (2, 3, 4, 5)]
+    for alf in words:
+        assert total_homology(alf) == _fresh(alf)
+    alf = words[seed % len(words)]
+    for kind, k in script:
+        m = len(alf.cycles)
+        if kind == "a":
+            alf = hurwitz_a(alf, k % (m - 1))
+        elif kind == "b":
+            alf = hurwitz_b(alf, k % (m - 1))
+        elif kind == "c":
+            alf = cyclic_permute(alf)
+        elif kind == "s":
+            alf = stabilize(alf, alf.fiber.pattern.vertices[0], k % (m + 1))
+        else:  # another word on the fiber: this one rotated, its head repeated
+            alf = replace(alf, cycles=alf.cycles[1:] + alf.cycles[: k % 3 + 1])
+        rep = _check_against_reference(alf)
+        assert rep == _fresh(alf)
+    assert [total_homology(w) for w in words] == [_fresh(w) for w in words]
+
+
+def test_a_shared_certificate_still_checks_the_fiber_rank(ex_ordered, a2_ordered):
+    alf = fibrate(ex_ordered, 3)
+    total_homology(alf)
+    other_rank = fibrate(a2_ordered, 3).fiber
+    with pytest.raises(DimensionMismatch):
+        total_homology(replace(alf, fiber=other_rank))
 
 
 def test_caveat_flag(a2_ordered):
