@@ -3,8 +3,7 @@
 Subcommands: ``order``, ``fibrate``, ``invariants``, ``moves
 apply|replay|search|repl``, ``family``, ``render``, ``selftest``.  All
 output is deterministic for a fixed configuration; JSON documents and SVG
-files are written atomically and byte-stable.  The environment variable
-``PLUMBWEAVE_SEED`` overrides the default seed of randomized batches.
+files are written atomically and byte-stable.
 
 Exit codes: 0 success/verified, 1 verified-false, 2 input error, 3 search
 or iteration limit exhausted, 4 internal error (any other exception: its
@@ -170,7 +169,7 @@ def _cmd_fibrate(args) -> int:
 # invariants
 
 
-def _invariants_report(tree_id, t, n, convention) -> dict:
+def _invariants_report(tree_id, t, n) -> dict:
     ot = treecore.order_tree(t)
     alf = fibration.fibrate(ot, n)
     computed = invariants.total_homology(alf)
@@ -182,12 +181,12 @@ def _invariants_report(tree_id, t, n, convention) -> dict:
         "homology": computed.as_dict(),
         "oracle": expected.as_dict(),
         "oracle_match": computed == expected,
-        "convention": _convention_doc(convention),
+        # homology never pairs two classes, so the edge sign cannot reach it
+        "convention": _convention_doc(Convention()),
     }
 
 
 def _cmd_invariants(args) -> int:
-    convention = Convention(args.edge_sign)
     if args.tree is not None and args.count is not None:
         raise PlumbweaveError("give a tree file or --count, not both")
     if args.count is None:
@@ -197,13 +196,13 @@ def _cmd_invariants(args) -> int:
         # a name that is not UTF-8 keeps its bytes as \x escapes, so the
         # report stays UTF-8 text
         name = os.fsencode(os.path.basename(args.tree)).decode("utf-8", "backslashreplace")
-        report = _invariants_report(name, t, args.n, convention)
+        report = _invariants_report(name, t, args.n)
         _emit(fibration.dump_json(report), args.out)
         return EXIT_OK if report["oracle_match"] else EXIT_FALSE
     reports = []
     for i in range(args.count):
         t = treecore.random_tree(args.seed + i, args.max_vertices)
-        reports.append(_invariants_report(f"random:{args.seed + i}", t, args.n, convention))
+        reports.append(_invariants_report(f"random:{args.seed + i}", t, args.n))
     mismatches = [r["tree_id"] for r in reports if not r["oracle_match"]]
     doc = {
         "seed": args.seed,
@@ -363,19 +362,19 @@ def _cmd_selftest(args) -> int:
     audit = invariants.base_case_audit()
 
     identity_failures = []
-    for i in range(args.trees):
-        t = treecore.random_tree(seed + i, args.max_vertices)
-        alf = fibration.fibrate(treecore.order_tree(t), 3)
-        if len(alf.cycles) != len(t.vertices) + len(alf.fiber.pattern.vertices):
-            identity_failures.append(seed + i)
     oracle_failures = []
-    for i in range(args.oracle_trees):
+    for i in range(max(args.trees, args.oracle_trees)):
         t = treecore.random_tree(seed + i, args.max_vertices)
         ot = treecore.order_tree(t)
-        for n in (3, 4, 5):
-            alf = fibration.fibrate(ot, n)
-            if invariants.total_homology(alf) != invariants.wedge_oracle(t, n):
-                oracle_failures.append([seed + i, n])
+        if i < args.trees:
+            alf = fibration.fibrate(ot, 3)
+            if len(alf.cycles) != len(t.vertices) + len(alf.fiber.pattern.vertices):
+                identity_failures.append(seed + i)
+        if i < args.oracle_trees:
+            for n in (3, 4, 5):
+                alf = fibration.fibrate(ot, n)
+                if invariants.total_homology(alf) != invariants.wedge_oracle(t, n):
+                    oracle_failures.append([seed + i, n])
 
     ok = not identity_failures and not oracle_failures
     doc = {
@@ -451,11 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree", nargs="?")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=_at_least(1))
-    p.add_argument("--seed", type=int, default=os.environ.get("PLUMBWEAVE_SEED", "0"))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-vertices", type=int, default=14)
     p.add_argument("--full", action="store_true", help="include per-tree reports")
     p.add_argument("--out")
-    _add_convention_args(p)
     p.set_defaults(func=_cmd_invariants)
 
     pm = sub.add_parser("moves", help="apply, replay, search, or drive moves")
@@ -508,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fibrate, word=False)
 
     p = sub.add_parser("selftest", help="base-case audit plus random suites")
-    p.add_argument("--seed", type=int, default=os.environ.get("PLUMBWEAVE_SEED", "0"))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trees", type=_at_least(0), default=1000)
     p.add_argument("--oracle-trees", type=_at_least(0), default=200)
     p.add_argument("--max-vertices", type=int, default=14)

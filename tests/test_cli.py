@@ -206,11 +206,15 @@ def test_invariants_needs_input(capsys):
     assert code == 2
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PLUMBWEAVE_SEED", "77")
+def test_the_environment_sets_no_seed(capsys, monkeypatch, ex_file):
+    # --seed is the only source of a batch's seed: the environment neither
+    # fails a run nor moves the default off 0
+    monkeypatch.setenv("PLUMBWEAVE_SEED", "abc")
+    code, _, _ = run(capsys, "invariants", ex_file, "--n", "3")
+    assert code == 0
     code, out, _ = run(capsys, "invariants", "--n", "3", "--count", "2")
     assert code == 0
-    assert json.loads(out)["seed"] == 77
+    assert json.loads(out)["seed"] == 0
 
 
 def exit_code(argv):
@@ -221,14 +225,6 @@ def exit_code(argv):
         return exc.code
 
 
-def test_bad_seed_env_fails_only_seeded_commands(capsys, monkeypatch, ex_file):
-    monkeypatch.setenv("PLUMBWEAVE_SEED", "abc")
-    assert exit_code(["order", ex_file]) == 0
-    assert exit_code(["invariants", "--n", "3", "--count", "1"]) == 2
-    assert exit_code(["selftest", "--trees", "1", "--oracle-trees", "0"]) == 2
-    assert "invalid int value: 'abc'" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -237,6 +233,9 @@ def test_bad_seed_env_fails_only_seeded_commands(capsys, monkeypatch, ex_file):
         ["moves", "search", "{fib}", "{fib}", "--depth", "0"],
         ["invariants", "--n", "3", "--count", "2", "--max-vertices", "1"],
         ["invariants", "{tree}", "--n", "3", "--count", "2"],
+        ["invariants", "--n", "3", "--count", "1", "--seed", "abc"],
+        ["selftest", "--trees", "1", "--oracle-trees", "0", "--seed", "abc"],
+        ["invariants", "{tree}", "--n", "3", "--edge-sign", "-1"],
     ],
 )
 def test_bad_run_parameters_exit_2(capsys, ex_file, fib_json, argv):
@@ -459,7 +458,8 @@ def test_family_relation_holds_at_odd_n_under_both_edge_signs(capsys, n, edge_si
     }
 
 
-# every subcommand that takes the edge sign
+# every subcommand whose report or twists carry a convention; all but
+# invariants, whose report embeds the default one, take --edge-sign
 CONVENTION_COMMANDS = {
     "invariants": ["invariants", "{tree}", "--n", "3"],
     "moves apply": ["moves", "apply", "{fib}", "--move", "cyclic"],

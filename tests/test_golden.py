@@ -3,8 +3,10 @@
 Each case runs ``cli.main`` in-process on the committed inputs under
 ``tests/golden/inputs``, in an empty output directory, and compares its
 stdout, stderr and exit code and every file it writes there with the bytes
-recorded under ``tests/golden/expected/<case>``.  After an intended change
-of output, record the cases again from the repository root with::
+recorded under ``tests/golden/expected/<case>``.  The CLI reads no
+environment variable of its own, so the bytes depend only on the command
+line and the inputs.  After an intended change of output, record the cases
+again from the repository root with::
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import shlex
 import shutil
 import sys
@@ -114,8 +115,7 @@ def recorded(name: str) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_bytes_match_the_recording(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("PLUMBWEAVE_SEED", raising=False)
+def test_cli_bytes_match_the_recording(name, tmp_path):
     got = run_case(name, tmp_path)
     want = recorded(name)
     assert sorted(got) == sorted(want)
@@ -129,7 +129,6 @@ def test_every_recording_has_a_case():
 
 def record() -> None:
     """Write every case's bytes under ``tests/golden/expected``, afresh."""
-    os.environ.pop("PLUMBWEAVE_SEED", None)
     shutil.rmtree(EXPECTED, ignore_errors=True)
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
