@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
 from functools import partial
@@ -580,7 +581,7 @@ def test_one_sided_search_raises_on_a_non_invertible_twist():
     form = fiber_form(a.fiber)
     assert {form.pair(c, c) for c in a.word_classes()} == {-2, -8}
     assert search_equivalence(a, b, 0) is None
-    for depth in (1, 4):
+    for depth in range(1, 6):
         for search in (search_equivalence, _reference_bfs):
             with pytest.raises(NonInvertibleTwist):
                 search(a, b, depth)
@@ -789,17 +790,70 @@ def test_search_refuses_more_classes_than_state_characters(monkeypatch):
             search_equivalence(a, b, 6)
 
 
+def _a_d_words(m, n):
+    """The words of D_{m+2}, the chain u0..um with a leaf at u1, and of
+    A_{m+2}, the chain u0..u(m+1) rooted at (u1, c1), at ``n``."""
+    d = fibrate(order_tree(family_tree(m, 1)), n)
+    chain = "root u1 c1\n" + "".join(f"edge c{i} u{i} u{i + 1}\n" for i in range(m + 1))
+    return d, fibrate(order_tree(parse_tree(chain)), n)
+
+
 def test_search_finds_the_closed_form_a_d_witness():
-    # D_7 is the chain u0..u5 with a leaf at u1; A_7 is the chain u0..u6
-    # rooted at (u1, c1); at odd n three cyclic moves and then hurwitz_b at
-    # 4, 3, 2 and 1 turn the D word into the A word, and no shorter script does
-    d = fibrate(order_tree(family_tree(5, 1)), 3)
-    chain = "root u1 c1\n" + "".join(f"edge c{i} u{i} u{i + 1}\n" for i in range(6))
-    a = fibrate(order_tree(parse_tree(chain)), 3)
+    # at odd n three cyclic moves and then hurwitz_b at 4, 3, 2 and 1 turn
+    # the D_7 word into the A_7 word, and no shorter script does
+    d, a = _a_d_words(5, 3)
     wit = search_equivalence(d, a, 7)
     assert wit == (MoveRecord(CYCLIC),) * 3 + tuple(MoveRecord(HURWITZ_B, i) for i in (4, 3, 2, 1))
     assert replay(d, wit).word_classes() == a.word_classes()
     assert search_equivalence(d, a, 6) is None
+
+
+# Pairs checked against the reference at every depth up to 6.  The step
+# whose depths add up to the depth budget only probes, and the budget
+# decides which side takes it.  At budgets 1, 2, ... it is backward (b) or
+# forward (f) as listed; a * marks a probe that meets the other side, and a
+# larger budget meets before its last step.
+#   6,1->6,3 at n = 3 and 5:            b f*
+#   6,1->6,5 at n = 3, 4 and 5:         b f b*
+#   6,1->6,3 at n = 4:                  b f b f b f
+#   D->A, m = 3, n = 3:                 b f b f b*
+#   A->D, m = 3, n = 3:                 b f f b*
+#   D->A, m = 3, n = 4 and m = 4, n = 3: b f b f b f
+#   A->D, m = 3, n = 4:                 b f b f f b
+#   A->D, m = 4, n = 3:                 b f f b f b
+BUDGET_PAIRS = {
+    f"6,1->6,{j}, n={n}": (family_word(6, 1, n), family_word(6, j, n))
+    for n in (3, 4, 5)
+    for j in (3, 5)
+}
+for m, n in ((3, 3), (3, 4), (4, 3)):
+    d, a = _a_d_words(m, n)
+    BUDGET_PAIRS[f"D->A, m={m}, n={n}"] = (d, a)
+    BUDGET_PAIRS[f"A->D, m={m}, n={n}"] = (a, d)
+
+
+@pytest.mark.parametrize("pair", list(BUDGET_PAIRS))
+def test_search_matches_reference_bfs_at_every_budget(pair):
+    a, b = BUDGET_PAIRS[pair]
+    for depth in range(7):
+        assert search_outcome(search_equivalence, a, b, depth) == (
+            search_outcome(_reference_bfs, a, b, depth)
+        ), depth
+
+
+@pytest.mark.slow
+def test_search_stores_no_layer_at_the_budget():
+    # D_8 -> A_8 at n = 3 has no witness within 8 moves, so both sides grow
+    # until the budget is spent; the step that spends it stores no layer
+    d, a = _a_d_words(6, 3)
+    assert search_equivalence(d, a, 0) is None  # builds the form outside the measure
+    tracemalloc.start()
+    try:
+        assert search_equivalence(d, a, 8) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1024
 
 
 # ---------------------------------------------------------------------------
