@@ -57,7 +57,8 @@ class DimensionMismatch(PlumbweaveError):
 
 
 class NonInvertibleTwist(PlumbweaveError):
-    """The requested inverse twist is not a lattice automorphism."""
+    """The requested inverse twist is not a lattice automorphism, or a search
+    source holds a class whose twist is not one under the edge sign given."""
 
 
 class NotAlgorithmOutput(PlumbweaveError):

@@ -211,15 +211,13 @@ def dehn_twist(
 
 
 def _isometric_centre(form, cls) -> bool:
-    """Whether the twist around ``cls`` is an integer isometry of ``form``:
-    every class of an antisymmetric form, else a class of square -2, one of
-    the two squares for which :func:`dehn_twist` inverts.
+    """Whether the twist around ``cls``, of the form's rank, is an integer
+    isometry of ``form``: every class of an antisymmetric form, else a class
+    of square -2, one of the two squares for which :func:`dehn_twist`
+    inverts.  The witness search takes source words of such classes.
 
-    A class of the wrong length is no centre; it fails in the twist.  On a
-    symmetric form a class in the radical is no centre either, though its
+    On a symmetric form a class in the radical is no centre, though its
     twist is the identity: the rule is conservative there."""
-    if len(cls) != len(form.basis):
-        return False
     if form.parity == ANTISYMMETRIC:
         return True
     return form.pair(cls, cls) == SELF_INTERSECTION

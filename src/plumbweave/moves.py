@@ -24,32 +24,22 @@ evidence of inequivalence: a failed search shows at most that these moves
 do not reach the target.
 
 Search is a bidirectional breadth-first search over class words (Pohl,
-"Bi-directional search", 1971).  The classes that fibrate, family_word and
-stabilize write, and their images under moves, are sphere classes, each an
-isometric centre (:func:`~plumbweave.lattice._isometric_centre`: its twist
-is an integer isometry), so the moves form a group action with explicit
-inverses (``hurwitz_b`` at i undoes ``hurwitz_a`` at i and the reverse;
-Seidel, *Fukaya Categories and Picard-Lefschetz Theory*, 2008), so a second
-frontier grows backward from the target.  The strictly smaller frontier
-grows, and on a tie the backward one, since a forward layer stops at its
-first child that meets the other side while a backward layer is completed
-before it is scanned; the step that spends the depth budget only probes,
-as its layer would never be expanded.  No schedule changes the witness
-(see :func:`search_equivalence`).  Since isometries keep every
-class's square, a target with a class of another square is cut off at
-once.  Only a hand-built source word, say one holding 2*l, is searched
-one-sided.  Every cyclic or Hurwitz move replaces a pair (x, y) with
-(y, x + c*y) or (y + c'*x, x), a unimodular recombination, so it keeps the
-lattice the word's classes span, and with it the total space's homology;
-in the two-sided case a target whose homology certificate
-(:func:`~plumbweave.invariants.total_homology`) differs is cut off at once
-as well.  A state that both sides have reached is where they meet, and
+"Bi-directional search", 1971) from a source of sphere classes, each an
+isometric centre (:func:`~plumbweave.lattice._isometric_centre`) under the
+edge sign given, as every class that fibrate, family_word and stabilize
+write, and every image of one under moves, is under the sign its word was
+built with.  Each move is then an integer isometry with an explicit inverse
+(Seidel, *Fukaya Categories and Picard-Lefschetz Theory*, 2008), so a second
+frontier grows backward from the target; :func:`search_equivalence` gives
+the schedule, why it does not change the witness, and the two cuts, by class
+squares and by :func:`~plumbweave.invariants.total_homology`, that answer at
+once.  A state that both sides have reached is where they meet, and
 :func:`_witness` builds every witness from it.  Each search interns the
 classes it meets as small integer ids and holds a state as a ``str`` with
-one character ``chr(id)`` per class, which Python stores in 1, 2 or 4
-bytes a character as its largest id needs, hashes once and slices in C.
-A table that lives only for that call maps each pair of ids to its pair
-after each Hurwitz move, so each twist is computed once.
+one character ``chr(id)`` per class, which Python stores in 1, 2 or 4 bytes
+a character as its largest id needs, hashes once and slices in C.  A table
+that lives only for that call maps each pair of ids to its pair after each
+Hurwitz move, so each twist is computed once.
 """
 
 from __future__ import annotations
@@ -62,6 +52,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     IndexOutOfRange,
+    NonInvertibleTwist,
     UnknownVertex,
 )
 from .fibration import (
@@ -299,7 +290,7 @@ def search_equivalence(
     order and lazily, so a loop that meets the other side stops there.  It
     rewrites the pair at i through a table ``{kind: {pair: pair after the
     move}}`` that :func:`_hurwitz_pair` fills, so each twist is computed
-    once with :func:`dehn_twist`; a twist that raises is never stored.  A
+    once with :func:`dehn_twist`.  A
     forward state links to its parent and the index of its move in the
     alphabet.  On the D_13 -> A_13 search at n = 3 (a word of 15 classes,
     depth 13), the call stores 314 481 states, and its peak under
@@ -308,18 +299,19 @@ def search_equivalence(
     call.  ``chr`` stops at ``sys.maxunicode``, so a search that would
     intern more classes than that raises :class:`IndexOutOfRange`.
 
-    When every class of both words is an isometric centre (see
-    :func:`_isometric_centre`), every move is an integer isometry with an
-    explicit inverse, so a second search grows from b over predecessors
+    The domain is checked before any class is interned.  A class whose
+    length is not the fiber's rank, in either word, raises
+    :class:`DimensionMismatch`; a source class that is no isometric centre
+    under ``convention`` (see :func:`_isometric_centre`), such as 2*l or a
+    class written under the other edge sign, raises
+    :class:`NonInvertibleTwist`.  So every move is an integer isometry with
+    an explicit inverse, and a second search grows from b over predecessors
     (right rotation, and ``hurwitz_b`` at i for ``hurwitz_a`` at i and the
     reverse) until the two meet or their depths add up to ``max_depth``.
     Each step grows the strictly smaller frontier, and the backward one on a
     tie: a forward layer stops at its first child that meets the backward
     side, while a backward layer is completed and only then scanned, so the
-    step that can meet is left to the forward side.  Otherwise (a hand-built
-    word, such as one holding 2*l) only the forward side grows, and a twist
-    that has no integer inverse raises :class:`NonInvertibleTwist` where it
-    is met.
+    step that can meet is left to the forward side.
 
     The step at which the depths add up to ``max_depth`` probes and stores
     no layer, since no step would expand it.  A forward probe checks each
@@ -341,17 +333,17 @@ def search_equivalence(
     and the probe return w, as any order of the steps would.
 
     Two cuts return None before anything is interned, at any depth.
-    Isometries keep each class's square, so when every class of a is a
-    centre and some class of b is not, b is unreachable.  Each move sends a
-    pair (x, y) to (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of
-    the word's classes and hence :func:`total_homology`; in a two-sided
-    search whose words have different sets of distinct classes, homology
-    certificates that differ make b unreachable too, and a class entry that
-    is not an ``int`` raises :class:`FormatError` there.  On one fiber and
-    one word length the certificates differ exactly when the Smith normal
-    forms of the class rows do.  Such a None shows only that these moves do
-    not reach b, not that the fibrations differ.  A negative ``max_depth``
-    raises :class:`IndexOutOfRange`.
+    Isometries keep each class's square, so when some class of b is no
+    centre, b is unreachable.  Each move sends a pair (x, y) to
+    (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of the word's
+    classes and hence :func:`total_homology`; when the words have different
+    sets of distinct classes, homology certificates that differ make b
+    unreachable too, and a class entry that is not an ``int`` raises
+    :class:`FormatError` there.  On one fiber and one word length the
+    certificates differ exactly when the Smith normal forms of the class
+    rows do.  Such a None shows only that these moves do not reach b, not
+    that the fibrations differ.  A negative ``max_depth`` raises
+    :class:`IndexOutOfRange`.
     """
     if _int(max_depth) < 0:
         raise IndexOutOfRange(f"search depth {max_depth} below 0")
@@ -362,14 +354,23 @@ def search_equivalence(
 
     start = a.word_classes()
     goal = b.word_classes()
+    sources, targets = dict.fromkeys(start), dict.fromkeys(goal)  # a word repeats classes
+    r = len(a.fiber.pattern.vertices)
+    if any(len(c) != r for c in (*sources, *targets)):
+        raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
+    form = fiber_form(a.fiber, convention)
+    for c in sources:
+        if not _isometric_centre(form, c):
+            k = start.index(c)
+            raise NonInvertibleTwist(
+                f"source cycle {k} ({a.cycles[k].label}) has square {form.pair(c, c)} under "
+                f"edge sign {convention.edge_sign:+d}; the search takes sphere classes only"
+            )
     if start == goal:
         return ()
-    form = fiber_form(a.fiber, convention)
-    # each distinct class once: a word repeats its classes
-    bidirectional = all(_isometric_centre(form, c) for c in dict.fromkeys(start))
-    if bidirectional and not all(_isometric_centre(form, c) for c in dict.fromkeys(goal)):
-        return None
-    if bidirectional and set(start) != set(goal) and total_homology(a) != total_homology(b):
+    if not all(_isometric_centre(form, c) for c in targets):
+        return None  # every move keeps each class's square
+    if sources.keys() != targets.keys() and total_homology(a) != total_homology(b):
         return None  # every move keeps the total space's homology
     ids: dict = {}  # class -> id
     classes: list = []  # id -> class
@@ -401,7 +402,6 @@ def search_equivalence(
                 pair = state[i : i + 2]
                 after = rule.get(pair)
                 if after is None:
-                    # a twist that raises is not stored, so it raises wherever met
                     x, y = _hurwitz_pair(kind, ord(pair[0]), ord(pair[1]), twist)
                     after = rule[pair] = chr(x) + chr(y)
                 yield state[:i] + after + state[i + 2 :]
@@ -416,7 +416,7 @@ def search_equivalence(
     while depth_f + depth_b < max_depth and forward and backward:
         # the step that spends the budget grows a layer no step expands
         probe = depth_f + depth_b + 1 == max_depth
-        if not bidirectional or len(forward) < len(backward):
+        if len(forward) < len(backward):
             # discovery order is the order of least paths, so the first
             # child that meets the backward side starts the least witness
             layer = []

@@ -69,6 +69,14 @@ CASES = {
         "moves search {in}/family_6_1_n4.json {in}/family_6_3_n4_index2.json --depth 50",
         None,
     ),
+    "moves_search_edge_sign": (
+        "moves search {in}/ex_n3_neg.json {in}/ex_n3_neg_cyclic.json --depth 1 --edge-sign -1",
+        None,
+    ),
+    "moves_search_edge_sign_refused": (
+        "moves search {in}/ex_n3_neg.json {in}/ex_n3_neg_cyclic.json --depth 1",
+        None,
+    ),
     "moves_repl": ("moves repl {in}/ex_n3.json --out {out}/repl.json", "repl.txt"),
     "family_pass_text": ("family --m 6 --j 1 --shift 4 --n 3", None),
     "family_pass_json": ("family --m 6 --j 1 --shift 4 --n 3 --json", None),

@@ -40,7 +40,7 @@ from plumbweave.errors import (
     UnknownVertex,
 )
 from plumbweave.fibration import fiber_form
-from plumbweave.lattice import Convention, dehn_twist, pattern_form
+from plumbweave.lattice import Convention, _isometric_centre, dehn_twist, pattern_form
 from plumbweave.moves import (
     CYCLIC,
     HURWITZ_A,
@@ -519,13 +519,34 @@ def search_outcome(search, *args):
         return type(exc)
 
 
+def sphere_source(alf, convention) -> bool:
+    form = fiber_form(alf.fiber, convention)
+    return all(_isometric_centre(form, c) for c in alf.word_classes())
+
+
+def centre_twist(form, l, x, power=1):
+    """dehn_twist, after checking that ``l`` is an isometric centre and that
+    both classes have the form's rank."""
+    assert len(l) == len(x) == len(form.basis) and _isometric_centre(form, l), (l, x)
+    return dehn_twist(form, l, x, power)
+
+
 @given(search_cases(), st.integers(0, 5))
 @settings(max_examples=300, deadline=None)
 def test_search_matches_reference_bfs(case, depth):
+    # the reference searches one-sided from any source; the search takes
+    # sphere sources only, and on those every twist it makes is around a
+    # centre, so none can raise
     source, target, signs = case
-    assert search_outcome(search_equivalence, source, target, depth, equivalent(signs)) == (
-        search_outcome(_reference_bfs, source, target, depth, signs)
-    )
+    convention = equivalent(signs)
+    if not sphere_source(source, convention):
+        with pytest.raises(NonInvertibleTwist):
+            search_equivalence(source, target, depth, convention)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moves, "dehn_twist", centre_twist)
+        got = search_outcome(search_equivalence, source, target, depth, convention)
+    assert got == search_outcome(_reference_bfs, source, target, depth, signs)
 
 
 def test_search_reaches_past_one_sided_depth():
@@ -575,16 +596,29 @@ def test_search_computes_each_twist_once(monkeypatch, source, target, depth, wit
 HAND_BUILT_SOURCE = _map_classes(family_word(6, 1, 5), ((1, 0), (0, 2)))
 
 
-def test_one_sided_search_raises_on_a_non_invertible_twist():
-    # hurwitz_b needs the inverse twist around 2*beta
-    a, b = HAND_BUILT_SOURCE, family_word(6, 5, 5)
+def test_search_refuses_a_source_that_is_no_sphere_word(ex_ordered):
+    # the refusal comes before any move, whatever the target: one the moves
+    # reach, one of another homology, or the source itself
+    a = HAND_BUILT_SOURCE
     form = fiber_form(a.fiber)
     assert {form.pair(c, c) for c in a.word_classes()} == {-2, -8}
-    assert search_equivalence(a, b, 0) is None
-    for depth in range(1, 6):
-        for search in (search_equivalence, _reference_bfs):
-            with pytest.raises(NonInvertibleTwist):
-                search(a, b, depth)
+    other = _map_classes(family_word(6, 5, 5), ((1, 1), (0, 4)))
+    assert total_homology(a) != total_homology(other)
+    message = r"^source cycle 2 \(edge:e6\) has square -8 under edge sign \+1;"
+    for b in (family_word(6, 5, 5), other, a):
+        for depth in range(6):
+            with pytest.raises(NonInvertibleTwist, match=message):
+                search_equivalence(a, b, depth)
+    # a word moved under one edge sign holds classes of square -6 under the
+    # other: refused there, and searched under its own
+    for sign in (1, -1):
+        own, other_sign = Convention(sign), Convention(-sign)
+        word = hurwitz_b(hurwitz_a(fibrate(ex_ordered, 3), 1, own), 0, own)
+        assert not sphere_source(word, other_sign)
+        rotated = cyclic_permute(word)
+        assert search_equivalence(word, rotated, 1, own) == (MoveRecord(CYCLIC),)
+        with pytest.raises(NonInvertibleTwist, match="has square -6"):
+            search_equivalence(word, rotated, 1, other_sign)
 
 
 # tree words with multi-coordinate classes: random trees of 6 to 8 vertices
@@ -665,19 +699,6 @@ def test_search_lattice_cut_at_scale(monkeypatch):
         assert not computed
 
 
-def test_one_sided_search_is_not_cut_by_the_lattice():
-    # the source's class 2*beta is no isometric centre, so a target whose
-    # classes span another lattice, of another homology, is still searched,
-    # and the twist with no integer inverse raises where the search meets it
-    a = HAND_BUILT_SOURCE
-    b = _map_classes(family_word(6, 5, 5), ((1, 1), (0, 4)))
-    assert total_homology(a) != total_homology(b)
-    for depth in (1, 4):
-        for search in (search_equivalence, _reference_bfs):
-            with pytest.raises(NonInvertibleTwist):
-                search(a, b, depth)
-
-
 @pytest.mark.parametrize("kind", [float, bool])
 def test_search_lattice_cut_refuses_non_integer_entries(kind):
     # a hand-built word only: the fibration reader refuses such entries
@@ -739,18 +760,21 @@ def test_homology_certificates_differ_when_the_class_rows_do(pair):
 
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_search_wrong_length_class_matches_reference(side):
-    # a hand-built word may carry a class of the wrong length: the twist
-    # rejects it in the source, and a target holding one is out of reach
+    # a hand-built word may carry a class of the wrong length: the search
+    # refuses it on either side at every depth, before any move; the
+    # reference twist refuses it only in the source, where a twist meets it
     a, b = family_word(2, 1, 5), family_word(2, 2, 5)
     bad = replace(b.cycles[0], cls=(1, 0, 0))
     if side == "source":
         a = replace(a, cycles=(bad,) + a.cycles[1:])
     else:
         b = replace(b, cycles=(bad,) + b.cycles[1:])
-    for depth in (0, 1, 3):
-        assert search_outcome(search_equivalence, a, b, depth) == (
-            search_outcome(_reference_bfs, a, b, depth)
-        )
+    for depth in range(6):
+        with pytest.raises(DimensionMismatch, match="classes of length 2"):
+            search_equivalence(a, b, depth)
+        if side == "source" and depth:
+            with pytest.raises(DimensionMismatch):
+                _reference_bfs(a, b, depth)
 
 
 @pytest.fixture(scope="module")
