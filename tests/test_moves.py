@@ -596,19 +596,45 @@ def test_search_computes_each_twist_once(monkeypatch, source, target, depth, wit
 HAND_BUILT_SOURCE = _map_classes(family_word(6, 1, 5), ((1, 0), (0, 2)))
 
 
-def test_search_refuses_a_source_that_is_no_sphere_word(ex_ordered):
-    # the refusal comes before any move, whatever the target: one the moves
-    # reach, one of another homology, or the source itself
-    a = HAND_BUILT_SOURCE
+SOURCE_REFUSAL = r"^source cycle 2 \(edge:e6\) has square -8 under edge sign \+1;"
+
+
+def test_one_sided_search_raises_on_a_non_invertible_twist():
+    # hurwitz_b needs the inverse twist around 2*beta: the search refuses the
+    # source before any move, at every depth, and the reference search, which
+    # has no such check, raises where it meets that twist
+    a, b = HAND_BUILT_SOURCE, family_word(6, 5, 5)
     form = fiber_form(a.fiber)
     assert {form.pair(c, c) for c in a.word_classes()} == {-2, -8}
-    other = _map_classes(family_word(6, 5, 5), ((1, 1), (0, 4)))
-    assert total_homology(a) != total_homology(other)
-    message = r"^source cycle 2 \(edge:e6\) has square -8 under edge sign \+1;"
-    for b in (family_word(6, 5, 5), other, a):
-        for depth in range(6):
-            with pytest.raises(NonInvertibleTwist, match=message):
-                search_equivalence(a, b, depth)
+    for depth in range(6):
+        with pytest.raises(NonInvertibleTwist, match=SOURCE_REFUSAL):
+            search_equivalence(a, b, depth)
+    for depth in range(1, 6):
+        with pytest.raises(NonInvertibleTwist):
+            _reference_bfs(a, b, depth)
+
+
+def test_one_sided_search_is_not_cut_by_the_lattice():
+    # the source's class 2*beta is no isometric centre, so a target whose
+    # classes span another lattice, of another homology, is refused for the
+    # source and not cut by the homology check
+    a = HAND_BUILT_SOURCE
+    b = _map_classes(family_word(6, 5, 5), ((1, 1), (0, 4)))
+    assert total_homology(a) != total_homology(b)
+    for depth in (0, 1, 4):
+        with pytest.raises(NonInvertibleTwist, match=SOURCE_REFUSAL):
+            search_equivalence(a, b, depth)
+    for depth in (1, 4):
+        with pytest.raises(NonInvertibleTwist):
+            _reference_bfs(a, b, depth)
+
+
+def test_search_refuses_a_source_that_is_no_sphere_word(ex_ordered):
+    # the refusal comes before any move, even against the source itself
+    a = HAND_BUILT_SOURCE
+    for depth in range(6):
+        with pytest.raises(NonInvertibleTwist, match=SOURCE_REFUSAL):
+            search_equivalence(a, a, depth)
     # a word moved under one edge sign holds classes of square -6 under the
     # other: refused there, and searched under its own
     for sign in (1, -1):
