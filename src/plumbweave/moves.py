@@ -9,9 +9,9 @@ homology level, where cycle classes evolve by the exact twist action.
 :class:`MoveRecord` is the one grammar of moves, checked when a record is
 built; :func:`apply_move` is the one entry that runs a move, and the four
 public moves call it.  A Hurwitz move follows one twist-and-swap rule,
-:func:`_hurwitz_pair`: :func:`_move_word` runs it on a word of vanishing
-cycles, which it copies once and twists with :func:`dehn_twist`, and the
-search on pairs of class ids.
+:func:`_hurwitz_pair`, which :func:`apply_move` runs on a pair of vanishing
+cycles and the search on a pair of class ids.  :func:`_state_moves` is the
+one statement of the search alphabet's order.
 
 Cycle identity after moves lives at two tiers: the lattice class (decidable,
 used for every equality check) and the display string, which accumulates a
@@ -149,27 +149,12 @@ def _hurwitz_pair(kind: str, x, y, twist) -> tuple:
     twist-and-swap rule.
 
     ``twist(l, x, power)`` twists the entry ``x`` ``power`` times around
-    ``l``.  :func:`_move_word` runs this on words of vanishing cycles or of
-    classes, the search on pairs of class ids.
+    ``l``.  :func:`apply_move` runs this on pairs of vanishing cycles, the
+    search on pairs of class ids.
     """
     if kind == HURWITZ_A:
         return y, twist(y, x, 1)
     return twist(x, y, -1), x
-
-
-def _move_word(word: tuple, move: MoveRecord, twist) -> tuple:
-    """The word after one cyclic or Hurwitz move, which copies it once.
-
-    :func:`apply_move` runs this on words of vanishing cycles; any tuple
-    word serves, bare class words included.  The move is checked by the
-    caller.
-    """
-    if move.kind == CYCLIC:
-        return word[1:] + word[:1]
-    i = move.index
-    out = list(word)
-    out[i], out[i + 1] = _hurwitz_pair(move.kind, word[i], word[i + 1], twist)
-    return tuple(out)
 
 
 def stabilize(alf: AbstractLF, attach_vertex: str, position: int) -> AbstractLF:
@@ -184,8 +169,8 @@ def apply_move(
     """The one entry for every move, which checks it against the word.
     Stabilized classes re-embed with a zero coordinate in the new direction,
     so old pairings are unchanged; cycles that shared a class object share
-    its grown tuple.  A cyclic or Hurwitz move runs
-    :func:`_move_word` on the vanishing cycles: a twisted cycle keeps its
+    its grown tuple.  A cyclic or Hurwitz move copies the vanishing cycles
+    once, a Hurwitz move by :func:`_hurwitz_pair`: a twisted cycle keeps its
     label and its display records the twist."""
     word = alf.cycles
     if move.kind == STABILIZE:
@@ -215,9 +200,10 @@ def apply_move(
     if move.kind == CYCLIC:
         if not word:
             raise IndexOutOfRange("empty cycle word")
-        return AbstractLF(alf.fiber, _move_word(word, move, None))
-    if not 0 <= move.index < len(word) - 1:
-        raise IndexOutOfRange(f"pair index {move.index} not in 0..{len(word) - 2}")
+        return AbstractLF(alf.fiber, word[1:] + word[:1])
+    i = move.index
+    if not 0 <= i < len(word) - 1:
+        raise IndexOutOfRange(f"pair index {i} not in 0..{len(word) - 2}")
     form = fiber_form(alf.fiber, convention)
 
     def twist(l: VanishingCycle, x: VanishingCycle, power: int) -> VanishingCycle:
@@ -226,7 +212,9 @@ def apply_move(
             x.label, dehn_twist(form, l.cls, x.cls, power), f"{tau}[{l.display}]({x.display})"
         )
 
-    return AbstractLF(alf.fiber, _move_word(word, move, twist))
+    out = list(word)
+    out[i], out[i + 1] = _hurwitz_pair(move.kind, word[i], word[i + 1], twist)
+    return AbstractLF(alf.fiber, tuple(out))
 
 
 def replay(
@@ -257,10 +245,22 @@ def equal_homology(a: AbstractLF, b: AbstractLF) -> bool:
     return _same_fiber(a, b) and a.word_classes() == b.word_classes()
 
 
+def _non_sphere(form, word) -> int | None:
+    """The index in ``word`` of its first distinct class that is no
+    isometric centre of ``form`` (:func:`_isometric_centre`), or None when
+    it is a sphere word: the one sphere-word rule."""
+    for c in dict.fromkeys(word):
+        if not _isometric_centre(form, c):
+            return word.index(c)
+    return None
+
+
 @lru_cache
 def _state_moves(m: int) -> tuple[MoveRecord, ...]:
-    """The search alphabet on words of length ``m``, in its fixed order;
-    the records are frozen, so one tuple serves every search of that length."""
+    """The search alphabet on words of length ``m``, in its fixed order,
+    which is stated here only: the cyclic move first, as the search's
+    children and predecessors assume.  The records are frozen, so one tuple
+    serves every search of that length."""
     return (
         MoveRecord(CYCLIC),
         *[MoveRecord(HURWITZ_A, i) for i in range(m - 1)],
@@ -277,20 +277,21 @@ def search_equivalence(
     """Bidirectional breadth-first search for a move sequence turning a's
     word into b's.
 
-    The alphabet is cyclic permutation plus both Hurwitz moves at every
-    index (no stabilization), in that fixed order; the result is the
-    shortest witness and lexicographically least among those.  Returns a
+    The alphabet is :func:`_state_moves`, cyclic permutation and both
+    Hurwitz moves at every index (no stabilization) in its fixed order; the
+    result is the shortest witness and lexicographically least among those.  Returns a
     tuple of MoveRecord, or None when no witness has at most ``max_depth``
     moves.  A None is never evidence that the fibrations differ.
 
     A state is a ``str`` with one character ``chr(id)`` per class, where
     the call interns each class it meets as the id.  Python stores such a
     string in 1, 2 or 4 bytes a character, as its largest id needs, and
-    caches its hash.  One generator yields a state's children in alphabet
-    order and lazily, so a loop that meets the other side stops there.  It
-    rewrites the pair at i through a table ``{kind: {pair: pair after the
-    move}}`` that :func:`_hurwitz_pair` fills, so each twist is computed
-    once with :func:`dehn_twist`.  A
+    caches its hash.  One generator yields a state's children lazily, so a
+    loop that meets the other side stops there: the left rotation, then one
+    step for each Hurwitz move of :func:`_state_moves`, in its order, which
+    rewrites the pair at the move's index through the call's table for its
+    kind, ``{pair: pair after the move}``.  :func:`_hurwitz_pair` fills the
+    tables, so each twist is computed once with :func:`dehn_twist`.  A
     forward state links to its parent and the index of its move in the
     alphabet.  On the D_13 -> A_13 search at n = 3 (a word of 15 classes,
     depth 13), the call stores 314 481 states, and its peak under
@@ -359,16 +360,15 @@ def search_equivalence(
     if any(len(c) != r for c in (*sources, *targets)):
         raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
     form = fiber_form(a.fiber, convention)
-    for c in sources:
-        if not _isometric_centre(form, c):
-            k = start.index(c)
-            raise NonInvertibleTwist(
-                f"source cycle {k} ({a.cycles[k].label}) has square {form.pair(c, c)} under "
-                f"edge sign {convention.edge_sign:+d}; the search takes sphere classes only"
-            )
+    k = _non_sphere(form, start)
+    if k is not None:
+        raise NonInvertibleTwist(
+            f"source cycle {k} ({a.cycles[k].label}) has square {form.pair(start[k], start[k])} "
+            f"under edge sign {convention.edge_sign:+d}; the search takes sphere classes only"
+        )
     if start == goal:
         return ()
-    if not all(_isometric_centre(form, c) for c in targets):
+    if _non_sphere(form, goal) is not None:
         return None  # every move keeps each class's square
     if sources.keys() != targets.keys() and total_homology(a) != total_homology(b):
         return None  # every move keeps the total space's homology
@@ -391,24 +391,23 @@ def search_equivalence(
     def twist(l: int, x: int, power: int) -> int:
         return intern(dehn_twist(form, classes[l], classes[x], power))
 
-    m = len(start)
-    rules = {HURWITZ_A: {}, HURWITZ_B: {}}  # kind -> {pair: pair after the move}
+    alphabet = _state_moves(len(start))
+    tables: dict = {}  # kind -> {pair: pair after the move}
+    steps = [(mv.kind, tables.setdefault(mv.kind, {}), mv.index) for mv in alphabet[1:]]
 
     def children(state: str):
         """The children of ``state``, one at a time, in alphabet order."""
         yield state[1:] + state[:1]
-        for kind, rule in rules.items():
-            for i in range(m - 1):
-                pair = state[i : i + 2]
-                after = rule.get(pair)
-                if after is None:
-                    x, y = _hurwitz_pair(kind, ord(pair[0]), ord(pair[1]), twist)
-                    after = rule[pair] = chr(x) + chr(y)
-                yield state[:i] + after + state[i + 2 :]
+        for kind, table, i in steps:
+            pair = state[i : i + 2]
+            after = table.get(pair)
+            if after is None:
+                x, y = _hurwitz_pair(kind, ord(pair[0]), ord(pair[1]), twist)
+                after = table[pair] = chr(x) + chr(y)
+            yield state[:i] + after + state[i + 2 :]
 
     start = "".join([chr(intern(c)) for c in start])
     goal = "".join([chr(intern(c)) for c in goal])
-    alphabet = _state_moves(m)
     parents: dict = {start: None}  # forward state -> (parent, move index) of its least path
     dist = {goal: 0}  # backward state -> moves from it to the goal
     forward, backward = [start], [goal]

@@ -46,17 +46,15 @@ from plumbweave.moves import (
     HURWITZ_A,
     HURWITZ_B,
     MoveRecord,
-    _move_word,
     apply_move,
     _same_fiber,
-    _state_moves,
     moves_from_json,
     moves_to_json,
     parse_move_line,
 )
 from plumbweave.treecore import UnrootedTree
 
-from .test_lattice import ReferenceForm, Signs, equivalent, reference_twist
+from .test_lattice import ReferenceForm, Signs, equivalent, reference_twist, signs_of
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -188,9 +186,20 @@ def test_hurwitz_pair_identity_random(seed, n):
     assert word_of(hurwitz_a(hurwitz_b(alf, i), i)) == word_of(alf)
 
 
+def reference_alphabet(m):
+    """The search alphabet on words of length ``m``, written out for the
+    reference search: the cyclic move, then ``hurwitz_a`` at 0..m-2, then
+    ``hurwitz_b`` at 0..m-2."""
+    return (
+        [MoveRecord(CYCLIC)]
+        + [MoveRecord(HURWITZ_A, i) for i in range(m - 1)]
+        + [MoveRecord(HURWITZ_B, i) for i in range(m - 1)]
+    )
+
+
 def sliced_move_word(word, move, twist):
     """The move rule written with slices and tuple concatenation: the
-    reference for ``_move_word``, which copies the word once."""
+    reference for the cyclic and Hurwitz moves, which copy the word once."""
     if move.kind == CYCLIC:
         return word[1:] + word[:1]
     i = move.index
@@ -200,27 +209,53 @@ def sliced_move_word(word, move, twist):
     return word[:i] + (twist(x, y, -1), x) + word[i + 2 :]
 
 
-def tagged_twist(l, x, power):
-    return ("τ", l, x, power)
+def kept_label(l, x, power):
+    return x
 
 
-def refusing_twist(l, x, power):
-    raise NonInvertibleTwist(f"no inverse around {l}")
+def tagged_display(l, x, power):
+    return f"{'τ' if power == 1 else 'τ^{-1}'}[{l}]({x})"
+
+
+CHAIN = tuple(f"u{k}" for k in range(7))
+
+
+def chain_word(word, scale, n):
+    """A word on the A_7 chain fiber whose cycle i holds ``scale`` times
+    the unit class of vertex ``word[i]``."""
+    pattern = UnrootedTree(CHAIN, tuple(zip(CHAIN, CHAIN[1:])))
+    cycles = tuple(
+        VanishingCycle(f"c{i}", tuple(scale * (j == k) for j in range(7)), f"u{k}")
+        for i, k in enumerate(word)
+    )
+    return AbstractLF(PlumbingDescriptor(pattern, n - 1), cycles)
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=14).map(tuple))
 @settings(max_examples=150, deadline=None)
 def test_move_word_matches_the_sliced_rule(word):
-    before = tuple(word)
-    alphabet = _state_moves(len(word))  # cyclic, then each Hurwitz move at 0..m-2
-    for move in alphabet:
-        out = _move_word(word, move, tagged_twist)
-        assert type(out) is tuple
-        assert out == sliced_move_word(word, move, tagged_twist)
-    for move in alphabet[1:]:
+    # each public move against the sliced rule on classes (the reference
+    # twist), labels (kept) and displays (the twist recorded), at both
+    # parities and edge signs; on classes of square -8 at odd n every
+    # hurwitz_b takes its twist, which has no integer inverse
+    alphabet = reference_alphabet(len(word))
+    for n in (3, 4):
+        for conv in (Convention(1), Convention(-1)):
+            alf = chain_word(word, 1, n)
+            twist = partial(reference_twist, ReferenceForm(alf.fiber.pattern, n - 1, signs_of(conv)))
+            labels = tuple(c.label for c in alf.cycles)
+            for move in alphabet:
+                out = MOVE_ENTRIES[move.kind][1](alf, move, conv)
+                assert out.fiber == alf.fiber and type(out.cycles) is tuple
+                assert out.word_classes() == sliced_move_word(alf.word_classes(), move, twist)
+                assert tuple(c.label for c in out.cycles) == sliced_move_word(labels, move, kept_label)
+                assert out.word_displays() == sliced_move_word(
+                    alf.word_displays(), move, tagged_display
+                )
+    scaled = chain_word(word, 2, 3)
+    for i in range(len(word) - 1):
         with pytest.raises(NonInvertibleTwist):
-            _move_word(word, move, refusing_twist)
-    assert word == before
+            hurwitz_b(scaled, i)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +404,37 @@ def test_search_family_witness():
     assert equal_homology(replayed, b)
 
 
+def swapped_hurwitz_blocks(m):
+    return (
+        MoveRecord(CYCLIC),
+        *[MoveRecord(HURWITZ_B, i) for i in range(m - 1)],
+        *[MoveRecord(HURWITZ_A, i) for i in range(m - 1)],
+    )
+
+
+def test_the_search_alphabet_is_stated_once(monkeypatch):
+    # the search's children follow _state_moves, so listing the hurwitz_b
+    # block first gives witnesses, least in that order, that still replay
+    cases = [
+        (family_word(m, j, n), family_word(m, k, n))
+        for n in (3, 4, 5)
+        for m in (4, 6)
+        for j in range(1, m + 1)
+        for k in range(j + 1, m + 1)
+    ]
+    plain = [search_equivalence(a, b, 6) for a, b in cases]
+    monkeypatch.setattr(moves, "_state_moves", swapped_hurwitz_blocks)
+    found = 0
+    for (a, b), unpatched in zip(cases, plain):
+        wit = search_equivalence(a, b, 6)
+        assert (wit is None) == (unpatched is None)
+        if wit is not None:
+            found += 1
+            assert len(wit) <= len(unpatched)
+            assert equal_homology(replay(a, wit), b)
+    assert found >= 8
+
+
 def test_search_not_found_is_none():
     a, b = family_word(6, 1, 5), family_word(6, 5, 5)
     assert search_equivalence(a, b, 1) is None
@@ -425,7 +491,7 @@ def _reference_bfs(a, b, max_depth: int, signs: Signs = Signs(-2, 1, 1)):
         return ()
     ref = ReferenceForm(a.fiber.pattern, a.fiber.sphere_dim, signs)
     twist = partial(reference_twist, ref)
-    alphabet = _state_moves(len(start))
+    alphabet = reference_alphabet(len(start))
     parents: dict = {start: None}
     frontier = deque([start])
     for _ in range(max_depth):
@@ -434,7 +500,7 @@ def _reference_bfs(a, b, max_depth: int, signs: Signs = Signs(-2, 1, 1)):
         next_frontier: deque = deque()
         for state in frontier:
             for move in alphabet:
-                child = _move_word(state, move, twist)
+                child = sliced_move_word(state, move, twist)
                 if child == goal:
                     seq = [move]
                     back = state
