@@ -245,11 +245,21 @@ def _saved_moves(args):
     return moves.moves_from_json(_read_text(args.sequence))
 
 
+def _load_sphere_word(path: str, convention: Convention):
+    """The fibration document at ``path``, refused before any move unless
+    it is a sphere word under ``convention``, the word the search takes;
+    each move keeps that, so nothing is checked per move."""
+    alf = fibration.from_json(_read_text(path))
+    form = fibration.fiber_form(alf.fiber, convention)
+    moves._refuse_non_sphere(alf, form, convention, "moves take")
+    return alf
+
+
 def _cmd_moves_replay(args) -> int:
     """``moves apply`` and ``moves replay``: load the fibration, read the
     moves with ``args.read_moves``, replay them and emit the result."""
     convention = Convention(args.edge_sign)
-    alf = fibration.from_json(_read_text(args.fibration))
+    alf = _load_sphere_word(args.fibration, convention)
     seq = args.read_moves(args)
     _emit(fibration.to_json(moves.replay(alf, seq, convention)), args.out)
     if args.seq_out:
@@ -285,7 +295,7 @@ def _state_text(alf) -> str:
 
 def _cmd_moves_repl(args) -> int:
     convention = Convention(args.edge_sign)
-    alf = fibration.from_json(_read_text(args.fibration))
+    alf = _load_sphere_word(args.fibration, convention)
     for line in itertools.chain(["show"], _move_lines(sys.stdin, "<stdin>")):
         if line in ("quit", "exit"):
             break

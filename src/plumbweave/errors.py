@@ -58,7 +58,8 @@ class DimensionMismatch(PlumbweaveError):
 
 class NonInvertibleTwist(PlumbweaveError):
     """The requested inverse twist is not a lattice automorphism, or a search
-    source holds a class whose twist is not one under the edge sign given."""
+    source or a word loaded by a ``moves`` command holds a class whose twist
+    is not one under the edge sign given."""
 
 
 class NotAlgorithmOutput(PlumbweaveError):

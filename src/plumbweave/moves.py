@@ -24,16 +24,18 @@ evidence of inequivalence: a failed search shows at most that these moves
 do not reach the target.
 
 Search is a bidirectional breadth-first search over class words (Pohl,
-"Bi-directional search", 1971) from a source of sphere classes, each an
-isometric centre (:func:`~plumbweave.lattice._isometric_centre`) under the
-edge sign given, as every class that fibrate, family_word and stabilize
-write, and every image of one under moves, is under the sign its word was
-built with.  Each move is then an integer isometry with an explicit inverse
-(Seidel, *Fukaya Categories and Picard-Lefschetz Theory*, 2008), so a second
-frontier grows backward from the target; :func:`search_equivalence` gives
-the schedule, why it does not change the witness, and the two cuts, by class
-squares and by :func:`~plumbweave.invariants.total_homology`, that answer at
-once.  A state that both sides have reached is where they meet, and
+"Bi-directional search", 1971) from a sphere word, each class an isometric
+centre (:func:`~plumbweave.lattice._isometric_centre`) under the edge sign
+given, as every class that fibrate, family_word and stabilize write, and
+every image of one under moves, is under the sign its word was built with.
+:func:`_non_sphere` states that rule once; the search refuses a source and
+cuts a target by it, and the ``moves`` commands refuse a loaded word by it
+before the first move, while the library moves never check it.  Each move
+is then an integer isometry with an explicit inverse (Seidel, *Fukaya
+Categories and Picard-Lefschetz Theory*, 2008), so a second frontier grows
+backward from the target; :func:`search_equivalence` gives the schedule,
+why it does not change the witness, and the two cuts, by class squares and
+by :func:`~plumbweave.invariants.total_homology`, that answer at once.  A state that both sides have reached is where they meet, and
 :func:`_witness` builds every witness from it.  Each search interns the
 classes it meets as small integer ids and holds a state as a ``str`` with
 one character ``chr(id)`` per class, which Python stores in 1, 2 or 4 bytes
@@ -171,7 +173,9 @@ def apply_move(
     so old pairings are unchanged; cycles that shared a class object share
     its grown tuple.  A cyclic or Hurwitz move copies the vanishing cycles
     once, a Hurwitz move by :func:`_hurwitz_pair`: a twisted cycle keeps its
-    label and its display records the twist."""
+    label and its display records the twist.  No move checks the sphere-word
+    rule (:func:`_non_sphere`), which every move keeps, so a Hurwitz move
+    pays for no pairing beyond its twist."""
     word = alf.cycles
     if move.kind == STABILIZE:
         pattern = alf.fiber.pattern
@@ -255,6 +259,22 @@ def _non_sphere(form, word) -> int | None:
     return None
 
 
+def _refuse_non_sphere(alf: AbstractLF, form, convention: Convention, taker: str) -> None:
+    """Raise :class:`NonInvertibleTwist` when ``alf`` is no sphere word
+    under ``form``, the fiber form under ``convention``: name its first
+    such cycle by index and label, with its square and the edge sign, but
+    never the class, which can have thousands of entries.  ``taker`` names
+    who refuses the word; the search and the ``moves`` commands call
+    this."""
+    k = _non_sphere(form, alf.word_classes())
+    if k is not None:
+        cycle = alf.cycles[k]
+        raise NonInvertibleTwist(
+            f"source cycle {k} ({cycle.label}) has square {form.pair(cycle.cls, cycle.cls)} "
+            f"under edge sign {convention.edge_sign:+d}; {taker} sphere classes only"
+        )
+
+
 @lru_cache
 def _state_moves(m: int) -> tuple[MoveRecord, ...]:
     """The search alphabet on words of length ``m``, in its fixed order,
@@ -302,8 +322,8 @@ def search_equivalence(
 
     The domain is checked before any class is interned.  A class whose
     length is not the fiber's rank, in either word, raises
-    :class:`DimensionMismatch`; a source class that is no isometric centre
-    under ``convention`` (see :func:`_isometric_centre`), such as 2*l or a
+    :class:`DimensionMismatch`; a source that is no sphere word under
+    ``convention`` (:func:`_non_sphere`), holding a class such as 2*l or a
     class written under the other edge sign, raises
     :class:`NonInvertibleTwist`.  So every move is an integer isometry with
     an explicit inverse, and a second search grows from b over predecessors
@@ -334,11 +354,11 @@ def search_equivalence(
     and the probe return w, as any order of the steps would.
 
     Two cuts return None before anything is interned, at any depth.
-    Isometries keep each class's square, so when some class of b is no
-    centre, b is unreachable.  Each move sends a pair (x, y) to
-    (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of the word's
-    classes and hence :func:`total_homology`; when the words have different
-    sets of distinct classes, homology certificates that differ make b
+    Isometries keep each class's square, so when b is no sphere word
+    (:func:`_non_sphere` again), b is unreachable.  Each move sends a pair
+    (x, y) to (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of the
+    word's classes and hence :func:`total_homology`; when the words have
+    different sets of distinct classes, homology certificates that differ make b
     unreachable too, and a class entry that is not an ``int`` raises
     :class:`FormatError` there.  On one fiber and one word length the
     certificates differ exactly when the Smith normal forms of the class
@@ -360,12 +380,7 @@ def search_equivalence(
     if any(len(c) != r for c in (*sources, *targets)):
         raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
     form = fiber_form(a.fiber, convention)
-    k = _non_sphere(form, start)
-    if k is not None:
-        raise NonInvertibleTwist(
-            f"source cycle {k} ({a.cycles[k].label}) has square {form.pair(start[k], start[k])} "
-            f"under edge sign {convention.edge_sign:+d}; the search takes sphere classes only"
-        )
+    _refuse_non_sphere(a, form, convention, "the search takes")
     if start == goal:
         return ()
     if _non_sphere(form, goal) is not None:

@@ -400,21 +400,59 @@ def test_moves_repl_refuses_stdin_that_is_not_utf8(
 def test_moves_repl_reports_torsion(capsys, tmp_path, monkeypatch):
     import io
 
-    # classes 2a + b and 3b: the boundary map has divisors 1 and 6
+    # classes 2a + b and 3b: the boundary map has divisors 1 and 6; at
+    # n = 4 the form is antisymmetric, so every class is a sphere class,
+    # while at n = 3 2a + b has square -6 and the word is refused
     doc = {
-        "fiber": {"pattern": {"vertices": ["a", "b"], "edges": [["a", "b"]]}, "sphere_dim": 2},
+        "fiber": {"pattern": {"vertices": ["a", "b"], "edges": [["a", "b"]]}, "sphere_dim": 3},
         "cycles": [
             {"label": "vertex:x", "coords": [2, 1], "display": "x"},
             {"label": "vertex:y", "coords": [0, 3], "display": "y"},
         ],
-        "n": 3,
+        "n": 4,
     }
     path = tmp_path / "torsion.json"
     path.write_text(json.dumps(doc))
     monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
     code, out, _ = run(capsys, "moves", "repl", str(path))
     assert code == 0
-    assert out.splitlines() == ["word[2]: x, y", "chi=1 H0=Z^1 H2=0+torsion[6] H3=0"]
+    assert out.splitlines() == ["word[2]: x, y", "chi=1 H0=Z^1 H3=0+torsion[6] H4=0"]
+    path.write_text(json.dumps({**doc, "fiber": {**doc["fiber"], "sphere_dim": 2}, "n": 3}))
+    monkeypatch.setattr("sys.stdin", io.StringIO("quit\n"))
+    code, out, err = run(capsys, "moves", "repl", str(path))
+    assert (code, out) == (2, "")
+    assert "NonInvertibleTwist: source cycle 0 (vertex:x) has square -6" in err
+
+
+NEG_WORD = Path(__file__).parent / "golden" / "inputs" / "ex_n3_neg.json"
+NEG_SEQ = Path(__file__).parent / "golden" / "inputs" / "seq.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", str(NEG_WORD), "--move", "hurwitzA 1", "--seq-out", "{tmp}/seq.json"],
+        ["replay", str(NEG_WORD), str(NEG_SEQ)],
+        ["repl", str(NEG_WORD)],
+    ],
+    ids=["apply", "replay", "repl"],
+)
+def test_move_commands_refuse_a_word_that_is_no_sphere_word(capsys, tmp_path, monkeypatch, argv):
+    # a word moved under --edge-sign -1 holds classes of square -6 under
+    # +1: each command refuses it before the first move and writes nothing,
+    # and runs it under its own sign
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out.json")]
+    monkeypatch.setattr("sys.stdin", io.StringIO("hurwitzA 1\n"))
+    code, out, err = run(capsys, "moves", *argv)
+    assert (code, out, list(tmp_path.iterdir())) == (2, "", [])
+    assert err == (
+        "error: NonInvertibleTwist: source cycle 2 (edge:e4) has square -6 under edge sign +1; "
+        "moves take sphere classes only\n"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO("hurwitzA 1\n"))
+    code, _, err = run(capsys, "moves", *argv, "--edge-sign", "-1")
+    assert (code, err) == (0, "")
+    assert (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

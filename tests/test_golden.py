@@ -55,6 +55,11 @@ CASES = {
         "moves apply {in}/ex_n3.json --move 'hurwitzA 1' --move 'hurwitzB 0' --edge-sign -1",
         None,
     ),
+    "moves_apply_edge_sign_refused": (
+        "moves apply {in}/ex_n3_neg.json --move 'hurwitzA 1' --out {out}/moved.json "
+        "--seq-out {out}/seq.json",
+        None,
+    ),
     "moves_apply_stabilize": (
         "moves apply {in}/ex_n3.json --move 'stabilize w0 3' --move 'hurwitzA 3' --move cyclic "
         "--seq-out {out}/seq.json",

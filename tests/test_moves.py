@@ -242,13 +242,15 @@ def test_move_word_matches_the_sliced_rule(word):
     for n in (3, 4):
         for conv in (Convention(1), Convention(-1)):
             alf = chain_word(word, 1, n)
-            twist = partial(reference_twist, ReferenceForm(alf.fiber.pattern, n - 1, signs_of(conv)))
+            ref = ReferenceForm(alf.fiber.pattern, n - 1, signs_of(conv))
+            twist = partial(reference_twist, ref)
             labels = tuple(c.label for c in alf.cycles)
             for move in alphabet:
                 out = MOVE_ENTRIES[move.kind][1](alf, move, conv)
                 assert out.fiber == alf.fiber and type(out.cycles) is tuple
                 assert out.word_classes() == sliced_move_word(alf.word_classes(), move, twist)
-                assert tuple(c.label for c in out.cycles) == sliced_move_word(labels, move, kept_label)
+                labels_after = tuple(c.label for c in out.cycles)
+                assert labels_after == sliced_move_word(labels, move, kept_label)
                 assert out.word_displays() == sliced_move_word(
                     alf.word_displays(), move, tagged_display
                 )
