@@ -35,7 +35,8 @@ is then an integer isometry with an explicit inverse (Seidel, *Fukaya
 Categories and Picard-Lefschetz Theory*, 2008), so a second frontier grows
 backward from the target; :func:`search_equivalence` gives the schedule,
 why it does not change the witness, and the two cuts, by class squares and
-by :func:`~plumbweave.invariants.total_homology`, that answer at once.  A state that both sides have reached is where they meet, and
+by :func:`~plumbweave.invariants.total_homology`, that answer at once.  A
+state that both sides have reached is where they meet, and
 :func:`_witness` builds every witness from it.  Each search interns the
 classes it meets as small integer ids and holds a state as a ``str`` with
 one character ``chr(id)`` per class, which Python stores in 1, 2 or 4 bytes
@@ -299,9 +300,9 @@ def search_equivalence(
 
     The alphabet is :func:`_state_moves`, cyclic permutation and both
     Hurwitz moves at every index (no stabilization) in its fixed order; the
-    result is the shortest witness and lexicographically least among those.  Returns a
-    tuple of MoveRecord, or None when no witness has at most ``max_depth``
-    moves.  A None is never evidence that the fibrations differ.
+    result is the shortest witness and lexicographically least among those.
+    Returns a tuple of MoveRecord, or None when no witness has at most
+    ``max_depth`` moves.  A None is never evidence that the fibrations differ.
 
     A state is a ``str`` with one character ``chr(id)`` per class, where
     the call interns each class it meets as the id.  Python stores such a
@@ -358,8 +359,8 @@ def search_equivalence(
     (:func:`_non_sphere` again), b is unreachable.  Each move sends a pair
     (x, y) to (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of the
     word's classes and hence :func:`total_homology`; when the words have
-    different sets of distinct classes, homology certificates that differ make b
-    unreachable too, and a class entry that is not an ``int`` raises
+    different sets of distinct classes, homology certificates that differ
+    make b unreachable too, and a class entry that is not an ``int`` raises
     :class:`FormatError` there.  On one fiber and one word length the
     certificates differ exactly when the Smith normal forms of the class
     rows do.  Such a None shows only that these moves do not reach b, not
@@ -407,8 +408,8 @@ def search_equivalence(
         return intern(dehn_twist(form, classes[l], classes[x], power))
 
     alphabet = _state_moves(len(start))
-    tables: dict = {}  # kind -> {pair: pair after the move}
-    steps = [(mv.kind, tables.setdefault(mv.kind, {}), mv.index) for mv in alphabet[1:]]
+    tables = {HURWITZ_A: {}, HURWITZ_B: {}}  # kind -> {pair: pair after the move}
+    steps = [(mv.kind, tables[mv.kind], mv.index) for mv in alphabet[1:]]
 
     def children(state: str):
         """The children of ``state``, one at a time, in alphabet order."""
