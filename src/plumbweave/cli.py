@@ -251,7 +251,8 @@ def _load_sphere_word(path: str, convention: Convention):
     each move keeps that, so nothing is checked per move."""
     alf = fibration.from_json(_read_text(path))
     form = fibration.fiber_form(alf.fiber, convention)
-    moves._refuse_non_sphere(alf, form, convention, "moves take")
+    word = alf.word_classes()
+    moves._refuse_non_sphere(alf, form, convention, "moves take", word, dict.fromkeys(word))
     return alf
 
 

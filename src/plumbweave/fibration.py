@@ -464,9 +464,10 @@ def from_json(text: str) -> AbstractLF:
         )
         fiber = PlumbingDescriptor(pattern, doc["fiber"]["sphere_dim"])
         rank = len(pattern.vertices)
-        labels = _labels([c["label"] for c in doc["cycles"]])
-        displays = _texts([c["display"] for c in doc["cycles"]])
-        classes = [_coords(c["coords"], rank) for c in doc["cycles"]]
+        word = _list(doc["cycles"])
+        labels = _labels([c["label"] for c in word])
+        displays = _texts([c["display"] for c in word])
+        classes = [_coords(c["coords"], rank) for c in word]
         shared = dict(zip(classes, classes))  # one object per value
         cycles = list(map(VanishingCycle, labels, map(shared.__getitem__, classes), displays))
         n = doc["n"]

@@ -250,24 +250,28 @@ def equal_homology(a: AbstractLF, b: AbstractLF) -> bool:
     return _same_fiber(a, b) and a.word_classes() == b.word_classes()
 
 
-def _non_sphere(form, word) -> int | None:
-    """The index in ``word`` of its first distinct class that is no
-    isometric centre of ``form`` (:func:`_isometric_centre`), or None when
-    it is a sphere word: the one sphere-word rule."""
-    for c in dict.fromkeys(word):
+def _non_sphere(form, word, distinct) -> int | None:
+    """The index in ``word`` of its first class that is no isometric centre
+    of ``form`` (:func:`_isometric_centre`), or None when it is a sphere
+    word: the one sphere-word rule.  ``distinct`` is the caller's
+    ``dict.fromkeys(word)``, so each class is checked once."""
+    for c in distinct:
         if not _isometric_centre(form, c):
             return word.index(c)
     return None
 
 
-def _refuse_non_sphere(alf: AbstractLF, form, convention: Convention, taker: str) -> None:
-    """Raise :class:`NonInvertibleTwist` when ``alf`` is no sphere word
+def _refuse_non_sphere(
+    alf: AbstractLF, form, convention: Convention, taker: str, word, distinct
+) -> None:
+    """Raise :class:`NonInvertibleTwist` when ``alf``, whose classes are
+    ``word`` and ``distinct`` as in :func:`_non_sphere`, is no sphere word
     under ``form``, the fiber form under ``convention``: name its first
     such cycle by index and label, with its square and the edge sign, but
     never the class, which can have thousands of entries.  ``taker`` names
     who refuses the word; the search and the ``moves`` commands call
     this."""
-    k = _non_sphere(form, alf.word_classes())
+    k = _non_sphere(form, word, distinct)
     if k is not None:
         cycle = alf.cycles[k]
         raise NonInvertibleTwist(
@@ -381,10 +385,10 @@ def search_equivalence(
     if any(len(c) != r for c in (*sources, *targets)):
         raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
     form = fiber_form(a.fiber, convention)
-    _refuse_non_sphere(a, form, convention, "the search takes")
+    _refuse_non_sphere(a, form, convention, "the search takes", start, sources)
     if start == goal:
         return ()
-    if _non_sphere(form, goal) is not None:
+    if _non_sphere(form, goal, targets) is not None:
         return None  # every move keeps each class's square
     if sources.keys() != targets.keys() and total_homology(a) != total_homology(b):
         return None  # every move keeps the total space's homology

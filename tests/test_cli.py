@@ -306,6 +306,9 @@ MALFORMED_FIBRATIONS = {
     "numeric display": ('"display": "L_{q(v1)}"', '"display": 5'),
     "null display": ('"display": "L_{q(v1)}"', '"display": null'),
     "numeric pattern vertex": ('"w0"', "0"),
+    # an object or a string iterates as keys or characters, so as no cycles
+    "object cycles": ('"cycles": [', '"cycles": {}, "unread": ['),
+    "string cycles": ('"cycles": [', '"cycles": "", "unread": ['),
 }
 
 

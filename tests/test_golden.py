@@ -3,7 +3,9 @@
 Each case runs ``cli.main`` in-process on the committed inputs under
 ``tests/golden/inputs``, in an empty output directory, and compares its
 stdout, stderr and exit code and every file it writes there with the bytes
-recorded under ``tests/golden/expected/<case>``.  The CLI reads no
+recorded under ``tests/golden/expected/<case>``.  Run with
+``-o pythonpath=``, the cases import an installed ``plumbweave`` rather
+than ``src/``, so CI checks the installed package by them.  The CLI reads no
 environment variable of its own, so the bytes depend only on the command
 line and the inputs.  After an intended change of output, record the cases
 again from the repository root with::
@@ -53,6 +55,10 @@ CASES = {
     ),
     "moves_apply_edge_sign": (
         "moves apply {in}/ex_n3.json --move 'hurwitzA 1' --move 'hurwitzB 0' --edge-sign -1",
+        None,
+    ),
+    "moves_apply_edge_sign_neg": (
+        "moves apply {in}/ex_n3_neg.json --move 'hurwitzA 1' --edge-sign -1",
         None,
     ),
     "moves_apply_edge_sign_refused": (
