@@ -30,8 +30,6 @@ from .invariants import (
     wedge_oracle,
 )
 from .lattice import (
-    Convention,
-    DEFAULT_CONVENTION,
     IntersectionForm,
     dehn_twist,
     smith_normal_form,
@@ -61,8 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbstractLF",
-    "Convention",
-    "DEFAULT_CONVENTION",
     "HomologyReport",
     "IntersectionForm",
     "MatchingCycle",

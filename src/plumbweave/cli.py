@@ -21,13 +21,20 @@ import traceback
 
 from . import fibration, invariants, moves, treecore
 from .errors import FormatError, PlumbweaveError
-from .lattice import SELF_INTERSECTION, TWIST_SIGN, Convention
+from .lattice import EDGE_SIGN, SELF_INTERSECTION, TWIST_SIGN
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
+
+# the one sign convention, which every invariants and family report embeds
+CONVENTION = {
+    "self_intersection": SELF_INTERSECTION,
+    "edge_sign": EDGE_SIGN,
+    "twist_sign": TWIST_SIGN,
+}
 
 
 def _read_text(path: str) -> str:
@@ -49,12 +56,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _convention_doc(convention: Convention) -> dict:
-    """A report's convention object: the edge sign and the two fixed signs."""
-    edge = convention.edge_sign
-    return {"self_intersection": SELF_INTERSECTION, "edge_sign": edge, "twist_sign": TWIST_SIGN}
-
-
 def _at_least(low: int):
     """argparse type for a count: an integer of ``low`` or more."""
 
@@ -68,10 +69,6 @@ def _at_least(low: int):
         return value
 
     return count
-
-
-def _add_convention_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--edge-sign", type=int, choices=(1, -1), default=1)
 
 
 def _format_class(coords) -> str:
@@ -181,8 +178,8 @@ def _invariants_report(tree_id, t, n) -> dict:
         "homology": computed.as_dict(),
         "oracle": expected.as_dict(),
         "oracle_match": computed == expected,
-        # homology never pairs two classes, so the edge sign cannot reach it
-        "convention": _convention_doc(Convention()),
+        # homology never pairs two classes, so no sign can reach it
+        "convention": CONVENTION,
     }
 
 
@@ -245,34 +242,32 @@ def _saved_moves(args):
     return moves.moves_from_json(_read_text(args.sequence))
 
 
-def _load_sphere_word(path: str, convention: Convention):
+def _load_sphere_word(path: str):
     """The fibration document at ``path``, refused before any move unless
-    it is a sphere word under ``convention``, the word the search takes;
-    each move keeps that, so nothing is checked per move."""
+    it is a sphere word, the word the search takes; each move keeps that,
+    so nothing is checked per move."""
     alf = fibration.from_json(_read_text(path))
-    form = fibration.fiber_form(alf.fiber, convention)
+    form = fibration.fiber_form(alf.fiber)
     word = alf.word_classes()
-    moves._refuse_non_sphere(alf, form, convention, "moves take", word, dict.fromkeys(word))
+    moves._refuse_non_sphere(alf, form, "moves take", word, dict.fromkeys(word))
     return alf
 
 
 def _cmd_moves_replay(args) -> int:
     """``moves apply`` and ``moves replay``: load the fibration, read the
     moves with ``args.read_moves``, replay them and emit the result."""
-    convention = Convention(args.edge_sign)
-    alf = _load_sphere_word(args.fibration, convention)
+    alf = _load_sphere_word(args.fibration)
     seq = args.read_moves(args)
-    _emit(fibration.to_json(moves.replay(alf, seq, convention)), args.out)
+    _emit(fibration.to_json(moves.replay(alf, seq)), args.out)
     if args.seq_out:
         fibration.write_atomic(args.seq_out, moves.moves_to_json(seq))
     return EXIT_OK
 
 
 def _cmd_moves_search(args) -> int:
-    convention = Convention(args.edge_sign)
     a = fibration.from_json(_read_text(args.source))
     b = fibration.from_json(_read_text(args.target))
-    witness = moves.search_equivalence(a, b, args.depth, convention)
+    witness = moves.search_equivalence(a, b, args.depth)
     if witness is None:
         sys.stderr.write(f"no witness within depth {args.depth}\n")
         return EXIT_LIMIT
@@ -295,14 +290,13 @@ def _state_text(alf) -> str:
 
 
 def _cmd_moves_repl(args) -> int:
-    convention = Convention(args.edge_sign)
-    alf = _load_sphere_word(args.fibration, convention)
+    alf = _load_sphere_word(args.fibration)
     for line in itertools.chain(["show"], _move_lines(sys.stdin, "<stdin>")):
         if line in ("quit", "exit"):
             break
         if line != "show":
             try:
-                alf = moves.apply_move(alf, moves.parse_move_line(line), convention)
+                alf = moves.apply_move(alf, moves.parse_move_line(line))
             except PlumbweaveError as exc:
                 sys.stdout.write(f"error: {type(exc).__name__}: {exc}\n")
                 continue
@@ -317,7 +311,6 @@ def _cmd_moves_repl(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    convention = Convention(args.edge_sign)
     if args.shift not in (2, 4):
         raise PlumbweaveError("shift must be 2 or 4")
     if not 1 <= args.j or args.j + args.shift > args.m:
@@ -330,7 +323,7 @@ def _cmd_family(args) -> int:
     witness = tuple(
         moves.MoveRecord(moves.HURWITZ_A, pos + k) for k in range(args.shift)
     )
-    pushed = moves.replay(source, witness, convention)
+    pushed = moves.replay(source, witness)
     final = pushed.cycles[pos + args.shift]
     target_final = target.cycles[pos + args.shift]
     equal = moves.equal_homology(pushed, target)
@@ -339,8 +332,8 @@ def _cmd_family(args) -> int:
         "j": args.j,
         "shift": args.shift,
         "n": args.n,
-        "parity": fibration.fiber_form(source.fiber, convention).parity,
-        "convention": _convention_doc(convention),
+        "parity": fibration.fiber_form(source.fiber).parity,
+        "convention": CONVENTION,
         "interior_position": {"zero_based": pos, "one_based": pos + 1},
         "word_length": len(source.cycles),
         "witness": [moves._move_doc(mv) for mv in witness],
@@ -476,14 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--move", action="append", metavar="SPEC")
     p.add_argument("--out")
     p.add_argument("--seq-out")
-    _add_convention_args(p)
     p.set_defaults(func=_cmd_moves_replay, read_moves=_collect_moves)
 
     p = msub.add_parser("replay", help="replay a saved move sequence")
     p.add_argument("fibration")
     p.add_argument("sequence")
     p.add_argument("--out")
-    _add_convention_args(p)
     p.set_defaults(func=_cmd_moves_replay, read_moves=_saved_moves, seq_out=None)
 
     p = msub.add_parser("search", help="bidirectional breadth-first witness search")
@@ -491,13 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--depth", type=_at_least(1), required=True)
     p.add_argument("--out")
-    _add_convention_args(p)
     p.set_defaults(func=_cmd_moves_search)
 
     p = msub.add_parser("repl", help="one move per stdin line")
     p.add_argument("fibration")
     p.add_argument("--out")
-    _add_convention_args(p)
     p.set_defaults(func=_cmd_moves_repl)
 
     p = sub.add_parser("family", help="verify the chain-with-leaf family relation")
@@ -507,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    _add_convention_args(p)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("render", help="base diagram SVG for a tree file")

@@ -59,7 +59,7 @@ class DimensionMismatch(PlumbweaveError):
 class NonInvertibleTwist(PlumbweaveError):
     """The requested inverse twist is not a lattice automorphism, or a search
     source or a word loaded by a ``moves`` command holds a class whose twist
-    is not one under the edge sign given."""
+    is not one, such as 2*l, or a class written under edge sign -1."""
 
 
 class NotAlgorithmOutput(PlumbweaveError):

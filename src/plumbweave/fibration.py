@@ -58,8 +58,6 @@ from .errors import (
     NotAlgorithmOutput,
 )
 from .lattice import (
-    Convention,
-    DEFAULT_CONVENTION,
     IntersectionForm,
     _check_sphere_dim,
     _int,
@@ -168,11 +166,9 @@ class MatchingCycle:
     endpoints: tuple[int, int]
 
 
-def fiber_form(
-    fiber: PlumbingDescriptor, convention: Convention = DEFAULT_CONVENTION
-) -> IntersectionForm:
+def fiber_form(fiber: PlumbingDescriptor) -> IntersectionForm:
     """Intersection form on the fiber lattice of an abstract fibration."""
-    return pattern_form(fiber.pattern, fiber.sphere_dim, convention)
+    return pattern_form(fiber.pattern, fiber.sphere_dim)
 
 
 def fibrate(ot: OrderedTree, n: int) -> AbstractLF:

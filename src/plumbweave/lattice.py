@@ -8,8 +8,7 @@ bundles along a tree pattern, so its middle homology is free on one class
   diagonal -2 when the spheres are even dimensional, antisymmetric with
   zero diagonal when odd, off-diagonal ``±1`` exactly on pattern edges,
   stored as the tree gives it (the pattern's index adjacency plus the
-  diagonal, upper and lower entries) and built by :func:`pattern_form`
-  alone;
+  diagonal and lower entries) and built by :func:`pattern_form` alone;
 * the homological twist action ``x -> x + <x, l> * l`` of a Dehn twist
   around a sphere with class ``l``, including exact integer inverses, which
   reads the support of ``l`` once and runs each pairing and update over it,
@@ -24,8 +23,11 @@ bundles along a tree pattern, so its middle homology is free on one class
 
 The vanishing cycles are Lagrangian spheres, so by Picard–Lefschetz a
 sphere class has square -2 and each twist, of sign +1, is a reflection or
-a transvection.  The edge sign is the one choice, held by a
-:class:`Convention` record that each report embeds.
+a transvection.  The edge sign is +1 as well, and is no choice: a tree is
+bipartite, so negating the classes at odd distance from one vertex,
+D = diag((-1)^depth), keeps every square and negates every edge entry.  The
+form under edge sign -1 is D B D for the form B built here, so its twists,
+words and witnesses are the ones here conjugated by D.
 
 A cycle class is a plain tuple of ints in the basis order of its form.
 """
@@ -49,8 +51,6 @@ if TYPE_CHECKING:
     from .treecore import UnrootedTree
 
 __all__ = [
-    "Convention",
-    "DEFAULT_CONVENTION",
     "IntersectionForm",
     "pattern_form",
     "dehn_twist",
@@ -84,20 +84,9 @@ def _check_sphere_dim(sphere_dim) -> None:
     _int(sphere_dim + 1)
 
 
-@dataclass(frozen=True)
-class Convention:
-    """The one sign choice: the entry ±1 of pattern edge (i, j), i < j."""
-
-    edge_sign: int = 1
-
-    def __post_init__(self):
-        if _int(self.edge_sign) not in (1, -1):
-            raise FormatError("edge_sign must be +1 or -1")
-
-
-DEFAULT_CONVENTION = Convention()
 SELF_INTERSECTION = -2  # a sphere class's square, fixed by the geometry
-TWIST_SIGN = 1  # the sign of the twist x -> x + <x, l> l, likewise
+EDGE_SIGN = 1  # entry (i, j), i < j, of a pattern edge; -1 is a change of basis
+TWIST_SIGN = 1  # the sign of the twist x -> x + <x, l> l, fixed by the geometry
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -110,16 +99,15 @@ class IntersectionForm:
     Stored as the tree gives it: the pattern's own index adjacency
     (``above[i]`` and ``below[i]`` are the basis positions of the
     neighbours after and before i, shared with the pattern, not copied)
-    and three scalars: the ``diagonal`` entry, the ``upper`` entry (i, j)
-    and the ``lower`` entry (j, i) of an edge with i < j.  Every other
-    entry of the matrix is zero.
+    and two scalars: the ``diagonal`` entry and the ``lower`` entry (j, i)
+    of an edge with i < j, whose entry (i, j) is ``EDGE_SIGN``, 1.  Every
+    other entry of the matrix is zero.
     """
 
     basis: tuple[str, ...]
     above: tuple[tuple[int, ...], ...]
     below: tuple[tuple[int, ...], ...]
     diagonal: int
-    upper: int
     lower: int
     parity: str
 
@@ -133,40 +121,37 @@ class IntersectionForm:
 
     def _pair_on(self, support, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         """<x, y> over ``support``, x's nonzero positions; lengths unchecked."""
-        diag, upper, lower = self.diagonal, self.upper, self.lower
+        diag, lower = self.diagonal, self.lower
         above, below = self.above, self.below
         total = 0
         for i in support:
             row = diag * y[i]
             for j in above[i]:
-                row += upper * y[j]
+                row += y[j]
             for j in below[i]:
                 row += lower * y[j]
             total += x[i] * row
         return total
 
 
-def pattern_form(
-    pattern: UnrootedTree, sphere_dim: int, convention: Convention = DEFAULT_CONVENTION
-) -> IntersectionForm:
+def pattern_form(pattern: UnrootedTree, sphere_dim: int) -> IntersectionForm:
     """Intersection form of a plumbing of ``sphere_dim``-spheres along a tree.
 
     Symmetric, with diagonal -2, iff ``sphere_dim`` is even.  For an edge
     whose endpoints are the i-th and j-th basis vertices with i < j, entry
-    (i, j) gets ``edge_sign`` and (j, i) gets ``±edge_sign`` by parity.
-    The form reads the adjacency the pattern stored when it was validated,
-    so building one does not depend on the size of the pattern.
+    (i, j) gets ``EDGE_SIGN``, +1, and (j, i) gets ±1 by parity; edge sign
+    -1 is this form in another basis (see the module docstring).  The form
+    reads the adjacency the pattern stored when it was validated, so
+    building one does not depend on the size of the pattern.
     """
     _check_sphere_dim(sphere_dim)
     symmetric = sphere_dim % 2 == 0
-    upper = convention.edge_sign
     return IntersectionForm(
         basis=pattern.vertices,
         above=pattern.above,
         below=pattern.below,
         diagonal=SELF_INTERSECTION if symmetric else 0,
-        upper=upper,
-        lower=upper if symmetric else -upper,
+        lower=EDGE_SIGN if symmetric else -EDGE_SIGN,
         parity=SYMMETRIC if symmetric else ANTISYMMETRIC,
     )
 

@@ -25,19 +25,18 @@ do not reach the target.
 
 Search is a bidirectional breadth-first search over class words (Pohl,
 "Bi-directional search", 1971) from a sphere word, each class an isometric
-centre (:func:`~plumbweave.lattice._isometric_centre`) under the edge sign
-given, as every class that fibrate, family_word and stabilize write, and
-every image of one under moves, is under the sign its word was built with.
-:func:`_non_sphere` states that rule once; the search refuses a source and
-cuts a target by it, and the ``moves`` commands refuse a loaded word by it
-before the first move, while the library moves never check it.  Each move
-is then an integer isometry with an explicit inverse (Seidel, *Fukaya
-Categories and Picard-Lefschetz Theory*, 2008), so a second frontier grows
-backward from the target; :func:`search_equivalence` gives the schedule,
-why it does not change the witness, and the two cuts, by class squares and
-by :func:`~plumbweave.invariants.total_homology`, that answer at once.  A
-state that both sides have reached is where they meet, and
-:func:`_witness` builds every witness from it.  Each search interns the
+centre (:func:`~plumbweave.lattice._isometric_centre`), as every class that
+fibrate, family_word and stabilize write, and every image of one under
+moves, is.  :func:`_non_sphere` states that rule once; the search refuses
+a source and cuts a target by it, and the ``moves`` commands refuse a
+loaded word by it before the first move, while the library moves never
+check it.  Each move is then an integer isometry with an explicit inverse
+(Seidel, *Fukaya Categories and Picard-Lefschetz Theory*, 2008), so a
+second frontier grows backward from the target; :func:`search_equivalence`
+gives the schedule, why it does not change the witness, and the two cuts,
+by class squares and by :func:`~plumbweave.invariants.total_homology`,
+that answer at once.  A state that both sides have reached is where they
+meet, and :func:`_witness` builds every witness from it.  Each search interns the
 classes it meets as small integer ids and holds a state as a ``str`` with
 one character ``chr(id)`` per class, which Python stores in 1, 2 or 4 bytes
 a character as its largest id needs, hashes once and slices in C.  A table
@@ -68,13 +67,7 @@ from .fibration import (
     load_json,
 )
 from .invariants import total_homology
-from .lattice import (
-    Convention,
-    DEFAULT_CONVENTION,
-    _int,
-    _isometric_centre,
-    dehn_twist,
-)
+from .lattice import EDGE_SIGN, _int, _isometric_centre, dehn_twist
 from .treecore import UnrootedTree
 
 __all__ = [
@@ -133,18 +126,14 @@ def cyclic_permute(alf: AbstractLF) -> AbstractLF:
     return apply_move(alf, MoveRecord(CYCLIC))
 
 
-def hurwitz_a(
-    alf: AbstractLF, i: int, convention: Convention = DEFAULT_CONVENTION
-) -> AbstractLF:
+def hurwitz_a(alf: AbstractLF, i: int) -> AbstractLF:
     """Replace the pair (x, y) at (i, i+1) with (y, twist_y(x))."""
-    return apply_move(alf, MoveRecord(HURWITZ_A, i), convention)
+    return apply_move(alf, MoveRecord(HURWITZ_A, i))
 
 
-def hurwitz_b(
-    alf: AbstractLF, i: int, convention: Convention = DEFAULT_CONVENTION
-) -> AbstractLF:
+def hurwitz_b(alf: AbstractLF, i: int) -> AbstractLF:
     """Replace the pair (x, y) at (i, i+1) with (twist_x^{-1}(y), x)."""
-    return apply_move(alf, MoveRecord(HURWITZ_B, i), convention)
+    return apply_move(alf, MoveRecord(HURWITZ_B, i))
 
 
 def _hurwitz_pair(kind: str, x, y, twist) -> tuple:
@@ -166,9 +155,7 @@ def stabilize(alf: AbstractLF, attach_vertex: str, position: int) -> AbstractLF:
     return apply_move(alf, MoveRecord(STABILIZE, position, attach_vertex))
 
 
-def apply_move(
-    alf: AbstractLF, move: MoveRecord, convention: Convention = DEFAULT_CONVENTION
-) -> AbstractLF:
+def apply_move(alf: AbstractLF, move: MoveRecord) -> AbstractLF:
     """The one entry for every move, which checks it against the word.
     Stabilized classes re-embed with a zero coordinate in the new direction,
     so old pairings are unchanged; cycles that shared a class object share
@@ -209,7 +196,7 @@ def apply_move(
     i = move.index
     if not 0 <= i < len(word) - 1:
         raise IndexOutOfRange(f"pair index {i} not in 0..{len(word) - 2}")
-    form = fiber_form(alf.fiber, convention)
+    form = fiber_form(alf.fiber)
 
     def twist(l: VanishingCycle, x: VanishingCycle, power: int) -> VanishingCycle:
         tau = "τ" if power == 1 else "τ^{-1}"
@@ -222,11 +209,9 @@ def apply_move(
     return AbstractLF(alf.fiber, tuple(out))
 
 
-def replay(
-    alf: AbstractLF, seq, convention: Convention = DEFAULT_CONVENTION
-) -> AbstractLF:
+def replay(alf: AbstractLF, seq) -> AbstractLF:
     for move in seq:
-        alf = apply_move(alf, move, convention)
+        alf = apply_move(alf, move)
     return alf
 
 
@@ -261,22 +246,19 @@ def _non_sphere(form, word, distinct) -> int | None:
     return None
 
 
-def _refuse_non_sphere(
-    alf: AbstractLF, form, convention: Convention, taker: str, word, distinct
-) -> None:
+def _refuse_non_sphere(alf: AbstractLF, form, taker: str, word, distinct) -> None:
     """Raise :class:`NonInvertibleTwist` when ``alf``, whose classes are
     ``word`` and ``distinct`` as in :func:`_non_sphere`, is no sphere word
-    under ``form``, the fiber form under ``convention``: name its first
-    such cycle by index and label, with its square and the edge sign, but
-    never the class, which can have thousands of entries.  ``taker`` names
-    who refuses the word; the search and the ``moves`` commands call
-    this."""
+    under ``form``, its fiber form: name its first such cycle by index and
+    label, with its square and the edge sign, but never the class, which
+    can have thousands of entries.  ``taker`` names who refuses the word;
+    the search and the ``moves`` commands call this."""
     k = _non_sphere(form, word, distinct)
     if k is not None:
         cycle = alf.cycles[k]
         raise NonInvertibleTwist(
             f"source cycle {k} ({cycle.label}) has square {form.pair(cycle.cls, cycle.cls)} "
-            f"under edge sign {convention.edge_sign:+d}; {taker} sphere classes only"
+            f"under edge sign {EDGE_SIGN:+d}; {taker} sphere classes only"
         )
 
 
@@ -293,12 +275,7 @@ def _state_moves(m: int) -> tuple[MoveRecord, ...]:
     )
 
 
-def search_equivalence(
-    a: AbstractLF,
-    b: AbstractLF,
-    max_depth: int,
-    convention: Convention = DEFAULT_CONVENTION,
-):
+def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     """Bidirectional breadth-first search for a move sequence turning a's
     word into b's.
 
@@ -327,17 +304,18 @@ def search_equivalence(
 
     The domain is checked before any class is interned.  A class whose
     length is not the fiber's rank, in either word, raises
-    :class:`DimensionMismatch`; a source that is no sphere word under
-    ``convention`` (:func:`_non_sphere`), holding a class such as 2*l or a
-    class written under the other edge sign, raises
-    :class:`NonInvertibleTwist`.  So every move is an integer isometry with
-    an explicit inverse, and a second search grows from b over predecessors
-    (right rotation, and ``hurwitz_b`` at i for ``hurwitz_a`` at i and the
-    reverse) until the two meet or their depths add up to ``max_depth``.
-    Each step grows the strictly smaller frontier, and the backward one on a
-    tie: a forward layer stops at its first child that meets the backward
-    side, while a backward layer is completed and only then scanned, so the
-    step that can meet is left to the forward side.
+    :class:`DimensionMismatch`; a source that is no sphere word
+    (:func:`_non_sphere`), holding a class such as 2*l or a class written
+    under edge sign -1 and not carried to +1 by the basis flip of
+    :mod:`~plumbweave.lattice`, raises :class:`NonInvertibleTwist`.  So
+    every move is an integer isometry with an explicit inverse, and a
+    second search grows from b over predecessors (right rotation, and
+    ``hurwitz_b`` at i for ``hurwitz_a`` at i and the reverse) until the
+    two meet or their depths add up to ``max_depth``.  Each step grows the
+    strictly smaller frontier, and the backward one on a tie: a forward
+    layer stops at its first child that meets the backward side, while a
+    backward layer is completed and only then scanned, so the step that can
+    meet is left to the forward side.
 
     The step at which the depths add up to ``max_depth`` probes and stores
     no layer, since no step would expand it.  A forward probe checks each
@@ -384,8 +362,8 @@ def search_equivalence(
     r = len(a.fiber.pattern.vertices)
     if any(len(c) != r for c in (*sources, *targets)):
         raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
-    form = fiber_form(a.fiber, convention)
-    _refuse_non_sphere(a, form, convention, "the search takes", start, sources)
+    form = fiber_form(a.fiber)
+    _refuse_non_sphere(a, form, "the search takes", start, sources)
     if start == goal:
         return ()
     if _non_sphere(form, goal, targets) is not None:

@@ -441,9 +441,9 @@ NEG_SEQ = Path(__file__).parent / "golden" / "inputs" / "seq.json"
     ids=["apply", "replay", "repl"],
 )
 def test_move_commands_refuse_a_word_that_is_no_sphere_word(capsys, tmp_path, monkeypatch, argv):
-    # a word moved under --edge-sign -1 holds classes of square -6 under
-    # +1: each command refuses it before the first move and writes nothing,
-    # and runs it under its own sign
+    # a word moved under edge sign -1 and not carried to +1 by the basis
+    # flip holds classes of square -6: each command refuses it before the
+    # first move and writes nothing
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "out.json")]
     monkeypatch.setattr("sys.stdin", io.StringIO("hurwitzA 1\n"))
     code, out, err = run(capsys, "moves", *argv)
@@ -452,10 +452,6 @@ def test_move_commands_refuse_a_word_that_is_no_sphere_word(capsys, tmp_path, mo
         "error: NonInvertibleTwist: source cycle 2 (edge:e4) has square -6 under edge sign +1; "
         "moves take sphere classes only\n"
     )
-    monkeypatch.setattr("sys.stdin", io.StringIO("hurwitzA 1\n"))
-    code, _, err = run(capsys, "moves", *argv, "--edge-sign", "-1")
-    assert (code, err) == (0, "")
-    assert (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -486,21 +482,20 @@ def test_family_bad_arguments(capsys):
     assert run(capsys, "family", "--m", "6", "--j", "1", "--shift", "3", "--n", "5")[0] == 2
 
 
-@pytest.mark.parametrize("edge_sign", ["1", "-1"])
 @pytest.mark.parametrize("n", ["3", "5"])
-def test_family_relation_holds_at_odd_n_under_both_edge_signs(capsys, n, edge_sign):
+def test_family_relation_holds_at_odd_n(capsys, n):
     code, out, _ = run(
-        capsys, "family", "--m", "6", "--j", "1", "--shift", "4", "--n", n,
-        "--edge-sign", edge_sign, "--json",
+        capsys, "family", "--m", "6", "--j", "1", "--shift", "4", "--n", n, "--json"
     )
     assert code == 0
     assert json.loads(out)["convention"] == {
-        "self_intersection": -2, "edge_sign": int(edge_sign), "twist_sign": 1
+        "self_intersection": -2, "edge_sign": 1, "twist_sign": 1
     }
 
 
-# every subcommand whose report or twists carry a convention; all but
-# invariants, whose report embeds the default one, take --edge-sign
+# every subcommand whose report or twists carry the sign convention; none
+# takes a sign option: the square and the twist sign are fixed by the
+# geometry, and the edge sign -1 is the +1 lattice in another basis
 CONVENTION_COMMANDS = {
     "invariants": ["invariants", "{tree}", "--n", "3"],
     "moves apply": ["moves", "apply", "{fib}", "--move", "cyclic"],
@@ -511,7 +506,9 @@ CONVENTION_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("option", [["--self-intersection", "2"], ["--twist-sign", "-1"]])
+@pytest.mark.parametrize(
+    "option", [["--self-intersection", "2"], ["--twist-sign", "-1"], ["--edge-sign", "-1"]]
+)
 @pytest.mark.parametrize("command", list(CONVENTION_COMMANDS))
 def test_removed_sign_options_exit_2(capsys, ex_file, fib_json, command, option):
     argv = [a.format(tree=ex_file, fib=fib_json) for a in CONVENTION_COMMANDS[command]]

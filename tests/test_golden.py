@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import shlex
 import shutil
 import sys
@@ -53,14 +54,6 @@ CASES = {
         "--seq-out {out}/seq.json",
         None,
     ),
-    "moves_apply_edge_sign": (
-        "moves apply {in}/ex_n3.json --move 'hurwitzA 1' --move 'hurwitzB 0' --edge-sign -1",
-        None,
-    ),
-    "moves_apply_edge_sign_neg": (
-        "moves apply {in}/ex_n3_neg.json --move 'hurwitzA 1' --edge-sign -1",
-        None,
-    ),
     "moves_apply_edge_sign_refused": (
         "moves apply {in}/ex_n3_neg.json --move 'hurwitzA 1' --out {out}/moved.json "
         "--seq-out {out}/seq.json",
@@ -78,10 +71,6 @@ CASES = {
     "moves_search_a_d_exhausted": ("moves search {in}/d7_n3.json {in}/a7_n3.json --depth 6", None),
     "moves_search_lattice_cut": (
         "moves search {in}/family_6_1_n4.json {in}/family_6_3_n4_index2.json --depth 50",
-        None,
-    ),
-    "moves_search_edge_sign": (
-        "moves search {in}/ex_n3_neg.json {in}/ex_n3_neg_cyclic.json --depth 1 --edge-sign -1",
         None,
     ),
     "moves_search_edge_sign_refused": (
@@ -146,6 +135,17 @@ def test_cli_bytes_match_the_recording(name, tmp_path):
 
 def test_every_recording_has_a_case():
     assert sorted(p.name for p in EXPECTED.iterdir()) == sorted(CASES)
+
+
+def test_every_input_has_a_case():
+    # a deleted case must take its inputs along, not strand them
+    named = set()
+    for command, stdin_file in CASES.values():
+        named.update(re.findall(r"\{in\}/([^\s']+)", command))
+        named.add(stdin_file)
+    named.discard(None)
+    on_disk = {p.relative_to(INPUTS).as_posix() for p in INPUTS.rglob("*") if p.is_file()}
+    assert sorted(on_disk) == sorted(named)
 
 
 def record() -> None:

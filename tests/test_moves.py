@@ -40,7 +40,7 @@ from plumbweave.errors import (
     UnknownVertex,
 )
 from plumbweave.fibration import fiber_form
-from plumbweave.lattice import Convention, _isometric_centre, dehn_twist, pattern_form
+from plumbweave.lattice import _isometric_centre, dehn_twist, pattern_form
 from plumbweave.moves import (
     CYCLIC,
     HURWITZ_A,
@@ -54,7 +54,16 @@ from plumbweave.moves import (
 )
 from plumbweave.treecore import UnrootedTree
 
-from .test_lattice import ReferenceForm, Signs, equivalent, reference_twist, signs_of
+from .test_lattice import (
+    GEOMETRIC_SIGNS,
+    PROGRAM_SIGNS,
+    ReferenceForm,
+    Signs,
+    equivalent,
+    outcome,
+    reference_twist,
+    tree_patterns,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -143,11 +152,11 @@ def test_hurwitz_index_range(ex_ordered):
 
 # each entry runs one MoveRecord, of the kinds it takes
 MOVE_ENTRIES = {
-    "cyclic_permute": ((CYCLIC,), lambda alf, mv, conv: cyclic_permute(alf)),
-    "hurwitz_a": ((HURWITZ_A,), lambda alf, mv, conv: hurwitz_a(alf, mv.index, conv)),
-    "hurwitz_b": ((HURWITZ_B,), lambda alf, mv, conv: hurwitz_b(alf, mv.index, conv)),
+    "cyclic_permute": ((CYCLIC,), lambda alf, mv: cyclic_permute(alf)),
+    "hurwitz_a": ((HURWITZ_A,), lambda alf, mv: hurwitz_a(alf, mv.index)),
+    "hurwitz_b": ((HURWITZ_B,), lambda alf, mv: hurwitz_b(alf, mv.index)),
     "apply_move": ((CYCLIC, HURWITZ_A, HURWITZ_B), apply_move),
-    "replay": ((CYCLIC, HURWITZ_A, HURWITZ_B), lambda alf, mv, conv: replay(alf, [mv], conv)),
+    "replay": ((CYCLIC, HURWITZ_A, HURWITZ_B), lambda alf, mv: replay(alf, [mv])),
 }
 
 
@@ -157,22 +166,21 @@ def test_every_move_entry_is_apply_move(entry, ex_ordered):
     alf = fibrate(ex_ordered, 3)
     m = len(alf.cycles)
     empty = replace(alf, cycles=())
-    conv = Convention(edge_sign=-1)
     for kind in kinds:
         if kind == CYCLIC:
             with pytest.raises(IndexOutOfRange):
-                run(empty, MoveRecord(CYCLIC), conv)
-            assert run(alf, MoveRecord(CYCLIC), conv) == apply_move(alf, MoveRecord(CYCLIC))
+                run(empty, MoveRecord(CYCLIC))
+            assert run(alf, MoveRecord(CYCLIC)) == apply_move(alf, MoveRecord(CYCLIC))
             continue
         for i in (0, -1, m - 1):
             with pytest.raises(IndexOutOfRange):
-                run(empty if i == 0 else alf, MoveRecord(kind, i), conv)
+                run(empty if i == 0 else alf, MoveRecord(kind, i))
         for i in range(m - 1):
             mv = MoveRecord(kind, i)
-            assert run(alf, mv, conv) == apply_move(alf, mv, conv)
+            assert run(alf, mv) == apply_move(alf, mv)
     if entry in ("apply_move", "replay"):
         with pytest.raises(FormatError):
-            run(alf, MoveRecord("rotate", 0), conv)
+            run(alf, MoveRecord("rotate", 0))
 
 
 @given(seeds, st.sampled_from([3, 4]))
@@ -236,28 +244,75 @@ def chain_word(word, scale, n):
 def test_move_word_matches_the_sliced_rule(word):
     # each public move against the sliced rule on classes (the reference
     # twist), labels (kept) and displays (the twist recorded), at both
-    # parities and edge signs; on classes of square -8 at odd n every
-    # hurwitz_b takes its twist, which has no integer inverse
+    # parities; on classes of square -8 at odd n every hurwitz_b takes its
+    # twist, which has no integer inverse
     alphabet = reference_alphabet(len(word))
     for n in (3, 4):
-        for conv in (Convention(1), Convention(-1)):
-            alf = chain_word(word, 1, n)
-            ref = ReferenceForm(alf.fiber.pattern, n - 1, signs_of(conv))
-            twist = partial(reference_twist, ref)
-            labels = tuple(c.label for c in alf.cycles)
-            for move in alphabet:
-                out = MOVE_ENTRIES[move.kind][1](alf, move, conv)
-                assert out.fiber == alf.fiber and type(out.cycles) is tuple
-                assert out.word_classes() == sliced_move_word(alf.word_classes(), move, twist)
-                labels_after = tuple(c.label for c in out.cycles)
-                assert labels_after == sliced_move_word(labels, move, kept_label)
-                assert out.word_displays() == sliced_move_word(
-                    alf.word_displays(), move, tagged_display
-                )
+        alf = chain_word(word, 1, n)
+        twist = partial(reference_twist, ReferenceForm(alf.fiber.pattern, n - 1, PROGRAM_SIGNS))
+        labels = tuple(c.label for c in alf.cycles)
+        for move in alphabet:
+            out = MOVE_ENTRIES[move.kind][1](alf, move)
+            assert out.fiber == alf.fiber and type(out.cycles) is tuple
+            assert out.word_classes() == sliced_move_word(alf.word_classes(), move, twist)
+            labels_after = tuple(c.label for c in out.cycles)
+            assert labels_after == sliced_move_word(labels, move, kept_label)
+            assert out.word_displays() == sliced_move_word(
+                alf.word_displays(), move, tagged_display
+            )
     scaled = chain_word(word, 2, 3)
     for i in range(len(word) - 1):
         with pytest.raises(NonInvertibleTwist):
             hurwitz_b(scaled, i)
+
+
+def flip_word(alf, flip):
+    """``alf`` with each class mapped through ``flip``."""
+    return replace(alf, cycles=tuple(replace(c, cls=flip(c.cls)) for c in alf.cycles))
+
+
+def reference_moved(alf, script, signs):
+    """``alf`` after the moves of ``script`` by the sliced rule, each twist
+    the reference twist in the setting ``signs``."""
+    ref = ReferenceForm(alf.fiber.pattern, alf.fiber.sphere_dim, signs)
+
+    def twist(l, x, power):
+        return replace(x, cls=reference_twist(ref, l.cls, x.cls, power))
+
+    cycles = alf.cycles
+    for move in script:
+        cycles = sliced_move_word(cycles, move, twist)
+    return replace(alf, cycles=cycles)
+
+
+@given(st.data(), tree_patterns(), st.integers(1, 4), st.sampled_from(GEOMETRIC_SIGNS))
+@settings(max_examples=200, deadline=None)
+def test_geometric_signs_move_words_as_the_program_in_a_flipped_basis(
+    data, pattern, sphere_dim, signs
+):
+    # a word and a move script under each geometric setting (s, e, eps),
+    # eps * s = -2, against the program at edge sign +1 on the word that
+    # equivalent flips, twist by twist; an inverse twist around a class
+    # that is no centre raises at the same move on both sides
+    r = len(pattern.vertices)
+    unit = st.integers(0, r - 1).map(lambda i: tuple(int(j == i) for j in range(r)))
+    dense = st.tuples(*(st.integers(-2, 2) for _ in range(r)))
+    word = data.draw(st.lists(st.one_of(unit, unit, dense), min_size=1, max_size=6))
+    script = data.draw(st.lists(st.sampled_from(reference_alphabet(len(word))), max_size=8))
+    alf = AbstractLF(
+        PlumbingDescriptor(pattern, sphere_dim),
+        tuple(VanishingCycle(f"c{i}", cls, f"x{i}") for i, cls in enumerate(word)),
+    )
+    twist = partial(reference_twist, ReferenceForm(pattern, sphere_dim, signs))
+    flip = equivalent(signs, pattern)
+    want, got = alf.word_classes(), flip_word(alf, flip)
+    for move in script:
+        want = outcome(sliced_move_word, want, move, twist)
+        got = outcome(apply_move, got, move)
+        if isinstance(want, type):
+            assert got is want
+            break
+        assert got.word_classes() == tuple(map(flip, want))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +533,7 @@ def test_search_replays_to_target(seed, depth):
     assert equal_homology(replay(a, wit), b)
 
 
-def _reference_bfs(a, b, max_depth: int, signs: Signs = Signs(-2, 1, 1)):
+def _reference_bfs(a, b, max_depth: int, signs: Signs = PROGRAM_SIGNS):
     """The one-sided breadth-first search that search_equivalence replaced,
     kept as its differential oracle; it twists with the reference twist
     under all three ``signs``."""
@@ -519,9 +574,9 @@ def _reference_bfs(a, b, max_depth: int, signs: Signs = Signs(-2, 1, 1)):
 
 
 # settings of the three signs (s, e, eps) that the reference search runs
-# in; each is checked where it twists as the convention of edge sign
-# eps * e: at even n, where the form is antisymmetric and s plays no part,
-# every setting, and at odd n the geometric ones, eps * s = -2
+# in; each is checked where the basis flip of equivalent carries it to the
+# program's lattice: at even n, where the form is antisymmetric and s plays
+# no part, every setting, and at odd n the geometric ones, eps * s = -2
 REFERENCE_SIGNS = [
     Signs(-2, 1, 1),
     Signs(-2, 1, -1),
@@ -550,23 +605,19 @@ def _map_classes(alf, matrix):
 
 @st.composite
 def search_cases(draw):
-    """A short word, a target reached from it by a random move script, and
-    optionally one of the two mapped through a random integer matrix."""
+    """A short word, a target reached from it by a random move script under
+    the reference twist in the case's signs, and optionally one of the two
+    mapped through a random integer matrix."""
     n = draw(st.sampled_from([3, 4, 5]))
     signs = draw(st.sampled_from(signs_at(n)))
-    convention = equivalent(signs)
     if draw(st.booleans()):
         m = draw(st.integers(1, 2))
         source = family_word(m, draw(st.integers(1, m)), n)
     else:
         source = fibrate(order_tree(random_tree(draw(seeds), 3)), n)
-    target = source
-    script = st.tuples(st.sampled_from("cab"), st.integers(0, len(source.cycles) - 2))
-    for kind, i in draw(st.lists(script, min_size=1, max_size=5)):
-        if kind == "c":
-            target = cyclic_permute(target)
-        else:
-            target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
+    alphabet = reference_alphabet(len(source.cycles))
+    script = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=5))
+    target = reference_moved(source, script, signs)
     if draw(st.booleans()):
         r = len(source.fiber.pattern.vertices)
         row = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
@@ -587,8 +638,8 @@ def search_outcome(search, *args):
         return type(exc)
 
 
-def sphere_source(alf, convention) -> bool:
-    form = fiber_form(alf.fiber, convention)
+def sphere_source(alf) -> bool:
+    form = fiber_form(alf.fiber)
     return all(_isometric_centre(form, c) for c in alf.word_classes())
 
 
@@ -602,18 +653,20 @@ def centre_twist(form, l, x, power=1):
 @given(search_cases(), st.integers(0, 5))
 @settings(max_examples=300, deadline=None)
 def test_search_matches_reference_bfs(case, depth):
-    # the reference searches one-sided from any source; the search takes
-    # sphere sources only, and on those every twist it makes is around a
-    # centre, so none can raise
+    # the reference searches one-sided from any source in the case's signs,
+    # and the search at edge sign +1 the words that equivalent flips; it
+    # takes sphere sources only, and on those every twist it makes is
+    # around a centre, so none can raise
     source, target, signs = case
-    convention = equivalent(signs)
-    if not sphere_source(source, convention):
+    flip = equivalent(signs, source.fiber.pattern)
+    flipped_source, flipped_target = flip_word(source, flip), flip_word(target, flip)
+    if not sphere_source(flipped_source):
         with pytest.raises(NonInvertibleTwist):
-            search_equivalence(source, target, depth, convention)
+            search_equivalence(flipped_source, flipped_target, depth)
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(moves, "dehn_twist", centre_twist)
-        got = search_outcome(search_equivalence, source, target, depth, convention)
+        got = search_outcome(search_equivalence, flipped_source, flipped_target, depth)
     assert got == search_outcome(_reference_bfs, source, target, depth, signs)
 
 
@@ -703,16 +756,18 @@ def test_search_refuses_a_source_that_is_no_sphere_word(ex_ordered):
     for depth in range(6):
         with pytest.raises(NonInvertibleTwist, match=SOURCE_REFUSAL):
             search_equivalence(a, a, depth)
-    # a word moved under one edge sign holds classes of square -6 under the
-    # other: refused there, and searched under its own
-    for sign in (1, -1):
-        own, other_sign = Convention(sign), Convention(-sign)
-        word = hurwitz_b(hurwitz_a(fibrate(ex_ordered, 3), 1, own), 0, own)
-        assert not sphere_source(word, other_sign)
-        rotated = cyclic_permute(word)
-        assert search_equivalence(word, rotated, 1, own) == (MoveRecord(CYCLIC),)
-        with pytest.raises(NonInvertibleTwist, match="has square -6"):
-            search_equivalence(word, rotated, 1, other_sign)
+    # a word moved under edge sign -1 holds classes of square -6 at +1:
+    # refused as it is, and searched once the basis flip has carried it over
+    neg = Signs(-2, -1, 1)
+    script = (MoveRecord(HURWITZ_A, 1), MoveRecord(HURWITZ_B, 0))
+    word = reference_moved(fibrate(ex_ordered, 3), script, neg)
+    rotated = cyclic_permute(word)
+    with pytest.raises(NonInvertibleTwist, match="has square -6"):
+        search_equivalence(word, rotated, 1)
+    flip = equivalent(neg, word.fiber.pattern)
+    assert search_equivalence(flip_word(word, flip), flip_word(rotated, flip), 1) == (
+        MoveRecord(CYCLIC),
+    )
 
 
 # tree words with multi-coordinate classes: random trees of 6 to 8 vertices
@@ -726,25 +781,27 @@ TREE_SEEDS = [0, 2, 5, 6, 10, 17, 19, 20]
     ids=lambda c: str(c) if isinstance(c, int) else f"c{c[0]}{c[1]:+d}{c[2]:+d}",
 )
 def test_search_matches_reference_bfs_on_tree_words(n, signs):
-    convention = equivalent(signs)
+    # the reference in the signs given, the search at edge sign +1 on the
+    # words that equivalent flips
     for seed in TREE_SEEDS:
         t = random_tree(seed, 8)
         assert 6 <= len(t.vertices) <= 8
         source = fibrate(order_tree(t), n)
         rng = random.Random(seed)
-        target = source
+        script = []
         for _ in range(rng.randint(2, 3)):
             kind, i = rng.choice("cab"), rng.randrange(len(source.cycles) - 1)
-            if kind == "c":
-                target = cyclic_permute(target)
-            else:
-                target = (hurwitz_a if kind == "a" else hurwitz_b)(target, i, convention)
+            hurwitz = HURWITZ_A if kind == "a" else HURWITZ_B
+            script.append(MoveRecord(CYCLIC) if kind == "c" else MoveRecord(hurwitz, i))
+        target = reference_moved(source, script, signs)
         first = target.cycles[0]
         negated = replace(first, cls=tuple(-v for v in first.cls))
+        flip = equivalent(signs, source.fiber.pattern)
         for goal in (target, replace(target, cycles=(negated,) + target.cycles[1:])):
-            assert search_outcome(search_equivalence, source, goal, 3, convention) == (
-                search_outcome(_reference_bfs, source, goal, 3, signs)
+            got = search_outcome(
+                search_equivalence, flip_word(source, flip), flip_word(goal, flip), 3
             )
+            assert got == search_outcome(_reference_bfs, source, goal, 3, signs)
 
 
 def test_search_isometry_cut_returns_none():
@@ -1012,7 +1069,7 @@ def test_move_script_matches_reference_twist_at_scale(n):
     t = random_tree(84, 1500)
     assert len(t.vertices) == 1500
     alf = fibrate(order_tree(t), n)
-    ref = ReferenceForm(alf.fiber.pattern, alf.fiber.sphere_dim, Signs(-2, 1, 1))
+    ref = ReferenceForm(alf.fiber.pattern, alf.fiber.sphere_dim, PROGRAM_SIGNS)
     word = list(alf.word_classes())
     names = [(c.label, c.display) for c in alf.cycles]
     rng = random.Random(n)
