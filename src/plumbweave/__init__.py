@@ -30,7 +30,6 @@ from .invariants import (
     wedge_oracle,
 )
 from .lattice import (
-    IntersectionForm,
     dehn_twist,
     smith_normal_form,
 )
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractLF",
     "HomologyReport",
-    "IntersectionForm",
     "MatchingCycle",
     "MoveRecord",
     "OrderedTree",

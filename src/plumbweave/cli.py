@@ -247,9 +247,8 @@ def _load_sphere_word(path: str):
     it is a sphere word, the word the search takes; each move keeps that,
     so nothing is checked per move."""
     alf = fibration.from_json(_read_text(path))
-    form = fibration.fiber_form(alf.fiber)
     word = alf.word_classes()
-    moves._refuse_non_sphere(alf, form, "moves take", word, dict.fromkeys(word))
+    moves._refuse_non_sphere(alf, "moves take", word, dict.fromkeys(word))
     return alf
 
 
@@ -332,7 +331,7 @@ def _cmd_family(args) -> int:
         "j": args.j,
         "shift": args.shift,
         "n": args.n,
-        "parity": fibration.fiber_form(source.fiber).parity,
+        "parity": source.fiber.parity,
         "convention": CONVENTION,
         "interior_position": {"zero_based": pos, "one_based": pos + 1},
         "word_length": len(source.cycles),

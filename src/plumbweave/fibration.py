@@ -18,6 +18,13 @@ vertex in order, where the block of ``v`` is (non-first outgoing edge cycles
 of ``v``, reversed) + (vertex cycle of ``v``).  Insertions for distinct
 tails target disjoint gaps, so the block form is exact.
 
+The fiber of step 1 is one object, a
+:class:`~plumbweave.lattice.PlumbingDescriptor` of the quotient tree and
+the sphere dimension ``n - 1``, which this module re-exports.  It is also
+the intersection form of the fiber lattice: ``alf.fiber.pair(x, y)``
+pairs two classes, so the moves and the search twist against the fiber
+itself and build no form.
+
 Each class's cycles are one edge's and then its vertices', in order, so
 every vertex spans a matching cycle back to the previous cycle of its
 class; singular values sit at angles ``2*pi*k/m`` on the unit circle and
@@ -57,12 +64,7 @@ from .errors import (
     IndexOutOfRange,
     NotAlgorithmOutput,
 )
-from .lattice import (
-    IntersectionForm,
-    _check_sphere_dim,
-    _int,
-    pattern_form,
-)
+from .lattice import PlumbingDescriptor, _int
 from .treecore import (
     Edge,
     OrderedTree,
@@ -88,17 +90,6 @@ __all__ = [
     "to_json",
     "from_json",
 ]
-
-
-@dataclass(frozen=True)
-class PlumbingDescriptor:
-    """A plumbing of sphere cotangent bundles: tree pattern + sphere dimension."""
-
-    pattern: UnrootedTree
-    sphere_dim: int
-
-    def __post_init__(self):
-        _check_sphere_dim(self.sphere_dim)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -166,9 +157,11 @@ class MatchingCycle:
     endpoints: tuple[int, int]
 
 
-def fiber_form(fiber: PlumbingDescriptor) -> IntersectionForm:
-    """Intersection form on the fiber lattice of an abstract fibration."""
-    return pattern_form(fiber.pattern, fiber.sphere_dim)
+def fiber_form(fiber: PlumbingDescriptor) -> PlumbingDescriptor:
+    """The fiber itself, which is its own intersection form.  Nothing in
+    the package calls it; it stays a name for the benchmark's traced
+    layers (``bench/spans.py``)."""
+    return fiber
 
 
 def fibrate(ot: OrderedTree, n: int) -> AbstractLF:

@@ -4,11 +4,12 @@ The fiber of every fibration produced here is a plumbing of sphere cotangent
 bundles along a tree pattern, so its middle homology is free on one class
 ``L_w`` per pattern vertex.  This module carries:
 
-* the (anti)symmetric intersection pairing on that lattice — symmetric with
-  diagonal -2 when the spheres are even dimensional, antisymmetric with
-  zero diagonal when odd, off-diagonal ``±1`` exactly on pattern edges,
-  stored as the tree gives it (the pattern's index adjacency plus the
-  diagonal and lower entries) and built by :func:`pattern_form` alone;
+* the fiber itself, :class:`PlumbingDescriptor` (pattern and sphere
+  dimension), which is also its (anti)symmetric intersection pairing on
+  that lattice: symmetric with diagonal -2 when the spheres are even
+  dimensional, antisymmetric with zero diagonal when odd, off-diagonal
+  ``±1`` exactly on pattern edges.  The pattern's index adjacency and the
+  parity of the sphere dimension fix every entry, so no form is stored;
 * the homological twist action ``x -> x + <x, l> * l`` of a Dehn twist
   around a sphere with class ``l``, including exact integer inverses, which
   reads the support of ``l`` once and runs each pairing and update over it,
@@ -26,10 +27,11 @@ sphere class has square -2 and each twist, of sign +1, is a reflection or
 a transvection.  The edge sign is +1 as well, and is no choice: a tree is
 bipartite, so negating the classes at odd distance from one vertex,
 D = diag((-1)^depth), keeps every square and negates every edge entry.  The
-form under edge sign -1 is D B D for the form B built here, so its twists,
+form under edge sign -1 is D B D for the pairing B here, so its twists,
 words and witnesses are the ones here conjugated by D.
 
-A cycle class is a plain tuple of ints in the basis order of its form.
+A cycle class is a plain tuple of ints in the fiber's basis order, the
+order of its pattern's vertices.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ if TYPE_CHECKING:
     from .treecore import UnrootedTree
 
 __all__ = [
-    "IntersectionForm",
+    "PlumbingDescriptor",
     "pattern_form",
     "dehn_twist",
     "SmithResult",
@@ -75,15 +77,6 @@ def _int(value) -> int:
     raise FormatError(f"expected an integer, got {value!r}")
 
 
-def _check_sphere_dim(sphere_dim) -> None:
-    """A fiber's sphere dimension: :func:`_int`, then at least 1; its ``n``,
-    ``sphere_dim + 1``, which the fibration JSON writes, passes :func:`_int`
-    too."""
-    if _int(sphere_dim) < 1:
-        raise BadDimension(f"sphere dimension {sphere_dim} below 1")
-    _int(sphere_dim + 1)
-
-
 SELF_INTERSECTION = -2  # a sphere class's square, fixed by the geometry
 EDGE_SIGN = 1  # entry (i, j), i < j, of a pattern edge; -1 is a change of basis
 TWIST_SIGN = 1  # the sign of the twist x -> x + <x, l> l, fixed by the geometry
@@ -91,38 +84,57 @@ TWIST_SIGN = 1  # the sign of the twist x -> x + <x, l> l, fixed by the geometry
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 
+# (diagonal, lower) of the pairing, by sphere_dim % 2: the entry (i, i) and
+# the entry (j, i), i < j, of a pattern edge, whose entry (i, j) is EDGE_SIGN
+_ENTRIES = ((SELF_INTERSECTION, EDGE_SIGN), (0, -EDGE_SIGN))
+
 
 @dataclass(frozen=True)
-class IntersectionForm:
-    """Intersection pairing on the fiber lattice, basis = pattern vertices.
+class PlumbingDescriptor:
+    """A plumbing of ``sphere_dim``-sphere cotangent bundles along a tree
+    pattern: the fiber of a fibration, and its intersection pairing on the
+    lattice with one basis class per pattern vertex, in pattern order.
 
-    Stored as the tree gives it: the pattern's own index adjacency
-    (``above[i]`` and ``below[i]`` are the basis positions of the
-    neighbours after and before i, shared with the pattern, not copied)
-    and two scalars: the ``diagonal`` entry and the ``lower`` entry (j, i)
-    of an edge with i < j, whose entry (i, j) is ``EDGE_SIGN``, 1.  Every
-    other entry of the matrix is zero.
+    The pairing is read from the two fields alone: the pattern's own index
+    adjacency (``above[i]`` and ``below[i]`` are the basis positions of the
+    neighbours after and before i) and ``sphere_dim % 2``.  Symmetric, with
+    diagonal -2, iff ``sphere_dim`` is even.  For an edge whose endpoints
+    are the i-th and j-th basis vertices with i < j, entry (i, j) is
+    ``EDGE_SIGN``, +1, and (j, i) is ±1 by parity; edge sign -1 is this
+    form in another basis (see the module docstring).  Every other entry is
+    zero, so nothing is built, whatever the size of the pattern.
+
+    ``sphere_dim`` passes :func:`_int` and is at least 1; its ``n``,
+    ``sphere_dim + 1``, which the fibration JSON writes, passes
+    :func:`_int` too.
     """
 
-    basis: tuple[str, ...]
-    above: tuple[tuple[int, ...], ...]
-    below: tuple[tuple[int, ...], ...]
-    diagonal: int
-    lower: int
-    parity: str
+    pattern: UnrootedTree
+    sphere_dim: int
+
+    def __post_init__(self):
+        if _int(self.sphere_dim) < 1:
+            raise BadDimension(f"sphere dimension {self.sphere_dim} below 1")
+        _int(self.sphere_dim + 1)
+
+    @property
+    def parity(self) -> str:
+        """``"symmetric"`` or ``"antisymmetric"``, by ``sphere_dim % 2``."""
+        return ANTISYMMETRIC if self.sphere_dim % 2 else SYMMETRIC
 
     def pair(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         """Evaluate <x, y> = x^T B y: check both lengths, then run the one
         pairing loop, :meth:`_pair_on`, over the support of x, read once."""
-        r = len(self.basis)
+        r = len(self.pattern.vertices)
         if len(x) != r or len(y) != r:
             raise DimensionMismatch(f"vectors of length {len(x)}, {len(y)} against rank {r}")
         return self._pair_on(compress(range(r), x), x, y)
 
     def _pair_on(self, support, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         """<x, y> over ``support``, x's nonzero positions; lengths unchecked."""
-        diag, lower = self.diagonal, self.lower
-        above, below = self.above, self.below
+        diag, lower = _ENTRIES[self.sphere_dim % 2]
+        pattern = self.pattern
+        above, below = pattern.above, pattern.below
         total = 0
         for i in support:
             row = diag * y[i]
@@ -134,30 +146,15 @@ class IntersectionForm:
         return total
 
 
-def pattern_form(pattern: UnrootedTree, sphere_dim: int) -> IntersectionForm:
-    """Intersection form of a plumbing of ``sphere_dim``-spheres along a tree.
-
-    Symmetric, with diagonal -2, iff ``sphere_dim`` is even.  For an edge
-    whose endpoints are the i-th and j-th basis vertices with i < j, entry
-    (i, j) gets ``EDGE_SIGN``, +1, and (j, i) gets ±1 by parity; edge sign
-    -1 is this form in another basis (see the module docstring).  The form
-    reads the adjacency the pattern stored when it was validated, so
-    building one does not depend on the size of the pattern.
-    """
-    _check_sphere_dim(sphere_dim)
-    symmetric = sphere_dim % 2 == 0
-    return IntersectionForm(
-        basis=pattern.vertices,
-        above=pattern.above,
-        below=pattern.below,
-        diagonal=SELF_INTERSECTION if symmetric else 0,
-        lower=EDGE_SIGN if symmetric else -EDGE_SIGN,
-        parity=SYMMETRIC if symmetric else ANTISYMMETRIC,
-    )
+def pattern_form(pattern: UnrootedTree, sphere_dim: int) -> PlumbingDescriptor:
+    """``PlumbingDescriptor(pattern, sphere_dim)``, which is its own
+    intersection form.  Nothing in the package calls it; it stays a name
+    for the benchmark's traced layers (``bench/spans.py``)."""
+    return PlumbingDescriptor(pattern, sphere_dim)
 
 
 def dehn_twist(
-    form: IntersectionForm, l: tuple[int, ...], x: tuple[int, ...], power: int = 1
+    fiber: PlumbingDescriptor, l: tuple[int, ...], x: tuple[int, ...], power: int = 1
 ) -> tuple[int, ...]:
     """Apply the homological twist around ``l`` to ``x``, ``power`` times.
 
@@ -168,7 +165,7 @@ def dehn_twist(
     not for a hand-built class such as 2*l.  l's support is read once and
     serves <l,l>, each <x,l> (as ±<l,x>) and each update of x.
     """
-    r = len(form.basis)
+    r = len(fiber.pattern.vertices)
     if len(l) != r or len(x) != r:
         raise DimensionMismatch(
             f"twist on vectors of length {len(l)}, {len(x)} against rank {r}"
@@ -178,14 +175,14 @@ def dehn_twist(
     if power >= 0:
         coeff, reps = TWIST_SIGN, power
     else:
-        s = form._pair_on(support, l, l)
+        s = fiber._pair_on(support, l, l)
         if s not in (0, SELF_INTERSECTION):
             raise NonInvertibleTwist(f"twist around a class of square {s} has no integer inverse")
         coeff, reps = -TWIST_SIGN - s, -power
-    if form.parity == ANTISYMMETRIC:
-        coeff = -coeff  # <x, l> = -<l, x>
+    if fiber.sphere_dim % 2:
+        coeff = -coeff  # antisymmetric: <x, l> = -<l, x>
     for _ in range(reps):
-        c = form._pair_on(support, l, x)
+        c = fiber._pair_on(support, l, x)
         if c:
             k = coeff * c
             out = list(x)
@@ -195,17 +192,18 @@ def dehn_twist(
     return x
 
 
-def _isometric_centre(form, cls) -> bool:
-    """Whether the twist around ``cls``, of the form's rank, is an integer
-    isometry of ``form``: every class of an antisymmetric form, else a class
-    of square -2, one of the two squares for which :func:`dehn_twist`
-    inverts.  The witness search takes source words of such classes.
+def _isometric_centre(fiber: PlumbingDescriptor, cls) -> bool:
+    """Whether the twist around ``cls``, of the fiber's rank, is an integer
+    isometry of the fiber's pairing: every class when ``sphere_dim`` is odd
+    (antisymmetric), else a class of square -2, one of the two squares for
+    which :func:`dehn_twist` inverts.  The witness search takes source
+    words of such classes.
 
-    On a symmetric form a class in the radical is no centre, though its
+    On a symmetric pairing a class in the radical is no centre, though its
     twist is the identity: the rule is conservative there."""
-    if form.parity == ANTISYMMETRIC:
+    if fiber.sphere_dim % 2:
         return True
-    return form.pair(cls, cls) == SELF_INTERSECTION
+    return fiber.pair(cls, cls) == SELF_INTERSECTION
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ Hurwitz move, so each twist is computed once.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,7 +64,6 @@ from .fibration import (
     VanishingCycle,
     _text,
     dump_json,
-    fiber_form,
     load_json,
 )
 from .invariants import total_homology
@@ -196,12 +196,12 @@ def apply_move(alf: AbstractLF, move: MoveRecord) -> AbstractLF:
     i = move.index
     if not 0 <= i < len(word) - 1:
         raise IndexOutOfRange(f"pair index {i} not in 0..{len(word) - 2}")
-    form = fiber_form(alf.fiber)
+    fiber = alf.fiber
 
     def twist(l: VanishingCycle, x: VanishingCycle, power: int) -> VanishingCycle:
         tau = "τ" if power == 1 else "τ^{-1}"
         return VanishingCycle(
-            x.label, dehn_twist(form, l.cls, x.cls, power), f"{tau}[{l.display}]({x.display})"
+            x.label, dehn_twist(fiber, l.cls, x.cls, power), f"{tau}[{l.display}]({x.display})"
         )
 
     out = list(word)
@@ -235,29 +235,30 @@ def equal_homology(a: AbstractLF, b: AbstractLF) -> bool:
     return _same_fiber(a, b) and a.word_classes() == b.word_classes()
 
 
-def _non_sphere(form, word, distinct) -> int | None:
+def _non_sphere(fiber: PlumbingDescriptor, word, distinct) -> int | None:
     """The index in ``word`` of its first class that is no isometric centre
-    of ``form`` (:func:`_isometric_centre`), or None when it is a sphere
+    of ``fiber`` (:func:`_isometric_centre`), or None when it is a sphere
     word: the one sphere-word rule.  ``distinct`` is the caller's
     ``dict.fromkeys(word)``, so each class is checked once."""
     for c in distinct:
-        if not _isometric_centre(form, c):
+        if not _isometric_centre(fiber, c):
             return word.index(c)
     return None
 
 
-def _refuse_non_sphere(alf: AbstractLF, form, taker: str, word, distinct) -> None:
+def _refuse_non_sphere(alf: AbstractLF, taker: str, word, distinct) -> None:
     """Raise :class:`NonInvertibleTwist` when ``alf``, whose classes are
     ``word`` and ``distinct`` as in :func:`_non_sphere`, is no sphere word
-    under ``form``, its fiber form: name its first such cycle by index and
-    label, with its square and the edge sign, but never the class, which
-    can have thousands of entries.  ``taker`` names who refuses the word;
-    the search and the ``moves`` commands call this."""
-    k = _non_sphere(form, word, distinct)
+    of its fiber: name its first such cycle by index and label, with its
+    square and the edge sign, but never the class, which can have
+    thousands of entries.  ``taker`` names who refuses the word; the
+    search and the ``moves`` commands call this."""
+    fiber = alf.fiber
+    k = _non_sphere(fiber, word, distinct)
     if k is not None:
         cycle = alf.cycles[k]
         raise NonInvertibleTwist(
-            f"source cycle {k} ({cycle.label}) has square {form.pair(cycle.cls, cycle.cls)} "
+            f"source cycle {k} ({cycle.label}) has square {fiber.pair(cycle.cls, cycle.cls)} "
             f"under edge sign {EDGE_SIGN:+d}; {taker} sphere classes only"
         )
 
@@ -362,11 +363,11 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     r = len(a.fiber.pattern.vertices)
     if any(len(c) != r for c in (*sources, *targets)):
         raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
-    form = fiber_form(a.fiber)
-    _refuse_non_sphere(a, form, "the search takes", start, sources)
+    _refuse_non_sphere(a, "the search takes", start, sources)
     if start == goal:
         return ()
-    if _non_sphere(form, goal, targets) is not None:
+    fiber = a.fiber
+    if _non_sphere(fiber, goal, targets) is not None:
         return None  # every move keeps each class's square
     if sources.keys() != targets.keys() and total_homology(a) != total_homology(b):
         return None  # every move keeps the total space's homology
@@ -387,7 +388,7 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
         return i
 
     def twist(l: int, x: int, power: int) -> int:
-        return intern(dehn_twist(form, classes[l], classes[x], power))
+        return intern(dehn_twist(fiber, classes[l], classes[x], power))
 
     alphabet = _state_moves(len(start))
     tables = {HURWITZ_A: {}, HURWITZ_B: {}}  # kind -> {pair: pair after the move}
@@ -497,8 +498,25 @@ def moves_from_json(text: str):
     return tuple(seq)
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(token: str, what: str, line: str) -> int:
+    """``token`` as an ASCII decimal integer, ``-?[0-9]+``; anything else,
+    such as ``1_0``, ``+1`` or a non-ASCII digit, which ``int`` would read,
+    and a number of more digits than ``int`` reads raise
+    :class:`FormatError` naming ``what``."""
+    try:
+        if _DECIMAL.fullmatch(token):
+            return int(token)
+    except ValueError:  # past the interpreter's digit limit
+        pass
+    raise FormatError(f"bad {what} in move line {line!r}")
+
+
 def parse_move_line(line: str) -> MoveRecord:
-    """Parse one move in the textual grammar:
+    """Parse one move in the textual grammar, where ``I`` is an ASCII
+    decimal integer:
 
     ``cyclic`` | ``hurwitzA I`` | ``hurwitzB I`` | ``stabilize VERTEX I``
     """
@@ -509,15 +527,8 @@ def parse_move_line(line: str) -> MoveRecord:
     if head == "cyclic" and len(tokens) == 1:
         return MoveRecord(CYCLIC)
     if head in ("hurwitzA", "hurwitzB") and len(tokens) == 2:
-        try:
-            i = int(tokens[1])
-        except ValueError:
-            raise FormatError(f"bad index in move line {line!r}") from None
+        i = _decimal(tokens[1], "index", line)
         return MoveRecord(HURWITZ_A if head == "hurwitzA" else HURWITZ_B, i)
     if head == "stabilize" and len(tokens) == 3:
-        try:
-            i = int(tokens[2])
-        except ValueError:
-            raise FormatError(f"bad position in move line {line!r}") from None
-        return MoveRecord(STABILIZE, i, tokens[1])
+        return MoveRecord(STABILIZE, _decimal(tokens[2], "position", line), tokens[1])
     raise FormatError(f"unrecognized move line {line!r}")

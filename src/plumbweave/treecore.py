@@ -76,13 +76,6 @@ class Edge(NamedTuple):
     a: str
     b: str
 
-    def other(self, v: str) -> str:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise UnknownVertex(f"vertex {v!r} is not an endpoint of edge {self.id!r}")
-
 
 def _incidence(vertices, edges) -> dict[str, list[str]]:
     """The ids of the edges at each vertex, in declaration order: the default

@@ -298,6 +298,17 @@ def test_moves_apply_bad_index_exits_2(capsys, fib_json):
     assert "IndexOutOfRange" in err
 
 
+def test_moves_apply_non_ascii_decimal_index_exits_2_and_writes_nothing(capsys, fib_json, tmp_path):
+    # int() would read "1_0" as 10
+    out = tmp_path / "out.json"
+    code, _, err = run(
+        capsys, "moves", "apply", fib_json, "--move", "hurwitzA 1_0", "--out", str(out)
+    )
+    assert code == 2
+    assert "FormatError: bad index in move line 'hurwitzA 1_0'" in err
+    assert not out.exists()
+
+
 MALFORMED_FIBRATIONS = {
     "infinite n": ('"n": 3', '"n": Infinity'),
     "infinite sphere_dim": ('"sphere_dim": 2', '"sphere_dim": Infinity'),

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from dataclasses import fields
 from itertools import combinations, compress, product
 from math import gcd, prod
 from typing import NamedTuple
@@ -14,14 +15,15 @@ from plumbweave import (
     smith_normal_form,
 )
 from plumbweave.errors import BadDimension, DimensionMismatch, FormatError, NonInvertibleTwist
-from plumbweave.lattice import SmithResult, _isometric_centre, pattern_form
+from plumbweave.fibration import fiber_form
+from plumbweave.lattice import PlumbingDescriptor, SmithResult, _isometric_centre, pattern_form
 from plumbweave.treecore import UnrootedTree
 
 A2_PATTERN = UnrootedTree(("alpha", "beta"), (("alpha", "beta"),))
 
 
 def a2_form(n):
-    return pattern_form(A2_PATTERN, n - 1)
+    return PlumbingDescriptor(A2_PATTERN, n - 1)
 
 
 ALPHA = (1, 0)
@@ -34,7 +36,7 @@ def unit(r, i):
 
 def matrix(form):
     """The form's Gram matrix, read through ``pair`` on basis vectors."""
-    r = len(form.basis)
+    r = len(form.pattern.vertices)
     return tuple(tuple(form.pair(unit(r, i), unit(r, j)) for j in range(r)) for i in range(r))
 
 
@@ -55,14 +57,14 @@ def test_form_a2_antisymmetric():
 
 
 def test_form_single_vertex_antisymmetric():
-    form = pattern_form(UnrootedTree(("w0",), ()), 3)
+    form = PlumbingDescriptor(UnrootedTree(("w0",), ()), 3)
     assert matrix(form) == ((0,),)
 
 
 def test_form_from_quotient(ex_ordered):
     qd = quotient(ex_ordered)
-    form = pattern_form(qd.quotient_tree, 2)
-    assert form.basis == ("w0", "w1", "w2", "w3")
+    form = PlumbingDescriptor(qd.quotient_tree, 2)
+    assert form.pattern.vertices == ("w0", "w1", "w2", "w3")
     # star: center w0 pairs with every leaf, leaves do not pair
     assert matrix(form)[0] == (-2, 1, 1, 1)
     assert matrix(form)[1] == (1, -2, 0, 0)
@@ -71,7 +73,7 @@ def test_form_from_quotient(ex_ordered):
 
 def test_form_rejects_small_n(ex_ordered):
     with pytest.raises(BadDimension):
-        pattern_form(quotient(ex_ordered).quotient_tree, 0)
+        PlumbingDescriptor(quotient(ex_ordered).quotient_tree, 0)
 
 
 def test_pair_dimension_mismatch():
@@ -113,7 +115,7 @@ def tree_patterns(draw):
 @given(st.data(), tree_patterns(), st.integers(1, 6))
 @settings(max_examples=150, deadline=None)
 def test_pair_matches_dense_matrix(data, pattern, sphere_dim):
-    form = pattern_form(pattern, sphere_dim)
+    form = PlumbingDescriptor(pattern, sphere_dim)
     mat = dense_pattern_matrix(pattern, sphere_dim)
     assert form.parity == ("symmetric" if sphere_dim % 2 == 0 else "antisymmetric")
     assert matrix(form) == mat
@@ -215,7 +217,7 @@ def repeated_twist(form, l, x, power):
 @given(st.data(), tree_patterns(), st.integers(1, 4), st.integers(-6, 6))
 @settings(max_examples=300, deadline=None)
 def test_twist_power_is_repeated_twist(data, pattern, sphere_dim, power):
-    form = pattern_form(pattern, sphere_dim)
+    form = PlumbingDescriptor(pattern, sphere_dim)
     r = len(pattern.vertices)
     vec = st.tuples(*(st.integers(-3, 3) | st.just(0) for _ in range(r)))
     l, x = data.draw(vec), data.draw(vec)
@@ -345,7 +347,7 @@ def classes(r):
 @given(st.data(), tree_patterns(), st.integers(1, 6), st.integers(-3, 3))
 @settings(max_examples=300, deadline=None)
 def test_form_and_twist_match_reference(data, pattern, sphere_dim, power):
-    form = pattern_form(pattern, sphere_dim)
+    form = PlumbingDescriptor(pattern, sphere_dim)
     ref = ReferenceForm(pattern, sphere_dim, PROGRAM_SIGNS)
     r = len(pattern.vertices)
     l, x, y = data.draw(classes(r)), data.draw(classes(r)), data.draw(classes(r))
@@ -367,7 +369,7 @@ def test_geometric_signs_are_the_program_in_a_flipped_basis(
     """Each setting (s, e, eps) with eps * s = -2 is the program's lattice
     in the basis that ``equivalent`` flips to: there the program's pairing
     is eps times the setting's, and its twist is the setting's twist."""
-    form = pattern_form(pattern, sphere_dim)
+    form = PlumbingDescriptor(pattern, sphere_dim)
     ref = ReferenceForm(pattern, sphere_dim, signs)
     flip = equivalent(signs, pattern)
     r = len(pattern.vertices)
@@ -400,7 +402,7 @@ def test_twist_reads_its_centre_once(power, sphere_dim, sign):
     b + sign * c has square -2 for sign 1 and -6 for sign -1 on the
     symmetric form): the centre's support is read once per call."""
     pattern = UnrootedTree(("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d")))
-    form = pattern_form(pattern, sphere_dim)
+    form = PlumbingDescriptor(pattern, sphere_dim)
     ref = ReferenceForm(pattern, sphere_dim, PROGRAM_SIGNS)
     centre, x = (0, 1, sign, 0), (1, 0, 0, 2)
     l = CountingClass(centre)
@@ -411,9 +413,21 @@ def test_twist_reads_its_centre_once(power, sphere_dim, sign):
 def test_form_shares_the_pattern_adjacency():
     pattern = UnrootedTree(("c", "a", "b"), (("a", "c"), ("b", "c")))
     assert (pattern.above, pattern.below) == (((1, 2), (), ()), ((), (0,), (0,)))
-    form = pattern_form(pattern, 2)
-    assert form.above is pattern.above and form.below is pattern.below
+    form = PlumbingDescriptor(pattern, 2)
+    assert form.pattern is pattern
+    assert matrix(form) == ((-2, 1, 1), (1, -2, 0), (1, 0, -2))
     assert pattern.edge_index_pairs() == frozenset({(0, 1), (0, 2)})
+
+
+def test_the_fiber_stores_two_fields_and_the_form_wrappers_add_none():
+    # the pairing is read from the pattern and the parity of sphere_dim, so
+    # nothing else is stored and the two wrappers add no object
+    assert [f.name for f in fields(PlumbingDescriptor)] == ["pattern", "sphere_dim"]
+    for sphere_dim, parity in ((2, "symmetric"), (3, "antisymmetric")):
+        form = pattern_form(A2_PATTERN, sphere_dim)
+        assert form == PlumbingDescriptor(A2_PATTERN, sphere_dim)
+        assert type(form) is PlumbingDescriptor and form.parity == parity
+        assert fiber_form(form) is form
 
 
 def test_twist_power_cases():
@@ -462,7 +476,7 @@ def test_isometric_centre_is_a_twist_that_keeps_the_form():
         r = len(pattern.vertices)
         basis = [unit(r, i) for i in range(r)]
         for n in range(2, 6):
-            form = pattern_form(pattern, n - 1)
+            form = PlumbingDescriptor(pattern, n - 1)
             gram = matrix(form)
             for l in centre_classes(r, rng):
                 centre = _isometric_centre(form, l)

@@ -39,8 +39,7 @@ from plumbweave.errors import (
     PlumbweaveError,
     UnknownVertex,
 )
-from plumbweave.fibration import fiber_form
-from plumbweave.lattice import _isometric_centre, dehn_twist, pattern_form
+from plumbweave.lattice import _isometric_centre, dehn_twist
 from plumbweave.moves import (
     CYCLIC,
     HURWITZ_A,
@@ -140,6 +139,17 @@ def test_hurwitz_pushes_beta_through_four_alphas():
     for k in range(4):
         cur4 = hurwitz_a(cur4, pos + k)
     assert cur4.cycles[pos + 4].cls == (-4, 1)  # transvection keeps adding
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_move_but_stabilize_rebuilds_the_fiber(ex_ordered, n):
+    # the fiber is the intersection form, so a move that keeps the fiber
+    # passes on the very object and builds no form
+    alf = fibrate(ex_ordered, n)
+    assert cyclic_permute(alf).fiber is alf.fiber
+    for i in (0, 3, len(alf.cycles) - 2):
+        assert hurwitz_a(alf, i).fiber is alf.fiber
+        assert hurwitz_b(alf, i).fiber is alf.fiber
 
 
 def test_hurwitz_index_range(ex_ordered):
@@ -331,9 +341,9 @@ def test_stabilize_prepends_new_class(a2_ordered):
 
 def test_stabilize_preserves_old_pairings(ex_ordered):
     alf = fibrate(ex_ordered, 3)
-    form = pattern_form(alf.fiber.pattern, alf.fiber.sphere_dim)
+    form = alf.fiber
     grown = stabilize(alf, "w2", 4)
-    gform = pattern_form(grown.fiber.pattern, grown.fiber.sphere_dim)
+    gform = grown.fiber
     r = len(alf.fiber.pattern.vertices)
 
     def unit(size, i):
@@ -342,7 +352,7 @@ def test_stabilize_preserves_old_pairings(ex_ordered):
     for i in range(r):
         for j in range(r):
             assert gform.pair(unit(r + 1, i), unit(r + 1, j)) == form.pair(unit(r, i), unit(r, j))
-    assert gform.pair(unit(r + 1, r), unit(r + 1, form.basis.index("w2"))) != 0
+    assert gform.pair(unit(r + 1, r), unit(r + 1, form.pattern.vertices.index("w2"))) != 0
 
 
 def test_stabilize_keeps_shared_classes_shared(ex_ordered):
@@ -639,14 +649,13 @@ def search_outcome(search, *args):
 
 
 def sphere_source(alf) -> bool:
-    form = fiber_form(alf.fiber)
-    return all(_isometric_centre(form, c) for c in alf.word_classes())
+    return all(_isometric_centre(alf.fiber, c) for c in alf.word_classes())
 
 
 def centre_twist(form, l, x, power=1):
     """dehn_twist, after checking that ``l`` is an isometric centre and that
     both classes have the form's rank."""
-    assert len(l) == len(x) == len(form.basis) and _isometric_centre(form, l), (l, x)
+    assert len(l) == len(x) == len(form.pattern.vertices) and _isometric_centre(form, l), (l, x)
     return dehn_twist(form, l, x, power)
 
 
@@ -725,8 +734,7 @@ def test_one_sided_search_raises_on_a_non_invertible_twist():
     # source before any move, at every depth, and the reference search, which
     # has no such check, raises where it meets that twist
     a, b = HAND_BUILT_SOURCE, family_word(6, 5, 5)
-    form = fiber_form(a.fiber)
-    assert {form.pair(c, c) for c in a.word_classes()} == {-2, -8}
+    assert {a.fiber.pair(c, c) for c in a.word_classes()} == {-2, -8}
     for depth in range(6):
         with pytest.raises(NonInvertibleTwist, match=SOURCE_REFUSAL):
             search_equivalence(a, b, depth)
@@ -1202,6 +1210,12 @@ def test_the_digit_limit_is_exact():
     assert moves_from_json(moves_to_json([longest])) == (longest,)
     with pytest.raises(FormatError):
         MoveRecord(HURWITZ_A, -(10**limit))
+    # a move line's index: int() refuses one digit more than the limit
+    assert parse_move_line("hurwitzA " + "9" * limit) == longest
+    with pytest.raises(FormatError, match="bad index in move line"):
+        parse_move_line("hurwitzA " + "9" * (limit + 1))
+    with pytest.raises(FormatError, match="bad position in move line"):
+        parse_move_line("stabilize w0 -" + "9" * (limit + 1))
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
@@ -1235,3 +1249,16 @@ def test_parse_move_lines():
             parse_move_line(line)
     with pytest.raises(FormatError, match="bad position in move line 'stabilize w1 x'"):
         parse_move_line("stabilize w1 x")
+    # an index is ASCII decimal: int() would read each of these
+    for token in ("1_0", "٣", "３", "+1", "-0_1", "1_"):
+        with pytest.raises(FormatError, match="bad index in move line"):
+            parse_move_line(f"hurwitzA {token}")
+        with pytest.raises(FormatError, match="bad position in move line"):
+            parse_move_line(f"stabilize w0 {token}")
+    with pytest.raises(FormatError, match="bad position in move line 'stabilize w0 0_1'"):
+        parse_move_line("stabilize w0 0_1")
+    # a negative index parses, and apply_move refuses its range
+    assert parse_move_line("hurwitzB -1") == MoveRecord("hurwitz_b", -1)
+    assert parse_move_line("stabilize w0 -007") == MoveRecord("stabilize", -7, "w0")
+    with pytest.raises(IndexOutOfRange):
+        apply_move(family_word(1, 1, 5), parse_move_line("hurwitzB -1"))

@@ -42,3 +42,15 @@ def test_every_exported_name_resolves(path):
         name = "plumbweave" if path.stem == "__init__" else f"plumbweave.{path.stem}"
         module = importlib.import_module(name)
         assert [e for e in exports if not hasattr(module, e)] == []
+
+
+def test_the_fiber_is_the_one_form_type():
+    # PlumbingDescriptor carries the intersection pairing; no second form
+    # type is exported
+    from plumbweave import fibration, lattice
+
+    for module in (plumbweave, lattice, fibration):
+        assert "IntersectionForm" not in module.__all__
+        assert not hasattr(module, "IntersectionForm")
+    assert "PlumbingDescriptor" in plumbweave.__all__ and "PlumbingDescriptor" in lattice.__all__
+    assert plumbweave.PlumbingDescriptor is fibration.PlumbingDescriptor is lattice.PlumbingDescriptor

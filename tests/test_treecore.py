@@ -60,13 +60,6 @@ def test_edge_is_an_immutable_hashable_record():
     assert (e.id, e.a, e.b) == ("e0", "v0", "v1")
 
 
-def test_edge_other_end():
-    e = Edge("e0", "v0", "v1")
-    assert e.other("v0") == "v1" and e.other("v1") == "v0"
-    with pytest.raises(UnknownVertex):
-        e.other("v2")
-
-
 def test_parse_two_vertex(a2_tree):
     assert a2_tree.root == ("v0", "e0")
     assert len(a2_tree.edges) == 1
@@ -613,7 +606,8 @@ def reference_order_tree(t: RootedEmbeddedTree) -> ReferenceOrder:
         for eid in t.rotation[v]:
             if eid in tail:
                 continue
-            w = by_id[eid].other(v)
+            _, a, b = by_id[eid]
+            w = b if a == v else a
             if w in dist:
                 continue
             tail[eid] = v
@@ -881,7 +875,8 @@ def test_boundary_order_equals_outer_face_walk(seed):
     leaves = []
     edge, frm = root_e, root_v
     while True:
-        to = by_id[edge].other(frm)
+        _, a, b = by_id[edge]
+        to = b if a == frm else a
         rot = t.rotation[to]
         if len(rot) == 1:
             leaves.append(to)
