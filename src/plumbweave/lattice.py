@@ -133,8 +133,7 @@ class PlumbingDescriptor:
     def _pair_on(self, support, x: tuple[int, ...], y: tuple[int, ...]) -> int:
         """<x, y> over ``support``, x's nonzero positions; lengths unchecked."""
         diag, lower = _ENTRIES[self.sphere_dim % 2]
-        pattern = self.pattern
-        above, below = pattern.above, pattern.below
+        above, below = self.pattern.above, self.pattern.below
         total = 0
         for i in support:
             row = diag * y[i]
