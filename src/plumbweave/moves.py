@@ -15,7 +15,11 @@ one statement of the search alphabet's order.
 
 Cycle identity after moves lives at two tiers: the lattice class (decidable,
 used for every equality check) and the display string, which accumulates a
-formal twist word purely for provenance.
+formal twist word purely for provenance.  A vanishing cycle is a sphere with
+no preferred orientation, and the twists see none: the twist around -l is
+the twist around l, and each twist is linear, so it sends -x to minus the
+image of x.  So the search compares classes up to sign, while
+:func:`equal_homology` and the moves keep each class's sign.
 
 Deformation is not a move here: at the homology level it is the identity,
 so it is represented by equality itself.  Whether the four moves connect all
@@ -37,9 +41,10 @@ gives the schedule, why it does not change the witness, and the two cuts,
 by class squares and by :func:`~plumbweave.invariants.total_homology`,
 that answer at once.  A state that both sides have reached is where they
 meet, and :func:`_witness` builds every witness from it.  Each search interns the
-classes it meets as small integer ids and holds a state as a ``str`` with
-one character ``chr(id)`` per class, which Python stores in 1, 2 or 4 bytes
-a character as its largest id needs, hashes once and slices in C.  A table
+classes it meets, each by its sign representative (:func:`_sign_rep`), as
+small integer ids and holds a state as a ``str`` with one character
+``chr(id)`` per class, which Python stores in 1, 2 or 4 bytes a character
+as its largest id needs, hashes once and slices in C.  A table
 that lives only for that call maps each pair of ids to its pair after each
 Hurwitz move, so each twist is computed once.
 """
@@ -276,30 +281,56 @@ def _state_moves(m: int) -> tuple[MoveRecord, ...]:
     )
 
 
+@lru_cache
+def _state_steps(m: int) -> tuple[tuple[str, int], ...]:
+    """The Hurwitz moves of :func:`_state_moves`, in its order, as the
+    ``(kind, index)`` pairs that the search's children read, so that no
+    search reads them off the records again."""
+    return tuple((mv.kind, mv.index) for mv in _state_moves(m)[1:])
+
+
+def _sign_rep(cls: tuple) -> tuple:
+    """``cls`` or ``-cls``, whichever has its first nonzero entry positive:
+    the one representative of the class up to sign that the search keeps."""
+    for v in cls:
+        if v:
+            return cls if v > 0 else tuple([-x for x in cls])
+    return cls
+
+
 def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     """Bidirectional breadth-first search for a move sequence turning a's
-    word into b's.
+    word into b's, each class up to its sign.
 
     The alphabet is :func:`_state_moves`, cyclic permutation and both
-    Hurwitz moves at every index (no stabilization) in its fixed order; the
-    result is the shortest witness and lexicographically least among those.
+    Hurwitz moves at every index (no stabilization) in its fixed order.  A
+    witness w is a script such that ``replay(a, w)`` equals b up to the sign
+    of each class, which :func:`equal_homology` does not ignore; the result
+    is the shortest witness and lexicographically least among those, and
+    ``()`` when the words differ only in signs.  Signs do not matter to a
+    fibration: a vanishing cycle has no preferred orientation, the twist
+    around -l is the twist around l, and it sends -x to minus the image of
+    x, so the moves are well defined on words of classes up to sign.
     Returns a tuple of MoveRecord, or None when no witness has at most
     ``max_depth`` moves.  A None is never evidence that the fibrations differ.
 
     A state is a ``str`` with one character ``chr(id)`` per class, where
-    the call interns each class it meets as the id.  Python stores such a
-    string in 1, 2 or 4 bytes a character, as its largest id needs, and
-    caches its hash.  One generator yields a state's children lazily, so a
-    loop that meets the other side stops there: the left rotation, then one
-    step for each Hurwitz move of :func:`_state_moves`, in its order, which
-    rewrites the pair at the move's index through the call's table for its
-    kind, ``{pair: pair after the move}``.  :func:`_hurwitz_pair` fills the
-    tables, so each twist is computed once with :func:`dehn_twist`.  A
-    forward state links to its parent and the index of its move in the
-    alphabet.  On the D_13 -> A_13 search at n = 3 (a word of 15 classes,
-    depth 13), the call stores 314 481 states, and its peak under
-    ``tracemalloc`` is 45 MiB, about 150 bytes a state on 64-bit CPython
-    3.11, tables, links and frontiers included; none of it outlives the
+    the call interns the sign representative of each class it meets
+    (:func:`_sign_rep`, first nonzero entry positive) as the id, so a class
+    and its negative are one id.  Python stores such a string in 1, 2 or 4
+    bytes a character, as its largest id needs, and caches its hash.  One
+    generator yields a state's children lazily, so a loop that meets the
+    other side stops there: the left rotation, then one step for each
+    Hurwitz move of :func:`_state_moves`, in its order and read from
+    :func:`_state_steps`, which rewrites the pair at the move's index
+    through the call's table for its kind, ``{pair: pair after the move}``.
+    :func:`_hurwitz_pair` fills the tables, so each twist is computed once
+    with :func:`dehn_twist`.  A forward state links to its parent and the
+    index of its move in the alphabet.  On the D_13 -> A_13 search at n = 3
+    (a word of 15 classes, depth 13), the call stores 7 057 states, and its
+    peak under ``tracemalloc`` is 0.9 MiB, about 130 bytes a state on
+    64-bit CPython 3.11, tables, links and frontiers included (with signed
+    classes it stored 314 481 states in 45 MiB); none of it outlives the
     call.  ``chr`` stops at ``sys.maxunicode``, so a search that would
     intern more classes than that raises :class:`IndexOutOfRange`.
 
@@ -337,17 +368,18 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     then takes the least descent from it, the rest of w.  So the tie rule
     and the probe return w, as any order of the steps would.
 
-    Two cuts return None before anything is interned, at any depth.
-    Isometries keep each class's square, so when b is no sphere word
-    (:func:`_non_sphere` again), b is unreachable.  Each move sends a pair
+    Two cuts return None at any depth, before any twist.  Isometries keep
+    each class's square, so when b is no sphere word (:func:`_non_sphere`
+    again), b is unreachable; this cut comes before anything is interned.
+    Then the two words are interned and compared.  Each move sends a pair
     (x, y) to (y, x + c*y) or (y + c'*x, x), so it keeps the Z-span of the
-    word's classes and hence :func:`total_homology`; when the words have
-    different sets of distinct classes, homology certificates that differ
-    make b unreachable too, and a class entry that is not an ``int`` raises
-    :class:`FormatError` there.  On one fiber and one word length the
-    certificates differ exactly when the Smith normal forms of the class
-    rows do.  Such a None shows only that these moves do not reach b, not
-    that the fibrations differ.  A negative ``max_depth`` raises
+    word's classes and hence :func:`total_homology`, which signs do not
+    change; when the words have different sets of classes up to sign,
+    homology certificates that differ make b unreachable too, and a class
+    entry that is not an ``int`` raises :class:`FormatError` there.  On one
+    fiber and one word length the certificates differ exactly when the
+    Smith normal forms of the class rows do.  Such a None shows only that
+    these moves do not reach b, not that the fibrations differ.  A negative ``max_depth`` raises
     :class:`IndexOutOfRange`.
     """
     if _int(max_depth) < 0:
@@ -364,17 +396,14 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     if any(len(c) != r for c in (*sources, *targets)):
         raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
     _refuse_non_sphere(a, "the search takes", start, sources)
-    if start == goal:
-        return ()
     fiber = a.fiber
     if _non_sphere(fiber, goal, targets) is not None:
         return None  # every move keeps each class's square
-    if sources.keys() != targets.keys() and total_homology(a) != total_homology(b):
-        return None  # every move keeps the total space's homology
-    ids: dict = {}  # class -> id
-    classes: list = []  # id -> class
+    ids: dict = {}  # sign representative -> id
+    classes: list = []  # id -> sign representative
 
     def intern(cls) -> int:
+        cls = _sign_rep(cls)
         i = ids.get(cls)
         if i is None:
             i = len(classes)
@@ -391,22 +420,30 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
         return intern(dehn_twist(fiber, classes[l], classes[x], power))
 
     alphabet = _state_moves(len(start))
+    steps = _state_steps(len(start))
     tables = {HURWITZ_A: {}, HURWITZ_B: {}}  # kind -> {pair: pair after the move}
-    steps = [(mv.kind, tables[mv.kind], mv.index) for mv in alphabet[1:]]
 
     def children(state: str):
         """The children of ``state``, one at a time, in alphabet order."""
         yield state[1:] + state[:1]
-        for kind, table, i in steps:
+        for kind, i in steps:
             pair = state[i : i + 2]
+            table = tables[kind]
             after = table.get(pair)
             if after is None:
                 x, y = _hurwitz_pair(kind, ord(pair[0]), ord(pair[1]), twist)
                 after = table[pair] = chr(x) + chr(y)
             yield state[:i] + after + state[i + 2 :]
 
-    start = "".join([chr(intern(c)) for c in start])
-    goal = "".join([chr(intern(c)) for c in goal])
+    chars = {c: chr(intern(c)) for c in (*sources, *targets)}  # each class once
+    start = "".join([chars[c] for c in start])
+    goal = "".join([chars[c] for c in goal])
+    if start == goal:
+        return ()  # equal up to signs
+    # the sets of classes up to sign; only when they differ can the
+    # certificates differ
+    if set(start) != set(goal) and total_homology(a) != total_homology(b):
+        return None  # every move keeps the total space's homology
     parents: dict = {start: None}  # forward state -> (parent, move index) of its least path
     dist = {goal: 0}  # backward state -> moves from it to the goal
     forward, backward = [start], [goal]

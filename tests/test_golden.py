@@ -69,6 +69,14 @@ CASES = {
     "moves_search_exhausted": ("moves search {in}/ex_n3.json {in}/target.json --depth 1", None),
     "moves_search_a_d_found": ("moves search {in}/d7_n3.json {in}/a7_n3.json --depth 7", None),
     "moves_search_a_d_exhausted": ("moves search {in}/d7_n3.json {in}/a7_n3.json --depth 6", None),
+    "moves_search_a_d_m13_found": (
+        "moves search {in}/d15_n3.json {in}/a15_n3.json --depth 15",
+        None,
+    ),
+    "moves_search_up_to_sign": (
+        "moves search {in}/ex_n3.json {in}/ex_n3_first_negated.json --depth 2",
+        None,
+    ),
     "moves_search_lattice_cut": (
         "moves search {in}/family_6_1_n4.json {in}/family_6_3_n4_index2.json --depth 50",
         None,
