@@ -44,9 +44,11 @@ meet, and :func:`_witness` builds every witness from it.  Each search interns th
 classes it meets, each by its sign representative (:func:`_sign_rep`), as
 small integer ids and holds a state as a ``str`` with one character
 ``chr(id)`` per class, which Python stores in 1, 2 or 4 bytes a character
-as its largest id needs, hashes once and slices in C.  A table
-that lives only for that call maps each pair of ids to its pair after each
-Hurwitz move, so each twist is computed once.
+as its largest id needs, hashes once and slices in C.  A Hurwitz move on
+a pair of one id fixes the state, since around a sphere class x the twist
+gives T_x(x) = (1 + <x, x>) x = ±x, so the search skips it.  A table that
+lives only for that call maps each pair of two distinct ids to its pair
+after each Hurwitz move, so each such twist is computed once.
 """
 
 from __future__ import annotations
@@ -282,11 +284,11 @@ def _state_moves(m: int) -> tuple[MoveRecord, ...]:
 
 
 @lru_cache
-def _state_steps(m: int) -> tuple[tuple[str, int], ...]:
+def _state_steps(m: int) -> tuple[tuple[int, str, int], ...]:
     """The Hurwitz moves of :func:`_state_moves`, in its order, as the
-    ``(kind, index)`` pairs that the search's children read, so that no
-    search reads them off the records again."""
-    return tuple((mv.kind, mv.index) for mv in _state_moves(m)[1:])
+    ``(position in the alphabet, kind, index)`` triples that the search's
+    children read, so that no search reads them off the records again."""
+    return tuple((k, mv.kind, mv.index) for k, mv in enumerate(_state_moves(m)) if k)
 
 
 def _sign_rep(cls: tuple) -> tuple:
@@ -319,19 +321,28 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     (:func:`_sign_rep`, first nonzero entry positive) as the id, so a class
     and its negative are one id.  Python stores such a string in 1, 2 or 4
     bytes a character, as its largest id needs, and caches its hash.  One
-    generator yields a state's children lazily, so a loop that meets the
-    other side stops there: the left rotation, then one step for each
-    Hurwitz move of :func:`_state_moves`, in its order and read from
-    :func:`_state_steps`, which rewrites the pair at the move's index
-    through the call's table for its kind, ``{pair: pair after the move}``.
-    :func:`_hurwitz_pair` fills the tables, so each twist is computed once
-    with :func:`dehn_twist`.  A forward state links to its parent and the
-    index of its move in the alphabet.  On the D_13 -> A_13 search at n = 3
-    (a word of 15 classes, depth 13), the call stores 7 057 states, and its
-    peak under ``tracemalloc`` is 0.9 MiB, about 130 bytes a state on
-    64-bit CPython 3.11, tables, links and frontiers included (with signed
-    classes it stored 314 481 states in 45 MiB); none of it outlives the
-    call.  ``chr`` stops at ``sys.maxunicode``, so a search that would
+    generator yields a state's children lazily, each with the index of its
+    move in the alphabet, so a loop that meets the other side stops there:
+    the left rotation, then one step for each Hurwitz move of
+    :func:`_state_moves`, in its order and read from :func:`_state_steps`,
+    which rewrites the pair at the move's index through the call's table
+    for its kind, ``{pair: pair after the move}``.  A step whose pair holds
+    one id twice is skipped, with no twist and no child string: both moves
+    send (x, x) to (x, T_x(x)) or (T_x^-1(x), x), and around a sphere class
+    T_x(x) = (1 + <x, x>) x = ±x, as <x, x> is -2 at odd n and 0 at even n,
+    so the child is the state itself, which every loop over the children
+    passes over.  So the skip leaves the states stored, the meeting state
+    and the witness as they were; it holds on sphere words only (2*l at odd
+    n twists around itself to -14*l), hence the domain checks below come
+    first.  :func:`_hurwitz_pair` fills the tables, so each twist on two
+    distinct ids is computed once with :func:`dehn_twist`.  A forward state
+    links to its parent and the index of its move in the alphabet.
+
+    On the D_13 -> A_13 search at n = 3 (a word of 15 classes, depth 13),
+    the call stores 7 057 states, and its peak under ``tracemalloc`` is
+    0.9 MiB, about 130 bytes a state on 64-bit CPython 3.11, tables, links
+    and frontiers included (with signed classes it stored 314 481 states in
+    45 MiB); none of it outlives the call.  ``chr`` stops at ``sys.maxunicode``, so a search that would
     intern more classes than that raises :class:`IndexOutOfRange`.
 
     The domain is checked before any class is interned.  A class whose
@@ -424,16 +435,20 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     tables = {HURWITZ_A: {}, HURWITZ_B: {}}  # kind -> {pair: pair after the move}
 
     def children(state: str):
-        """The children of ``state``, one at a time, in alphabet order."""
-        yield state[1:] + state[:1]
-        for kind, i in steps:
+        """The children of ``state``, one at a time, in alphabet order, each
+        after the index of its move in ``alphabet``; a Hurwitz move on a
+        pair of one id fixes the state, so it is skipped."""
+        yield 0, state[1:] + state[:1]
+        for k, kind, i in steps:
+            if state[i] == state[i + 1]:
+                continue  # T_x(x) = (1 + <x, x>) x = ±x
             pair = state[i : i + 2]
             table = tables[kind]
             after = table.get(pair)
             if after is None:
                 x, y = _hurwitz_pair(kind, ord(pair[0]), ord(pair[1]), twist)
                 after = table[pair] = chr(x) + chr(y)
-            yield state[:i] + after + state[i + 2 :]
+            yield k, state[:i] + after + state[i + 2 :]
 
     chars = {c: chr(intern(c)) for c in (*sources, *targets)}  # each class once
     start = "".join([chars[c] for c in start])
@@ -456,7 +471,7 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
             # child that meets the backward side starts the least witness
             layer = []
             for state in forward:
-                for k, child in enumerate(children(state)):
+                for k, child in children(state):
                     if child in parents:
                         continue
                     if child in dist:
@@ -472,7 +487,7 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
             for state in backward:
                 preds = children(state)
                 next(preds)  # the left rotation; its inverse is the right one
-                for pred in (state[-1:] + state[:-1], *preds):
+                for _, pred in ((0, state[-1:] + state[:-1]), *preds):
                     # a probe keeps only the forward states it meets
                     if (pred not in parents) if probe else (pred in dist):
                         continue
@@ -491,7 +506,8 @@ def _witness(state, parents, dist, alphabet, children) -> tuple:
     path from the start to ``state``, read back through ``parents`` (each
     link a parent and the index of its move in ``alphabet``), then the least
     shortest descent to the goal, at each step the first child, in the
-    order ``children`` yields them, that is one step closer.
+    order ``children`` yields them with their move indices, that is one
+    step closer.
 
     A state is in both ``parents`` and ``dist`` only where the sides meet:
     had an older forward state entered ``dist``, its forward child on that
@@ -503,7 +519,7 @@ def _witness(state, parents, dist, alphabet, children) -> tuple:
         seq.append(alphabet[k])
     seq.reverse()
     for d in range(dist[state] - 1, -1, -1):
-        for k, child in enumerate(children(state)):
+        for k, child in children(state):
             if dist.get(child) == d:
                 break
         seq.append(alphabet[k])

@@ -7,10 +7,15 @@ recorded under ``tests/golden/expected/<case>``.  Run with
 ``-o pythonpath=``, the cases import an installed ``plumbweave`` rather
 than ``src/``, so CI checks the installed package by them.  The CLI reads no
 environment variable of its own, so the bytes depend only on the command
-line and the inputs.  After an intended change of output, record the cases
-again from the repository root with::
+line and the inputs.  To record new cases, name them, from the repository
+root::
 
-    PYTHONPATH=src python -m tests.test_golden
+    PYTHONPATH=src python -m tests.test_golden NAME...
+
+It refuses, writing nothing, a name that is no case or already has a
+recording, so no call takes in a byte that an unrelated change moved.
+After an intended change of a case's output, delete its directory under
+``tests/golden/expected`` first.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import contextlib
 import io
 import re
 import shlex
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -156,16 +160,63 @@ def test_every_input_has_a_case():
     assert sorted(on_disk) == sorted(named)
 
 
-def record() -> None:
-    """Write every case's bytes under ``tests/golden/expected``, afresh."""
-    shutil.rmtree(EXPECTED, ignore_errors=True)
-    for name in sorted(CASES):
+def test_the_recorder_writes_only_new_named_cases(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "EXPECTED", tmp_path)
+    name = "order_ex_text"
+    assert main([name]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert recorded(name) == run_case(name, Path(tmp))
+    # a recorded case is never written again, and a refused call writes no
+    # other case either
+    stdout = tmp_path / name / "stdout"
+    stdout.write_bytes(b"edited\n")
+    capsys.readouterr()
+    for argv, message in (
+        ([], "usage: "),
+        (["order_ex_json", name], f"already recorded: {name};"),
+        (["order_ex_json", "no_such_case"], "no such case: no_such_case"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert stdout.read_bytes() == b"edited\n"
+
+
+def record(names) -> None:
+    """Write the bytes of each case in ``names`` under ``EXPECTED``, once
+    every case has run.  Raise ``ValueError``, writing nothing, when a name
+    is no case or its case already has a recording."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise ValueError(f"no such case: {' '.join(unknown)}")
+    taken = [name for name in names if (EXPECTED / name).exists()]
+    if taken:
+        raise ValueError(
+            f"already recorded: {' '.join(taken)}; delete its directory to record it again"
+        )
+    runs = {}
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            for key, data in run_case(name, Path(tmp)).items():
-                path = EXPECTED / name / key
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(data)
+            runs[name] = run_case(name, Path(tmp))
+    for name, got in runs.items():
+        for key, data in got.items():
+            path = EXPECTED / name / key
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+
+
+def main(argv) -> int:
+    if not argv:
+        print("usage: python -m tests.test_golden NAME...", file=sys.stderr)
+        return 2
+    try:
+        record(argv)
+    except ValueError as err:
+        print(f"tests.test_golden: {err}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":
-    record()
+    sys.exit(main(sys.argv[1:]))

@@ -828,6 +828,45 @@ def test_search_refuses_a_source_that_is_no_sphere_word(ex_ordered):
     )
 
 
+def equal_pairs(alf):
+    """The indices i at which classes i and i + 1 of ``alf`` agree up to sign."""
+    word = _signless(alf.word_classes())
+    return [i for i in range(len(word) - 1) if word[i] == word[i + 1]]
+
+
+@given(
+    seeds, st.sampled_from([3, 4, 5, 6]), st.lists(st.tuples(st.integers(0, 2), seeds), max_size=6)
+)
+@settings(max_examples=100, deadline=None)
+def test_a_hurwitz_move_on_an_equal_pair_fixes_a_sphere_word(seed, n, script):
+    # the search skips these moves: around a sphere class x, T_x(x) =
+    # (1 + <x, x>) x, which is -x at odd n and x at even n
+    alf = fibrate(order_tree(random_tree(seed, 12)), n)
+    for kind, r in script:
+        i = r % (len(alf.cycles) - 1)
+        alf = (cyclic_permute(alf), hurwitz_a(alf, i), hurwitz_b(alf, i))[kind]
+    assert sphere_source(alf)
+    for i in equal_pairs(alf):
+        for move in (hurwitz_a, hurwitz_b):
+            assert equal_up_to_sign(move(alf, i), alf)
+
+
+def test_a_hurwitz_move_on_an_equal_pair_moves_a_class_that_is_no_sphere():
+    # off the search's domain the identity fails: at odd n, 2*beta has square
+    # -8 and twists around itself to (1 - 8) * 2*beta = -14*beta, so the
+    # search must refuse such a source before it skips an equal pair
+    fiber = family_word(1, 1, 3).fiber
+    two_beta = VanishingCycle("edge:e1", (0, 2), "2β")
+    alf = AbstractLF(fiber, (two_beta, two_beta))
+    assert fiber.pair((0, 2), (0, 2)) == -8 and equal_pairs(alf) == [0]
+    moved = hurwitz_a(alf, 0)
+    assert moved.word_classes() == ((0, 2), (0, -14))
+    assert not equal_up_to_sign(moved, alf)
+    for b in (alf, moved):
+        with pytest.raises(NonInvertibleTwist, match=r"^source cycle 0 \(edge:e1\) has square -8"):
+            search_equivalence(alf, b, 1)
+
+
 # tree words with multi-coordinate classes: random trees of 6 to 8 vertices
 TREE_SEEDS = [0, 2, 5, 6, 10, 17, 19, 20]
 

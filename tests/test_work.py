@@ -10,14 +10,23 @@ pins two counters:
   ``len(parents) + len(dist)`` as ``moves._witness`` receives them.
 
 The wrappers only observe, so the search returns its witness as without
-them.  A change that moves a count updates its row and says why.
+them.  A change that moves a count updates its row and says why.  From the
+repository root, ``PYTHONPATH=src python -m tests.test_work`` prints the
+measured row of every search in ``WORK``'s format, ready to paste; the
+test below decides pass or fail.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
+from unittest import mock
+
 import pytest
 
-from plumbweave import family_word, moves, search_equivalence
+from plumbweave import family_word, moves, replay, search_equivalence
+from plumbweave.moves import HURWITZ_A, MoveRecord
 
 from .test_moves import _a_d_words
 
@@ -26,35 +35,45 @@ from .test_moves import _a_d_words
 # moves, searched at depth `shift`
 FAMILY_PAIRS = [(j, 2) for j in (1, 3, 5, 7)] + [(j, 4) for j in range(1, 7)]
 
+
+def _pushed(m: int, j: int, n: int, shift: int):
+    """family_word(m, j, n) and its image under ``hurwitz_a`` at j + 1, ...,
+    j + shift, which at even n is no family word."""
+    a = family_word(m, j, n)
+    return a, replay(a, [MoveRecord(HURWITZ_A, j + 1 + k) for k in range(shift)])
+
+
 # name -> (source, target, depth)
 SEARCHES = {
     f"family 10,{j}->{j + shift}": (family_word(10, j, 3), family_word(10, j + shift, 3), shift)
     for j, shift in FAMILY_PAIRS
 }
 SEARCHES["D_11->A_11"] = (*_a_d_words(9, 3), 11)
+# at even n the pairing is antisymmetric, so <x, x> = 0 and T_x(x) = x
+for shift in (2, 4):
+    SEARCHES[f"family 10,1 n=4 pushed {shift}"] = (*_pushed(10, 1, 4, shift), shift)
 
 # name -> (twists, stored)
 WORK = {
-    "family 10,1->3": (8, 10),
-    "family 10,3->5": (8, 10),
-    "family 10,5->7": (8, 10),
-    "family 10,7->9": (8, 10),
-    "family 10,1->5": (14, 49),
-    "family 10,2->6": (14, 49),
-    "family 10,3->7": (14, 49),
-    "family 10,4->8": (14, 49),
-    "family 10,5->9": (14, 49),
-    "family 10,6->10": (16, 40),
-    "D_11->A_11": (18, 2520),
+    "family 10,1->3": (6, 10),
+    "family 10,3->5": (6, 10),
+    "family 10,5->7": (6, 10),
+    "family 10,7->9": (6, 10),
+    "family 10,1->5": (12, 49),
+    "family 10,2->6": (12, 49),
+    "family 10,3->7": (12, 49),
+    "family 10,4->8": (12, 49),
+    "family 10,5->9": (12, 49),
+    "family 10,6->10": (12, 40),
+    "D_11->A_11": (12, 2520),
+    "family 10,1 n=4 pushed 2": (9, 10),
+    "family 10,1 n=4 pushed 4": (30, 49),
 }
 
 
-def test_every_search_has_a_row():
-    assert sorted(SEARCHES) == sorted(WORK)
-
-
-@pytest.mark.parametrize("name", list(SEARCHES))
-def test_search_work_counts(monkeypatch, name):
+def measure(name: str) -> tuple[int, ...]:
+    """The ``(twists, stored)`` of the search ``name`` in ``SEARCHES``,
+    which must find a witness of exactly its depth."""
     source, target, depth = SEARCHES[name]
     twists = 0
     stored = []
@@ -69,8 +88,36 @@ def test_search_work_counts(monkeypatch, name):
         stored.append(len(parents) + len(dist))
         return witness(state, parents, dist, *rest)
 
-    monkeypatch.setattr(moves, "dehn_twist", counting_twist)
-    monkeypatch.setattr(moves, "_witness", storing_witness)
-    wit = search_equivalence(source, target, depth)
+    with mock.patch.object(moves, "dehn_twist", counting_twist), mock.patch.object(
+        moves, "_witness", storing_witness
+    ):
+        wit = search_equivalence(source, target, depth)
     assert wit is not None and len(wit) == depth
-    assert (twists, *stored) == WORK[name]
+    return (twists, *stored)
+
+
+def print_rows() -> None:
+    """Print the measured row of every search, in ``WORK``'s format."""
+    for name in SEARCHES:
+        print(f'    "{name}": {measure(name)},')
+
+
+def test_every_search_has_a_row():
+    assert sorted(SEARCHES) == sorted(WORK)
+
+
+@pytest.mark.parametrize("name", list(SEARCHES))
+def test_search_work_counts(name):
+    assert measure(name) == WORK[name]
+
+
+def test_the_printed_rows_are_the_measured_ones():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        print_rows()
+    printed = ast.literal_eval("{" + out.getvalue() + "}")
+    assert printed == {name: measure(name) for name in SEARCHES}
+
+
+if __name__ == "__main__":
+    print_rows()
