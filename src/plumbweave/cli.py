@@ -248,7 +248,9 @@ def _load_sphere_word(path: str):
     so nothing is checked per move."""
     alf = fibration.from_json(_read_text(path))
     word = alf.word_classes()
-    moves._refuse_non_sphere(alf, "moves take", word, dict.fromkeys(word))
+    moves._refuse_non_sphere(
+        alf, "moves take", moves._non_sphere(alf.fiber, word, dict.fromkeys(word))
+    )
     return alf
 
 

@@ -48,7 +48,19 @@ as its largest id needs, hashes once and slices in C.  A Hurwitz move on
 a pair of one id fixes the state, since around a sphere class x the twist
 gives T_x(x) = (1 + <x, x>) x = ±x, so the search skips it.  A table that
 lives only for that call maps each pair of two distinct ids to its pair
-after each Hurwitz move, so each such twist is computed once.
+after each Hurwitz move, so each such twist is computed once, and the one
+that undoes it comes free.
+
+Each side of the search expands a state knowing the move that first
+reached it, and skips three kinds of child, each of which a smaller script
+of equal length, or a shorter one, has already built: (1) a Hurwitz move
+on a pair disjoint from the last move's pair that comes before it in the
+alphabet, as the two commute; (2) the other Hurwitz kind at the last
+move's pair, which gives the parent back; (3) the rotation after a Hurwitz
+move at pair j, which rotating first and moving at j - 1 (j + 1 on the
+backward side) does too, unless no such pair exists.  :func:`_state_steps`
+reads these rules off the alphabet once per word length, and
+:func:`search_equivalence` proves that they keep every witness.
 """
 
 from __future__ import annotations
@@ -224,12 +236,15 @@ def replay(alf: AbstractLF, seq) -> AbstractLF:
 
 def _same_fiber(a: AbstractLF, b: AbstractLF) -> bool:
     """Structurally identical fibers: sphere dimension (hence n) and the
-    pattern compared by position (the relabeling is fixed by construction)."""
+    pattern compared by position (the relabeling is fixed by construction).
+    Equal adjacency tuples give equal edge sets, so only patterns whose
+    edges are listed in another order build the two sets."""
     fa, fb = a.fiber, b.fiber
+    pa, pb = fa.pattern, fb.pattern
     return (
         fa.sphere_dim == fb.sphere_dim
-        and len(fa.pattern.vertices) == len(fb.pattern.vertices)
-        and fa.pattern.edge_index_pairs() == fb.pattern.edge_index_pairs()
+        and len(pa.vertices) == len(pb.vertices)
+        and (pa.above == pb.above or pa.edge_index_pairs() == pb.edge_index_pairs())
     )
 
 
@@ -253,17 +268,15 @@ def _non_sphere(fiber: PlumbingDescriptor, word, distinct) -> int | None:
     return None
 
 
-def _refuse_non_sphere(alf: AbstractLF, taker: str, word, distinct) -> None:
-    """Raise :class:`NonInvertibleTwist` when ``alf``, whose classes are
-    ``word`` and ``distinct`` as in :func:`_non_sphere`, is no sphere word
-    of its fiber: name its first such cycle by index and label, with its
-    square and the edge sign, but never the class, which can have
-    thousands of entries.  ``taker`` names who refuses the word; the
-    search and the ``moves`` commands call this."""
-    fiber = alf.fiber
-    k = _non_sphere(fiber, word, distinct)
+def _refuse_non_sphere(alf: AbstractLF, taker: str, k: int | None) -> None:
+    """Raise :class:`NonInvertibleTwist` when ``k``, found by
+    :func:`_non_sphere`, is the index of ``alf``'s first cycle that is no
+    sphere class: name that cycle by index and label, with its square and
+    the edge sign, but never the class, which can have thousands of
+    entries.  ``taker`` names who refuses the word; the search and the
+    ``moves`` commands call this."""
     if k is not None:
-        cycle = alf.cycles[k]
+        fiber, cycle = alf.fiber, alf.cycles[k]
         raise NonInvertibleTwist(
             f"source cycle {k} ({cycle.label}) has square {fiber.pair(cycle.cls, cycle.cls)} "
             f"under edge sign {EDGE_SIGN:+d}; {taker} sphere classes only"
@@ -284,11 +297,38 @@ def _state_moves(m: int) -> tuple[MoveRecord, ...]:
 
 
 @lru_cache
-def _state_steps(m: int) -> tuple[tuple[int, str, int], ...]:
-    """The Hurwitz moves of :func:`_state_moves`, in its order, as the
-    ``(position in the alphabet, kind, index)`` triples that the search's
-    children read, so that no search reads them off the records again."""
-    return tuple((k, mv.kind, mv.index) for k, mv in enumerate(_state_moves(m)) if k)
+def _state_steps(m: int) -> tuple:
+    """What the search expands in a state of ``m`` classes, by the move that
+    first reached it: entry k for the move at position k of
+    :func:`_state_moves`, and the last entry, read as entry -1, for the
+    start and the goal, which no move reached.  An entry is ``(forward
+    shift, backward shift, steps)``: a shift of 1 rotates left, -1 right
+    and 0 not at all, and the steps are the Hurwitz moves kept, in the
+    alphabet's order, as ``(position in the alphabet, kind, index)``
+    triples.  The three rules that drop a child (see
+    :func:`search_equivalence`) are read off the records and their
+    positions, so they hold for any order of the Hurwitz moves, and no
+    search reads the records again."""
+    alphabet = _state_moves(m)
+    hurwitz = [(k, mv.kind, mv.index) for k, mv in enumerate(alphabet) if mv.kind != CYCLIC]
+    every = (1, -1, tuple(hurwitz))
+
+    def after(last: int, move: MoveRecord) -> tuple:
+        if move.kind == CYCLIC:
+            return every
+        j = move.index
+        kept = tuple(
+            (k, kind, i)
+            for k, kind, i in hurwitz
+            # (1) a disjoint pair moved first; (2) the move that undoes this one
+            if not (abs(i - j) > 1 and k < last or i == j and kind != move.kind)
+        )
+        # (3) the rotation, kept only where no pair lies next to the moved
+        # one on the side the rotation shifts it to: pair 0 forward, m - 2
+        # backward
+        return int(j == 0), -int(j == m - 2), kept
+
+    return (*[after(k, mv) for k, mv in enumerate(alphabet)], every)
 
 
 def _sign_rep(cls: tuple) -> tuple:
@@ -335,12 +375,15 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     and the witness as they were; it holds on sphere words only (2*l at odd
     n twists around itself to -14*l), hence the domain checks below come
     first.  :func:`_hurwitz_pair` fills the tables, so each twist on two
-    distinct ids is computed once with :func:`dehn_twist`.  A forward state
-    links to its parent and the index of its move in the alphabet.
+    distinct ids is computed once with :func:`dehn_twist`; as the two kinds
+    undo each other, the pair it makes then maps back to the pair it came
+    from in the other kind's table, so that twist is never computed.  A
+    forward state links to its parent only, and :func:`_witness` finds the
+    move between the two again.
 
     On the D_13 -> A_13 search at n = 3 (a word of 15 classes, depth 13),
     the call stores 7 057 states, and its peak under ``tracemalloc`` is
-    0.9 MiB, about 130 bytes a state on 64-bit CPython 3.11, tables, links
+    0.72 MiB, about 107 bytes a state on 64-bit CPython 3.11, tables, links
     and frontiers included (with signed classes it stored 314 481 states in
     45 MiB); none of it outlives the call.  ``chr`` stops at ``sys.maxunicode``, so a search that would
     intern more classes than that raises :class:`IndexOutOfRange`.
@@ -379,6 +422,29 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     then takes the least descent from it, the rest of w.  So the tie rule
     and the probe return w, as any order of the steps would.
 
+    No skipped child changes the witness either.  Beside each frontier
+    state rides the position in the alphabet of the move that first
+    reached it, and :func:`_state_steps` gives, for that move, the children
+    to build.  Order scripts by length, then lexicographically in the
+    alphabet's order; each side discovers a state first through its least
+    script, and a prefix of a least script is least.  A child is skipped
+    only when the script through its parent is not least: (1) after a
+    Hurwitz move at pair j, a Hurwitz move at a pair i with |i - j| >= 2
+    that comes earlier in the alphabet commutes with it, and the script
+    with the two swapped is smaller and of equal length; (2) the other
+    Hurwitz kind at pair j undoes the move, so the child is the parent,
+    reached by a shorter script; (3) forward, the left rotation after a
+    move at pair j >= 1 is the move at j - 1 after the rotation, and
+    backward, the right rotation after a move at j <= m - 3 is the move at
+    j + 1 after it; the rotation comes first in the alphabet, so that
+    script is smaller.  So the last two moves of a least script are never
+    a skipped pair, every state is still first reached through its least
+    script, by the same parent and in the same order, and ``parents``,
+    ``dist``, the meeting state and the witness are as without the skips.
+    Rules (1) and (2) read only the alphabet's records and positions, so
+    they hold for any order of the Hurwitz moves; rule (3) needs only the
+    cyclic move first.
+
     Two cuts return None at any depth, before any twist.  Isometries keep
     each class's square, so when b is no sphere word (:func:`_non_sphere`
     again), b is unreachable; this cut comes before anything is interned.
@@ -397,18 +463,20 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
         raise IndexOutOfRange(f"search depth {max_depth} below 0")
     if not _same_fiber(a, b):
         raise DimensionMismatch("search requires identical fibers")
-    if len(a.cycles) != len(b.cycles):
+    m = len(a.cycles)
+    if m != len(b.cycles):
         raise DimensionMismatch("search requires words of equal length")
 
-    start = a.word_classes()
-    goal = b.word_classes()
-    sources, targets = dict.fromkeys(start), dict.fromkeys(goal)  # a word repeats classes
-    r = len(a.fiber.pattern.vertices)
-    if any(len(c) != r for c in (*sources, *targets)):
-        raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
-    _refuse_non_sphere(a, "the search takes", start, sources)
+    both = [c.cls for c in (*a.cycles, *b.cycles)]  # the source's classes, then the target's
+    distinct = dict.fromkeys(both)  # a word repeats classes; each is checked once
     fiber = a.fiber
-    if _non_sphere(fiber, goal, targets) is not None:
+    r = len(fiber.pattern.vertices)
+    for c in distinct:
+        if len(c) != r:
+            raise DimensionMismatch(f"search requires classes of length {r}, the fiber's rank")
+    k = _non_sphere(fiber, both, distinct)
+    if k is not None:
+        _refuse_non_sphere(a, "the search takes", k if k < m else None)
         return None  # every move keeps each class's square
     ids: dict = {}  # sign representative -> id
     classes: list = []  # id -> sign representative
@@ -430,15 +498,21 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
     def twist(l: int, x: int, power: int) -> int:
         return intern(dehn_twist(fiber, classes[l], classes[x], power))
 
-    alphabet = _state_moves(len(start))
-    steps = _state_steps(len(start))
+    alphabet = _state_moves(m)
+    table = _state_steps(m)
     tables = {HURWITZ_A: {}, HURWITZ_B: {}}  # kind -> {pair: pair after the move}
+    undo = {HURWITZ_A: tables[HURWITZ_B], HURWITZ_B: tables[HURWITZ_A]}
 
-    def children(state: str):
+    def children(state: str, shift: int = 1, steps=table[-1][2]):
         """The children of ``state``, one at a time, in alphabet order, each
-        after the index of its move in ``alphabet``; a Hurwitz move on a
-        pair of one id fixes the state, so it is skipped."""
-        yield 0, state[1:] + state[:1]
+        after the index of its move in ``alphabet``: the rotation by
+        ``shift``, none when it is 0, then ``steps``, by default every child
+        of a forward state.  A Hurwitz move on a pair of one id fixes the
+        state, so it is skipped.  A pair's first move of one kind also
+        fills the other kind's entry for the pair it makes, which that kind
+        sends back."""
+        if shift:
+            yield 0, state[shift:] + state[:shift]
         for k, kind, i in steps:
             if state[i] == state[i + 1]:
                 continue  # T_x(x) = (1 + <x, x>) x = ±x
@@ -448,20 +522,25 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
             if after is None:
                 x, y = _hurwitz_pair(kind, ord(pair[0]), ord(pair[1]), twist)
                 after = table[pair] = chr(x) + chr(y)
+                undo[kind][after] = pair
             yield k, state[:i] + after + state[i + 2 :]
 
-    chars = {c: chr(intern(c)) for c in (*sources, *targets)}  # each class once
-    start = "".join([chars[c] for c in start])
-    goal = "".join([chars[c] for c in goal])
+    chars = {c: chr(intern(c)) for c in distinct}  # each class once
+    both = "".join([chars[c] for c in both])
+    start, goal = both[:m], both[m:]
     if start == goal:
         return ()  # equal up to signs
     # the sets of classes up to sign; only when they differ can the
     # certificates differ
     if set(start) != set(goal) and total_homology(a) != total_homology(b):
         return None  # every move keeps the total space's homology
-    parents: dict = {start: None}  # forward state -> (parent, move index) of its least path
+    parents: dict = {start: None}  # forward state -> its parent on its least path
     dist = {goal: 0}  # backward state -> moves from it to the goal
     forward, backward = [start], [goal]
+    # beside each frontier state, the position in the alphabet of the move
+    # that first reached it; the table's last entry, -1, stands for the
+    # start and the goal
+    reached_f, reached_b = [-1], [-1]
     depth_f = depth_b = 0
     while depth_f + depth_b < max_depth and forward and backward:
         # the step that spends the budget grows a layer no step expands
@@ -469,31 +548,35 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
         if len(forward) < len(backward):
             # discovery order is the order of least paths, so the first
             # child that meets the backward side starts the least witness
-            layer = []
-            for state in forward:
-                for k, child in children(state):
+            layer, moved = [], []
+            for state, last in zip(forward, reached_f):
+                shift, _, steps = table[last]
+                for k, child in children(state, shift, steps):
                     if child in parents:
                         continue
                     if child in dist:
-                        parents[child] = (state, k)
+                        parents[child] = state
                         return _witness(child, parents, dist, alphabet, children)
                     if not probe:
-                        parents[child] = (state, k)
+                        parents[child] = state
                         layer.append(child)
-            forward = layer
+                        moved.append(k)
+            forward, reached_f = layer, moved
             depth_f += 1
         else:
-            layer = []
-            for state in backward:
-                preds = children(state)
-                next(preds)  # the left rotation; its inverse is the right one
-                for _, pred in ((0, state[-1:] + state[:-1]), *preds):
+            layer, moved = [], []
+            for state, last in zip(backward, reached_b):
+                # the rotation by shift -1 is the right one, the inverse of
+                # the left; a Hurwitz move's inverse is the other kind
+                _, shift, steps = table[last]
+                for k, pred in children(state, shift, steps):
                     # a probe keeps only the forward states it meets
                     if (pred not in parents) if probe else (pred in dist):
                         continue
                     dist[pred] = depth_b + 1
                     layer.append(pred)
-            backward = layer
+                    moved.append(k)
+            backward, reached_b = layer, moved
             depth_b += 1
             for state in forward:
                 if state in dist:
@@ -503,11 +586,12 @@ def search_equivalence(a: AbstractLF, b: AbstractLF, max_depth: int):
 
 def _witness(state, parents, dist, alphabet, children) -> tuple:
     """The witness through ``state``, where the two sides meet: the least
-    path from the start to ``state``, read back through ``parents`` (each
-    link a parent and the index of its move in ``alphabet``), then the least
-    shortest descent to the goal, at each step the first child, in the
-    order ``children`` yields them with their move indices, that is one
-    step closer.
+    path from the start to ``state``, read back through ``parents``, each
+    move the first of the parent's children, in the order ``children``
+    yields them with their move indices, that is the state (a smaller one
+    would have reached it first), then the least shortest descent to the
+    goal, at each step the first child that is one step closer.  Both walk
+    every child, skipped or not.
 
     A state is in both ``parents`` and ``dist`` only where the sides meet:
     had an older forward state entered ``dist``, its forward child on that
@@ -515,8 +599,12 @@ def _witness(state, parents, dist, alphabet, children) -> tuple:
     seq = []
     at = state
     while parents[at] is not None:
-        at, k = parents[at]
+        parent = parents[at]
+        for k, child in children(parent):
+            if child == at:
+                break
         seq.append(alphabet[k])
+        at = parent
     seq.reverse()
     for d in range(dist[state] - 1, -1, -1):
         for k, child in children(state):

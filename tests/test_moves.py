@@ -1129,6 +1129,131 @@ def test_search_stores_no_layer_at_the_budget():
     assert peak < 600 * 1024
 
 
+@pytest.mark.slow
+def test_search_memory_at_d17():
+    # D_17 -> A_17 at n = 3 and depth 17: the move that first reached a
+    # state rides beside the frontiers, and a forward state links to its
+    # parent only, so the peak stays below the 6.96 MiB of the search that
+    # linked each state to its parent and its move (5.8 MiB on CPython 3.11)
+    d, a = _a_d_words(15, 3)
+    assert search_equivalence(d, a, 0) is None
+    tracemalloc.start()
+    try:
+        wit = search_equivalence(d, a, 17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wit is not None and len(wit) == 17
+    assert peak < 6.9 * 2**20
+
+
+def _moved(alf, *script):
+    """``alf`` after ``script``, each class up to sign."""
+    return _signless(replay(alf, script).word_classes())
+
+
+def test_skip_rule_disjoint_pairs_commute():
+    # rule (1): after hurwitz_b at 5, hurwitz_a at 1 comes first in the
+    # alphabet and is disjoint from it, so the script that moves at 1 first
+    # builds the same child
+    a = family_word(10, 3, 3)
+    late, early = MoveRecord(HURWITZ_B, 5), MoveRecord(HURWITZ_A, 1)
+    alphabet = moves._state_moves(len(a.cycles))
+    assert alphabet.index(early) < alphabet.index(late)
+    assert _moved(a, late, early) == _moved(a, early, late)
+    steps = moves._state_steps(len(a.cycles))[alphabet.index(late)][2]
+    assert (alphabet.index(early), HURWITZ_A, 1) not in steps
+    # a pair that overlaps the last one is kept, whatever its place
+    assert (alphabet.index(MoveRecord(HURWITZ_B, 4)), HURWITZ_B, 4) in steps
+
+
+def test_skip_rule_the_other_kind_undoes_a_move():
+    # rule (2): hurwitz_b at i after hurwitz_a at i gives the parent back,
+    # and the reverse
+    a = family_word(10, 3, 3)
+    alphabet = moves._state_moves(len(a.cycles))
+    table = moves._state_steps(len(a.cycles))
+    for first, then in ((HURWITZ_A, HURWITZ_B), (HURWITZ_B, HURWITZ_A)):
+        for i in (2, 4):
+            assert _moved(a, MoveRecord(first, i), MoveRecord(then, i)) == _signless(
+                a.word_classes()
+            )
+            steps = table[alphabet.index(MoveRecord(first, i))][2]
+            assert (alphabet.index(MoveRecord(then, i)), then, i) not in steps
+            assert (alphabet.index(MoveRecord(first, i)), first, i) in steps
+
+
+def test_skip_rule_rotation_after_a_move():
+    # rule (3): rotating after a move at pair j >= 1 is moving at j - 1
+    # after rotating, a smaller script; backward, the right rotation after
+    # a move at j <= m - 3 is a move at j + 1 after it
+    a = family_word(10, 3, 3)
+    m = len(a.cycles)
+    alphabet, table = moves._state_moves(m), moves._state_steps(m)
+    rot = MoveRecord(CYCLIC)
+    for kind in (HURWITZ_A, HURWITZ_B):
+        for j in range(m - 1):
+            shift_f, shift_b, _ = table[alphabet.index(MoveRecord(kind, j))]
+            assert shift_f == (1 if j == 0 else 0)
+            assert shift_b == (-1 if j == m - 2 else 0)
+            if j >= 1:
+                assert _moved(a, MoveRecord(kind, j), rot) == _moved(
+                    a, rot, MoveRecord(kind, j - 1)
+                )
+            if j <= m - 3:
+                # the right rotation is m - 1 left ones
+                right = (rot,) * (m - 1)
+                assert _moved(a, MoveRecord(kind, j), *right) == _moved(
+                    a, *right, MoveRecord(kind, j + 1)
+                )
+
+
+@st.composite
+def deep_search_cases(draw):
+    """A family word of 4-8 classes or a random tree word of at most 7
+    vertices, a target reached from it by 2-4 random cyclic and Hurwitz
+    moves with some classes negated, and a depth of 3-6 but no more than
+    the script's length, which bounds the one-sided reference; a witness
+    of 4 moves has both sides of the search expand two layers."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    if draw(st.booleans()):
+        m = draw(st.integers(4, 8))
+        source = family_word(m, draw(st.integers(1, m)), n)
+    else:
+        source = fibrate(order_tree(random_tree(draw(seeds), 7)), n)
+    m = len(source.cycles)
+    script = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from([CYCLIC, HURWITZ_A, HURWITZ_B]))
+        index = draw(st.integers(0, max(m - 2, 0)))
+        if kind == CYCLIC or m < 2:
+            script.append(MoveRecord(CYCLIC))
+        else:
+            script.append(MoveRecord(kind, index))
+    target = replay(source, script)
+    flips = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    target = replace(
+        target,
+        cycles=tuple(
+            replace(c, cls=tuple(-v for v in c.cls)) if flip else c
+            for c, flip in zip(target.cycles, flips)
+        ),
+    )
+    return source, target, min(draw(st.integers(3, 6)), len(script))
+
+
+@given(deep_search_cases())
+@settings(max_examples=200, deadline=None)
+def test_search_with_skipped_children_matches_reference(case):
+    # the skip rules drop only children that a smaller script has built, so
+    # the search still returns the reference's least shortest witness
+    source, target, depth = case
+    got = search_equivalence(source, target, depth)
+    assert got == _reference_bfs_up_to_sign(source, target, depth)
+    if got is not None:
+        assert equal_up_to_sign(replay(source, got), target)
+
+
 # ---------------------------------------------------------------------------
 # move invariance of total-space invariants
 

@@ -2,10 +2,13 @@
 
 Counts of work do not depend on the host, so they tell a change in what
 the search does apart from timing noise.  Each row names one search and
-pins two counters:
+pins three counters:
 
 - ``twists``: the calls of ``moves.dehn_twist``, counted by a wrapper
   patched in for the search;
+- ``generated``: the child states the search builds, its ``_witness``
+  included: the values that the search's ``children`` generator yields,
+  counted by a ``sys.settrace`` observer on that generator's frames;
 - ``stored``: the states the search holds where its two sides meet,
   ``len(parents) + len(dist)`` as ``moves._witness`` receives them.
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import sys
 from unittest import mock
 
 import pytest
@@ -49,33 +53,35 @@ SEARCHES = {
     for j, shift in FAMILY_PAIRS
 }
 SEARCHES["D_11->A_11"] = (*_a_d_words(9, 3), 11)
+SEARCHES["D_15->A_15"] = (*_a_d_words(13, 3), 15)
 # at even n the pairing is antisymmetric, so <x, x> = 0 and T_x(x) = x
 for shift in (2, 4):
     SEARCHES[f"family 10,1 n=4 pushed {shift}"] = (*_pushed(10, 1, 4, shift), shift)
 
-# name -> (twists, stored)
+# name -> (twists, generated, stored)
 WORK = {
-    "family 10,1->3": (6, 10),
-    "family 10,3->5": (6, 10),
-    "family 10,5->7": (6, 10),
-    "family 10,7->9": (6, 10),
-    "family 10,1->5": (12, 49),
-    "family 10,2->6": (12, 49),
-    "family 10,3->7": (12, 49),
-    "family 10,4->8": (12, 49),
-    "family 10,5->9": (12, 49),
-    "family 10,6->10": (12, 40),
-    "D_11->A_11": (12, 2520),
-    "family 10,1 n=4 pushed 2": (9, 10),
-    "family 10,1 n=4 pushed 4": (30, 49),
+    "family 10,1->3": (5, 16, 10),
+    "family 10,3->5": (5, 16, 10),
+    "family 10,5->7": (5, 16, 10),
+    "family 10,7->9": (5, 16, 10),
+    "family 10,1->5": (6, 83, 49),
+    "family 10,2->6": (6, 83, 49),
+    "family 10,3->7": (6, 83, 49),
+    "family 10,4->8": (6, 83, 49),
+    "family 10,5->9": (6, 83, 49),
+    "family 10,6->10": (6, 75, 40),
+    "D_11->A_11": (6, 9462, 2520),
+    "D_15->A_15": (6, 81706, 19219),
+    "family 10,1 n=4 pushed 2": (8, 16, 10),
+    "family 10,1 n=4 pushed 4": (20, 83, 49),
 }
 
 
 def measure(name: str) -> tuple[int, ...]:
-    """The ``(twists, stored)`` of the search ``name`` in ``SEARCHES``,
-    which must find a witness of exactly its depth."""
+    """The ``(twists, generated, stored)`` of the search ``name`` in
+    ``SEARCHES``, which must find a witness of exactly its depth."""
     source, target, depth = SEARCHES[name]
-    twists = 0
+    twists = generated = 0
     stored = []
     dehn_twist, witness = moves.dehn_twist, moves._witness
 
@@ -88,12 +94,29 @@ def measure(name: str) -> tuple[int, ...]:
         stored.append(len(parents) + len(dist))
         return witness(state, parents, dist, *rest)
 
+    def counting_yields(frame, event, arg):
+        # a generator's yield is a "return" event with the yielded value;
+        # its last return, when it runs out, carries None
+        nonlocal generated
+        generated += event == "return" and arg is not None
+        return counting_yields
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        if code.co_name == "children" and code.co_filename == moves.__file__:
+            return counting_yields
+        return None
+
     with mock.patch.object(moves, "dehn_twist", counting_twist), mock.patch.object(
         moves, "_witness", storing_witness
     ):
-        wit = search_equivalence(source, target, depth)
+        sys.settrace(on_call)
+        try:
+            wit = search_equivalence(source, target, depth)
+        finally:
+            sys.settrace(None)
     assert wit is not None and len(wit) == depth
-    return (twists, *stored)
+    return (twists, generated, *stored)
 
 
 def print_rows() -> None:
